@@ -204,8 +204,9 @@ def label_states(w: np.ndarray, v: np.ndarray, trunc: Truncation) -> LabeledSpec
         k, ov = assigned[lbl]
         if ov < _OVERLAP_THRESHOLD:
             raise AmbiguousLabelingError(
-                f"label {lbl}: best overlap {ov:.3f} < {_OVERLAP_THRESHOLD} "
-                "(near-resonant mixing)"
+                f"label {lbl}: best overlap {ov!r} < {_OVERLAP_THRESHOLD} at "
+                f"truncation {trunc.n_q}x{trunc.n_r} (near-resonant mixing, or "
+                "mixing with the top kept level; try a larger truncation)"
             )
         energies[lbl] = float(w[k])
         overlaps[lbl] = ov

@@ -13,7 +13,6 @@ exponential time t and record the time-weighted mixture of the two pointers
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -190,40 +189,85 @@ def simulate_shots(p: ReadoutParams, prepared: int, n_shots: int, seed: int) -> 
 # CSV import/export (one value per line; params and seed in the header)
 # ---------------------------------------------------------------------------
 
+_CSV_CHUNK = 65536  # values formatted per write; bounds the text held at once
+
+
 def _format(x: float) -> str:
     return repr(float(x))
 
 
 def export_shots_csv(shots: ShotSet, path) -> None:
-    """Write a ShotSet with full round-trip precision, LF line endings."""
-    buf = io.StringIO()
-    buf.write(f"# prepared_state={shots.prepared_state}\n")
-    buf.write(f"# seed={shots.seed}\n")
-    for name in _PARAM_FIELDS:
-        value = getattr(shots.params, name)
-        buf.write(f"# {name}={'' if value is None else _format(value)}\n")
-    buf.write("value\n")
-    for v in shots.values:
-        buf.write(_format(v) + "\n")
+    """Write a ShotSet with full round-trip precision, LF line endings.
+
+    Each value is written as ``repr(float(v))``, the shortest text that reads
+    back to the same double.
+    """
+    values = np.asarray(shots.values, dtype=np.float64)
     with open(path, "w", newline="") as f:
-        f.write(buf.getvalue())
+        f.write(f"# prepared_state={shots.prepared_state}\n")
+        f.write(f"# seed={shots.seed}\n")
+        for name in _PARAM_FIELDS:
+            value = getattr(shots.params, name)
+            f.write(f"# {name}={'' if value is None else _format(value)}\n")
+        f.write("value\n")
+        for i in range(0, values.size, _CSV_CHUNK):
+            f.write("\n".join(map(repr, values[i:i + _CSV_CHUNK].tolist())))
+            f.write("\n")
+
+
+def _read_values(f, path, first_line: int) -> np.ndarray:
+    """Parse the value lines of a shot CSV from the open file's position,
+    which is the start of line ``first_line``."""
+    try:
+        values = np.loadtxt(f, dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise _bad_value_error(path, first_line, exc) from None
+    if values.shape[1] != 1:
+        raise ParameterError(f"malformed shot CSV {path}: expected one value per "
+                             f"line, found {values.shape[1]} columns")
+    return values[:, 0]
+
+
+def _bad_value_error(path, first_line: int, exc: ValueError) -> ParameterError:
+    """Name the first line at or after ``first_line`` that is not one number."""
+    with open(path, "r", newline="") as f:
+        for lineno, line in enumerate(f, start=1):
+            text = line.split("#", 1)[0].strip()
+            if lineno < first_line or not text:
+                continue
+            try:
+                float(text)
+            except ValueError:
+                return ParameterError(
+                    f"malformed shot CSV {path}, line {lineno}: {text!r} is not a number"
+                )
+    return ParameterError(f"malformed shot CSV values in {path}: {exc}")
 
 
 def import_shots_csv(path) -> ShotSet:
     """Parse a ShotSet written by :func:`export_shots_csv` (or a compatible
-    real measurement record)."""
+    real measurement record).
+
+    ``# key=value`` header lines, blank lines and one ``value`` column title
+    come first; from the first number on, the file holds one number per line
+    (blank lines and ``#`` comments are skipped). Any line ending is
+    accepted. A value that is not a number raises :class:`ParameterError`
+    naming its line.
+    """
     header: dict[str, str] = {}
-    values: list[float] = []
+    values = np.empty(0)
     with open(path, "r", newline="") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line.lstrip("# ").partition("=")
+        line_start = f.tell()
+        for lineno, line in enumerate(iter(f.readline, ""), start=1):
+            text = line.strip()
+            if text.startswith("#"):
+                key, _, val = text.lstrip("# ").partition("=")
                 header[key.strip()] = val.strip()
-            elif line != "value":
-                values.append(float(line))
+            elif text and text != "value":
+                f.seek(line_start)
+                values = _read_values(f, path, lineno)
+                break
+            line_start = f.tell()
     try:
         kwargs = {}
         for name in _PARAM_FIELDS:
@@ -237,8 +281,7 @@ def import_shots_csv(path) -> ShotSet:
         seed = int(header["seed"])
     except (KeyError, ValueError) as exc:
         raise ParameterError(f"malformed shot CSV header in {path}: {exc}") from exc
-    return ShotSet(prepared_state=prepared, values=np.asarray(values, dtype=float),
-                   seed=seed, params=params)
+    return ShotSet(prepared_state=prepared, values=values, seed=seed, params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,13 @@ Every draw is a pure function of ``(seed, stream, index)``: the generator is
 stateless, so serial loops, vectorized batches, and concurrent workers all
 produce bit-identical values for the same indices. One counter block yields
 four 64-bit words, i.e. up to four independent uniforms per index.
+
+The blocks come from numpy's C implementation, :class:`numpy.random.Philox`
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), keyed
+by ``(seed, stream)`` and started at the first requested counter. The bits
+are those of Philox-4x64-10 for counters ``(index, 0, 0, 0)``, the same as
+the pure-numpy rounds this module used to compute; known-answer digests in
+``tests/test_rng.py`` pin them.
 """
 
 from __future__ import annotations
@@ -11,33 +18,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import ParameterError
+
 __all__ = ["philox4x64", "uniforms", "normals", "exponentials"]
 
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-_W0 = np.uint64(0x9E3779B97F4A7C15)
-_W1 = np.uint64(0xBB67AE8584CAA73B)
-_ROUNDS = 10
-
-_MASK32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _SHIFT11 = np.uint64(11)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
-
-
-def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full 128-bit product of a scalar with a uint64 array: (high, low) words."""
-    a_lo = a & _MASK32
-    a_hi = a >> _SHIFT32
-    b_lo = b & _MASK32
-    b_hi = b >> _SHIFT32
-    lo_lo = a_lo * b_lo
-    mid1 = a_hi * b_lo
-    mid2 = a_lo * b_hi
-    carry = ((lo_lo >> _SHIFT32) + (mid1 & _MASK32) + (mid2 & _MASK32)) >> _SHIFT32
-    hi = a_hi * b_hi + (mid1 >> _SHIFT32) + (mid2 >> _SHIFT32) + carry
-    lo = a * b  # modular low word
-    return hi, lo
 
 
 def philox4x64(counter: np.ndarray, key: tuple[int, int]) -> np.ndarray:
@@ -47,6 +34,8 @@ def philox4x64(counter: np.ndarray, key: tuple[int, int]) -> np.ndarray:
     ----------
     counter : array of uint64, shape (n,)
         First counter word per block; the remaining three words are zero.
+        The counters must be consecutive, ``c0, c0 + 1, ..., c0 + n - 1``,
+        and must not pass ``2**64 - 1``.
     key : (int, int)
         Two 64-bit key words.
 
@@ -54,32 +43,44 @@ def philox4x64(counter: np.ndarray, key: tuple[int, int]) -> np.ndarray:
     -------
     array of uint64, shape (n, 4)
     """
-    c0 = np.ascontiguousarray(counter, dtype=np.uint64)
-    c1 = np.zeros_like(c0)
-    c2 = np.zeros_like(c0)
-    c3 = np.zeros_like(c0)
-    k0 = np.uint64(key[0] & 0xFFFFFFFFFFFFFFFF)
-    k1 = np.uint64(key[1] & 0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):  # modular 64-bit arithmetic is intended
-        for r in range(_ROUNDS):
-            if r:
-                k0 += _W0
-                k1 += _W1
-            hi0, lo0 = _mulhilo(_M0, c0)
-            hi1, lo1 = _mulhilo(_M1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack([c0, c1, c2, c3], axis=1)
+    c = np.asarray(counter, dtype=np.uint64)
+    n = c.size
+    if c.ndim != 1:
+        raise ParameterError(f"counter must be one-dimensional, got shape {c.shape}")
+    if n == 0:
+        return np.empty((0, 4), dtype=np.uint64)
+    start = int(c[0])
+    if start + n - 1 > _MASK64 or np.any(np.diff(c) != 1):
+        raise ParameterError(
+            "counter must be a consecutive run of indices within [0, 2**64), "
+            "as from np.arange(start, start + count)"
+        )
+    # A fresh Philox has an empty buffer, so it steps its 256-bit counter
+    # before each block: starting one below ``start`` (wrapping at 2**256)
+    # makes the first block the one for counter ``start``.
+    bg = np.random.Philox(counter=(start - 1) % 2**256,
+                          key=np.array([key[0] & _MASK64, key[1] & _MASK64],
+                                       dtype=np.uint64))
+    return bg.random_raw(4 * n).reshape(n, 4)
 
 
 def _to_unit_interval(words: np.ndarray) -> np.ndarray:
-    # 53-bit mantissa, offset by half an ulp so the result lies in (0, 1)
-    return ((words >> _SHIFT11).astype(np.float64) + 0.5) * _INV53
+    # 53-bit mantissa, offset by half an ulp so the result lies in (0, 1);
+    # in place, so a batch holds one word array and one float array at most
+    words >>= _SHIFT11
+    u = words.astype(np.float64)
+    u += 0.5
+    u *= _INV53
+    return u
 
 
 def uniforms(seed: int, stream: int, indices: np.ndarray) -> np.ndarray:
-    """Four uniforms in (0, 1) per index, shape (len(indices), 4)."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    return _to_unit_interval(philox4x64(idx, (seed, stream)))
+    """Four uniforms in (0, 1) per index, shape (len(indices), 4).
+
+    ``indices`` must be consecutive (``np.arange(start, stop)``); anything
+    else raises :class:`ParameterError`.
+    """
+    return _to_unit_interval(philox4x64(indices, (seed, stream)))
 
 
 def normals(seed: int, stream: int, indices: np.ndarray, word: int = 0) -> np.ndarray:

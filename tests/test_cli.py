@@ -81,6 +81,21 @@ class TestExitCodes:
     def test_missing_shot_file(self, capsys):
         assert run(["readout-fit", "--shots0", "/nope0.csv", "--shots1", "/nope1.csv"]) == 1
 
+    def test_bad_shot_value_names_file_and_line(self, tmp_path, capsys):
+        out = tmp_path / "rep.csv"
+        assert run(["readout-sim", "--config", SAMPLE_C, "--out", str(out),
+                    "--shots", "200", "--seed", "3"]) == 0
+        shots1 = tmp_path / "rep_shots1.csv"
+        lines = shots1.read_text().splitlines(keepends=True)
+        lines[19] = "abc\n"
+        shots1.write_text("".join(lines))
+        capsys.readouterr()
+        assert run(["readout-fit", "--shots0", str(tmp_path / "rep_shots0.csv"),
+                    "--shots1", str(shots1)]) == 1
+        err = capsys.readouterr().err
+        assert f"{shots1}, line 20:" in err
+        assert "'abc'" in err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # junction inductance tuned so the dressed modes are degenerate and
         # the asymmetric coupling hybridizes them: labeling must fail

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,21 @@ class TestObservables:
         en_res = energies_at_flux(TABLE, 0.5 * (lo + hi), 0.3)
         with pytest.raises(AmbiguousLabelingError):
             numeric_spectrum(en_res, Truncation(12, 12))
+
+    @pytest.mark.parametrize("n_q, n_r", [(12, 4), (4, 12)])
+    def test_ambiguous_message_shows_overlap_below_threshold(self, n_q, n_r):
+        # the top kept level of a four-level mode mixes about 50/50 with the
+        # first excitation, just below the threshold
+        with pytest.raises(AmbiguousLabelingError) as info:
+            numeric_spectrum(EN, Truncation(n_q, n_r))
+        msg = str(info.value)
+        match = re.search(r"best overlap (\S+) < (\S+) at truncation (\d+)x(\d+)", msg)
+        assert match, msg
+        overlap, limit = float(match[1]), float(match[2])
+        assert overlap < limit
+        assert len(match[1].lstrip("0.")) >= 6  # significant digits shown
+        assert (int(match[3]), int(match[4])) == (n_q, n_r)
+        assert "larger truncation" in msg
 
     def test_agreement_degrades_as_inductor_softens(self):
         # regression trend: relative analytic/numeric chi deviation grows as

@@ -1,8 +1,13 @@
 import dataclasses
+import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
@@ -175,6 +180,99 @@ class TestShotCsvRoundTrip:
         path.write_text("# prepared_state=1\nvalue\n0.5\n")
         with pytest.raises(ParameterError):
             import_shots_csv(path)
+
+    # sha256 of the exported bytes, recorded from the per-value writer this
+    # module used to carry
+    def test_export_bytes_simulated(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        export_shots_csv(simulate_shots(SAMPLE_C, 1, 1000, 2024), path)
+        data = path.read_bytes()
+        assert len(data) == 18609
+        assert hashlib.sha256(data).hexdigest() == \
+            "76c8841fb27b60f19c57488a10117c55d780ac8507e3a842a52caa627b453f08"
+
+    def test_export_bytes_edge_values(self, tmp_path):
+        params = dataclasses.replace(SAMPLE_C, readout_freq=7399315000.0,
+                                     thermal_pop=0.0125)
+        values = [-0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 1e-05, 1e16, 0.1, 1 / 3, -2.5,
+                  123456789.0, 1e-300]
+        path = tmp_path / "shots.csv"
+        export_shots_csv(ShotSet(prepared_state=0, values=np.array(values),
+                                 seed=2**64 - 1, params=params), path)
+        text = path.read_text()
+        assert text.endswith("\nvalue\n-0.0\n0.0\n5e-324\n1.7976931348623157e+308\n"
+                             "-1.7976931348623157e+308\n1e-05\n1e+16\n0.1\n"
+                             "0.3333333333333333\n-2.5\n123456789.0\n1e-300\n")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "0f704ce2038967e5670129098e6e8b57385a89225b9860d3de25431354a57af5"
+
+    def test_export_integer_values_as_floats(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        export_shots_csv(_as_shotset(np.array([3, -1])), path)
+        assert path.read_text().endswith("\nvalue\n3.0\n-1.0\n")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+    @example([-0.0, 5e-324, 1.7976931348623157e308, 1e-05, 1e16])
+    def test_round_trip_any_finite_float(self, values):
+        shots = _as_shotset(np.array(values, dtype=np.float64), prepared=1, seed=3)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "shots.csv"
+            export_shots_csv(shots, path)
+            loaded = import_shots_csv(path)
+        assert loaded.values.dtype == np.float64
+        assert loaded.values.tobytes() == shots.values.tobytes()  # keeps -0.0
+        assert (loaded.prepared_state, loaded.seed, loaded.params) == (1, 3, SAMPLE_C)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda t: t.replace("\n", "\r\n"), id="crlf"),
+        pytest.param(lambda t: t.replace("\n", "\n\n").replace("value", "\n  value  "),
+                     id="blank-lines"),
+        pytest.param(lambda t: t.rstrip("\n"), id="no-trailing-newline"),
+        pytest.param(lambda t: t.replace("value\n", ""), id="no-value-line"),
+        pytest.param(lambda t: t.replace("# seed=7", "  #seed = 7 "), id="loose-header"),
+        pytest.param(lambda t: t.replace("\n-1.5\n", "\n# note\n-1.5\n"), id="comment-line"),
+        pytest.param(lambda t: t.replace("\n", "\r"), id="cr-only"),
+    ])
+    def test_compatible_layouts(self, tmp_path, edit):
+        shots = _as_shotset([0.25, -1.5, 3e-07, 12.0], prepared=1, seed=7)
+        path = tmp_path / "shots.csv"
+        export_shots_csv(shots, path)
+        assert "# readout_freq=\n" in path.read_text()  # None is written empty
+        path.write_bytes(edit(path.read_text()).encode())
+        loaded = import_shots_csv(path)
+        assert loaded.params.readout_freq is None
+        assert (loaded.prepared_state, loaded.seed) == (1, 7)
+        assert np.array_equal(loaded.values, shots.values)
+
+    def test_no_values(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        export_shots_csv(_as_shotset([]), path)
+        loaded = import_shots_csv(path)
+        assert loaded.values.shape == (0,) and loaded.values.dtype == np.float64
+
+    @pytest.mark.parametrize("body", ["1.0 2.0\n", "1.0\n2.0 3.0\n", "1.0 2.0\n3.0 4.0\n"])
+    def test_more_than_one_value_per_line_rejected(self, tmp_path, body):
+        path = tmp_path / "two.csv"
+        export_shots_csv(_as_shotset([]), path)
+        path.write_text(path.read_text() + body)
+        with pytest.raises(ParameterError, match="two.csv"):
+            import_shots_csv(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_bad_value_names_file_and_line(self, tmp_path, newline):
+        path = tmp_path / "bad.csv"
+        export_shots_csv(_as_shotset([0.5, 1.5, 2.5]), path)
+        lines = path.read_text().splitlines()
+        bad_line = lines.index("1.5") + 1  # 1-based
+        lines[bad_line - 1] = "abc"
+        path.write_bytes(newline.join(lines).encode())
+        with pytest.raises(ParameterError) as info:
+            import_shots_csv(path)
+        assert str(path) in str(info.value)
+        assert f"line {bad_line}:" in str(info.value)
+        assert "'abc'" in str(info.value)
 
 
 class TestFit:

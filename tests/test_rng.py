@@ -1,6 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quantromon.errors import ParameterError
 from quantromon.rng import exponentials, normals, philox4x64, uniforms
 
 
@@ -58,3 +63,55 @@ def test_exponentials_moments():
 def test_determinism():
     assert np.array_equal(uniforms(1, 2, np.arange(50)),
                           uniforms(1, 2, np.arange(50)))
+
+
+def _span(start, count):
+    return np.uint64(start) + np.arange(count, dtype=np.uint64)
+
+
+# sha256 of uniforms(seed, stream, arange(start, start + count)).tobytes(),
+# recorded from the pure-numpy Philox rounds this module used to carry
+@pytest.mark.parametrize("seed, stream, start, count, digest", [
+    (0, 0, 0, 1,
+     "cc2f4ebfca94c90b91bfc87cfe7f8a9a4c0f8782c4fb28e42b85817a9c87f2ed"),
+    (12345, 0, 0, 1000,
+     "25a16d7b15c045582b2d8432f0dee6ecb4ea2ed8d6e87979378139a02822eaf1"),
+    (2**63 + 5, 1, 17, 333,
+     "5edc42b14d7b2fac0b4ea268408bc107447908b4fa1c163b16d0ae6ca233a94e"),
+    (7, 1, 2**40, 64,
+     "cd620bf13c1832307e6220f14ad21a02fc8db8811b78c5eb0278ff6cd2231ade"),
+])
+def test_known_answer_digests(seed, stream, start, count, digest):
+    u = uniforms(seed, stream, _span(start, count))
+    assert u.dtype == np.float64 and u.shape == (count, 4)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == digest
+
+
+_WORD = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_WORD, stream=_WORD, a=st.integers(0, 2**64 - 401),
+       first=st.integers(0, 200), second=st.integers(0, 200))
+def test_chunk_invariance(seed, stream, a, first, second):
+    b, c = a + first, a + first + second
+    whole = uniforms(seed, stream, _span(a, c - a))
+    split = np.concatenate([uniforms(seed, stream, _span(a, b - a)),
+                            uniforms(seed, stream, _span(b, c - b))])
+    assert np.array_equal(whole, split)
+
+
+def test_last_counter_is_reachable():
+    top = philox4x64(_span(2**64 - 3, 3), (1, 2))
+    assert np.array_equal(top[2], philox4x64(_span(2**64 - 1, 1), (1, 2))[0])
+
+
+@pytest.mark.parametrize("indices", [
+    np.array([0, 2, 3]),
+    np.array([5, 4]),
+    np.array([[0, 1], [2, 3]]),
+    np.array([2**64 - 1, 0], dtype=np.uint64),  # would wrap the counter
+])
+def test_non_consecutive_indices_rejected(indices):
+    with pytest.raises(ParameterError):
+        uniforms(3, 0, indices)

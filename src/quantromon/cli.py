@@ -22,13 +22,7 @@ from pathlib import Path
 from .analytic import dressed_spectrum
 from .coherence import CoherenceConfig
 from .errors import ConfigError, NumericalError, ParameterError
-from .flux import (
-    FluxConfig,
-    FluxMode,
-    evaluate_flux_point,
-    junction_energies_from_circuit,
-    sweep,
-)
+from .flux import FluxConfig, FluxMode, junction_energies_from_circuit, sweep
 from .numeric import Truncation, numeric_spectrum
 from .params import CircuitParams, derive_energies, validate
 from .readout import (
@@ -44,23 +38,6 @@ from .readout import (
 )
 
 __all__ = ["main", "run", "load_config", "normalize_config", "RunConfig"]
-
-_CIRCUIT_KEYS = {"l_j", "c_j", "l_r", "c_r", "b", "d_j"}
-_FLUX_KEYS = {"mode", "e_j1_zero", "e_j2_zero", "area_ratio_a", "n"}
-_COHERENCE_KEYS = {"q_diel", "kappa"}
-_READOUT_KEYS = {"omega_r", "two_chi", "kappa_ext", "kappa_int", "nbar", "tau",
-                 "t1", "readout_freq", "noise_scale", "thermal_pop"}
-_SWEEP_KEYS = {"n_list"}
-_SIM_KEYS = {"n_shots", "seed", "tau_list"}
-_SECTIONS = {
-    "description": None,
-    "circuit": _CIRCUIT_KEYS,
-    "flux": _FLUX_KEYS,
-    "coherence": _COHERENCE_KEYS,
-    "readout": _READOUT_KEYS,
-    "sweep": _SWEEP_KEYS,
-    "readout_sim": _SIM_KEYS,
-}
 
 
 @dataclass(frozen=True)
@@ -78,6 +55,21 @@ class RunConfig:
     readout: ReadoutParams | None = None
     n_list: tuple[int, ...] = ()
     sim: SimOptions = SimOptions()
+
+
+def _keys(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+_SECTIONS = {
+    "description": None,
+    "circuit": _keys(CircuitParams),
+    "flux": _keys(FluxConfig),
+    "coherence": _keys(CoherenceConfig),
+    "readout": _keys(ReadoutParams),
+    "sweep": {"n_list"},
+    "readout_sim": _keys(SimOptions),
+}
 
 
 def _require_number(section: str, key: str, value, allow_none: bool = False):
@@ -115,18 +107,17 @@ def normalize_config(raw: dict) -> dict:
     return out
 
 
-def _parse_circuit(section: dict) -> CircuitParams:
-    missing = {"l_j", "c_j", "l_r", "c_r", "b"} - set(section)
+def _parse_numbers(name: str, cls, section: dict):
+    """Build ``cls`` from a section of numbers: fields without a default are
+    required, and ``null`` is allowed where the default is ``None``."""
+    fields = dataclasses.fields(cls)
+    missing = sorted(f.name for f in fields
+                     if f.default is dataclasses.MISSING and f.name not in section)
     if missing:
-        raise ConfigError(f"circuit section missing keys: {sorted(missing)}")
-    return CircuitParams(
-        l_j=_require_number("circuit", "l_j", section["l_j"]),
-        c_j=_require_number("circuit", "c_j", section["c_j"]),
-        l_r=_require_number("circuit", "l_r", section["l_r"]),
-        c_r=_require_number("circuit", "c_r", section["c_r"]),
-        b=_require_number("circuit", "b", section["b"]),
-        d_j=_require_number("circuit", "d_j", section.get("d_j", 0.0)),
-    )
+        raise ConfigError(f"{name} section missing keys: {missing}")
+    return cls(**{f.name: _require_number(name, f.name, section[f.name],
+                                          allow_none=f.default is None)
+                  for f in fields if f.name in section})
 
 
 def _parse_flux(section: dict, circuit: CircuitParams | None) -> FluxConfig:
@@ -157,22 +148,6 @@ def _parse_flux(section: dict, circuit: CircuitParams | None) -> FluxConfig:
                                      section.get("area_ratio_a", 0.0)),
         n=n,
     )
-
-
-def _parse_readout(section: dict) -> ReadoutParams:
-    missing = {"omega_r", "two_chi", "kappa_ext", "kappa_int", "nbar", "tau", "t1"} - set(section)
-    if missing:
-        raise ConfigError(f"readout section missing keys: {sorted(missing)}")
-    kwargs = {key: _require_number("readout", key, section[key])
-              for key in ("omega_r", "two_chi", "kappa_ext", "kappa_int",
-                          "nbar", "tau", "t1")}
-    kwargs["readout_freq"] = _require_number(
-        "readout", "readout_freq", section.get("readout_freq"), allow_none=True)
-    kwargs["noise_scale"] = _require_number(
-        "readout", "noise_scale", section.get("noise_scale", 2.05))
-    kwargs["thermal_pop"] = _require_number(
-        "readout", "thermal_pop", section.get("thermal_pop", 0.0))
-    return ReadoutParams(**kwargs)
 
 
 def _parse_n_list(section: dict) -> tuple[int, ...]:
@@ -206,15 +181,15 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     data = normalize_config(raw)
-    circuit = _parse_circuit(data["circuit"]) if "circuit" in data else None
+    circuit = (_parse_numbers("circuit", CircuitParams, data["circuit"])
+               if "circuit" in data else None)
     return RunConfig(
         circuit=circuit,
         flux=_parse_flux(data["flux"], circuit) if "flux" in data else None,
-        coherence=(CoherenceConfig(
-            q_diel=_require_number("coherence", "q_diel", data["coherence"].get("q_diel")),
-            kappa=_require_number("coherence", "kappa", data["coherence"].get("kappa")),
-        ) if "coherence" in data else None),
-        readout=_parse_readout(data["readout"]) if "readout" in data else None,
+        coherence=(_parse_numbers("coherence", CoherenceConfig, data["coherence"])
+                   if "coherence" in data else None),
+        readout=(_parse_numbers("readout", ReadoutParams, data["readout"])
+                 if "readout" in data else None),
         n_list=_parse_n_list(data["sweep"]) if "sweep" in data else (),
         sim=_parse_sim(data["readout_sim"]) if "readout_sim" in data else SimOptions(),
     )
@@ -223,9 +198,7 @@ def load_config(path) -> RunConfig:
 def _need(cfg: RunConfig, attr: str, command: str):
     value = getattr(cfg, attr)
     if value is None:
-        section = {"circuit": "circuit", "flux": "flux", "coherence": "coherence",
-                   "readout": "readout"}[attr]
-        raise ConfigError(f"command {command!r} requires a {section!r} config section")
+        raise ConfigError(f"command {command!r} requires a {attr!r} config section")
     return value
 
 
@@ -276,12 +249,8 @@ def _emit(rows: list[dict], out: str | None, fmt: str) -> None:
 
 def _cmd_energies(cfg: RunConfig, args) -> list[dict]:
     circuit = _need(cfg, "circuit", "energies")
-    report = validate(circuit)
-    if not report.ok:
-        raise ParameterError("; ".join(report.violations))
-    en = derive_energies(circuit)
-    row = dataclasses.asdict(en)
-    row["warnings"] = " | ".join(report.warnings)
+    row = dataclasses.asdict(derive_energies(circuit))
+    row["warnings"] = " | ".join(validate(circuit).warnings)
     return [row]
 
 
@@ -311,43 +280,32 @@ def _cmd_spectrum(cfg: RunConfig, args) -> list[dict]:
     return rows
 
 
-def _cmd_chi_sweep(cfg: RunConfig, args) -> list[dict]:
-    circuit = _need(cfg, "circuit", "chi-sweep")
-    flux_cfg = _need(cfg, "flux", "chi-sweep")
-    coherence = _need(cfg, "coherence", "chi-sweep")
-    if not cfg.n_list:
-        raise ConfigError("command 'chi-sweep' requires sweep.n_list")
-    rows = sweep(circuit, flux_cfg, list(cfg.n_list), coherence)
-    return [dataclasses.asdict(r) for r in rows]
+# the columns each sweep command prints, in order
+_SWEEP_COLUMNS = {
+    "chi-sweep": ("n", "e_jsigma", "d_j", "omega_q_t", "delta", "two_chi_total",
+                  "t1_model", "error"),
+    "t1-model": ("n", "omega_q_t", "delta", "t1_diel", "t1_asymm", "t1_model",
+                 "t1_transmon_purcell", "error"),
+}
 
 
-def _cmd_t1_model(cfg: RunConfig, args) -> list[dict]:
-    circuit = _need(cfg, "circuit", "t1-model")
-    flux_cfg = _need(cfg, "flux", "t1-model")
-    coherence = _need(cfg, "coherence", "t1-model")
+def _cmd_sweep(cfg: RunConfig, args) -> list[dict]:
+    """chi-sweep and t1-model: two column views of one flux sweep."""
+    circuit = _need(cfg, "circuit", args.command)
+    flux_cfg = _need(cfg, "flux", args.command)
+    coherence = _need(cfg, "coherence", args.command)
     if not cfg.n_list:
-        raise ConfigError("command 't1-model' requires sweep.n_list")
-    rows = []
-    for n in cfg.n_list:
-        try:
-            point = evaluate_flux_point(circuit, flux_cfg, n, coherence)
-        except Exception as exc:
-            rows.append({"n": n, "omega_q_t": math.nan, "delta": math.nan,
-                         "t1_diel": math.nan, "t1_asymm": math.nan,
-                         "t1_model": math.nan, "t1_transmon_purcell": math.nan,
-                         "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        rows.append({
-            "n": n,
-            "omega_q_t": point.spectrum.omega_q_t,
-            "delta": point.spectrum.delta,
-            "t1_diel": point.coherence.t1_diel,
-            "t1_asymm": point.coherence.t1_asymm,
-            "t1_model": point.coherence.t1_model,
-            "t1_transmon_purcell": point.coherence.t1_transmon_purcell,
-            "error": None,
-        })
-    return rows
+        raise ConfigError(f"command {args.command!r} requires sweep.n_list")
+    columns = _SWEEP_COLUMNS[args.command]
+    return [{c: getattr(row, c) for c in columns}
+            for row in sweep(circuit, flux_cfg, list(cfg.n_list), coherence)]
+
+
+def _fit_row(shots0, shots1) -> dict:
+    """The mixture fit and the fidelity report of two shot sets, as one row."""
+    fit = fit_double_gaussian(shots0, shots1)
+    report = fidelity_report(shots0, shots1, fit, threshold(fit))
+    return {**dataclasses.asdict(fit), **dataclasses.asdict(report)}
 
 
 def _cmd_readout_sim(cfg: RunConfig, args) -> list[dict]:
@@ -372,13 +330,7 @@ def _cmd_readout_sim(cfg: RunConfig, args) -> list[dict]:
             row.update(dataclasses.asdict(point))
             rows.append(row)
         return rows
-    fit = fit_double_gaussian(shots0, shots1)
-    thr = threshold(fit)
-    report = fidelity_report(shots0, shots1, fit, thr)
-    row = {"n_shots": n_shots, "seed": seed, "tau": p.tau}
-    row.update(dataclasses.asdict(fit))
-    row.update(dataclasses.asdict(report))
-    return [row]
+    return [{"n_shots": n_shots, "seed": seed, "tau": p.tau, **_fit_row(shots0, shots1)}]
 
 
 def _cmd_readout_fit(cfg: RunConfig, args) -> list[dict]:
@@ -387,15 +339,7 @@ def _cmd_readout_fit(cfg: RunConfig, args) -> list[dict]:
     for path in (args.shots0, args.shots1):
         if not Path(path).is_file():
             raise ConfigError(f"shot file not found: {path}")
-    shots0 = import_shots_csv(args.shots0)
-    shots1 = import_shots_csv(args.shots1)
-    fit = fit_double_gaussian(shots0, shots1)
-    thr = threshold(fit)
-    report = fidelity_report(shots0, shots1, fit, thr)
-    row = {}
-    row.update(dataclasses.asdict(fit))
-    row.update(dataclasses.asdict(report))
-    return [row]
+    return [_fit_row(import_shots_csv(args.shots0), import_shots_csv(args.shots1))]
 
 
 def _cmd_phase(cfg: RunConfig, args) -> list[dict]:
@@ -408,8 +352,8 @@ def _cmd_phase(cfg: RunConfig, args) -> list[dict]:
 _COMMANDS = {
     "energies": _cmd_energies,
     "spectrum": _cmd_spectrum,
-    "chi-sweep": _cmd_chi_sweep,
-    "t1-model": _cmd_t1_model,
+    "chi-sweep": _cmd_sweep,
+    "t1-model": _cmd_sweep,
     "readout-sim": _cmd_readout_sim,
     "readout-fit": _cmd_readout_fit,
     "phase": _cmd_phase,

@@ -13,11 +13,11 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .analytic import SpectrumResult, dressed_spectrum
 from .coherence import CoherenceConfig, CoherenceReport, coherence_report
-from .errors import ParameterError, UnphysicalOperatingPointError
+from .errors import NumericalError, ParameterError, UnphysicalOperatingPointError
 from .params import CircuitParams, ModeEnergies, derive_energies
 
 __all__ = [
@@ -43,7 +43,11 @@ class FluxMode(enum.Enum):
 
 @dataclass(frozen=True)
 class FluxConfig:
-    """Zero-flux junction energies (Hz) plus the flux operating point."""
+    """Zero-flux junction energies (Hz) plus the flux operating point.
+
+    Both energies must be finite and >= 0, with a positive sum
+    (``e_j2_zero = 0`` models a single junction).
+    """
 
     mode: FluxMode
     e_j1_zero: float
@@ -52,6 +56,12 @@ class FluxConfig:
     n: int = 0
 
     def __post_init__(self):
+        for key in ("e_j1_zero", "e_j2_zero"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ParameterError(f"{key} must be a finite number >= 0, got {value!r}")
+        if not (self.e_j1_zero + self.e_j2_zero > 0.0):
+            raise ParameterError("e_j1_zero + e_j2_zero must be > 0")
         if self.mode is not FluxMode.FIXED and not (0.0 < self.area_ratio_a < 1.0):
             raise ParameterError(
                 f"area_ratio_a must lie in (0, 1) for tunable modes, "
@@ -120,7 +130,8 @@ class FluxPointResult:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One flux operating point of the sweep; ``error`` is set for failed rows."""
+    """One flux operating point of the sweep: the tuned junctions, the dressed
+    spectrum and the whole coherence budget; ``error`` is set for failed rows."""
 
     n: int
     e_jsigma: float = math.nan
@@ -128,7 +139,10 @@ class SweepRow:
     omega_q_t: float = math.nan
     delta: float = math.nan
     two_chi_total: float = math.nan
+    t1_diel: float = math.nan
+    t1_asymm: float = math.nan
     t1_model: float = math.nan
+    t1_transmon_purcell: float = math.nan
     error: str | None = None
 
 
@@ -152,15 +166,17 @@ def evaluate_flux_point(params: CircuitParams, cfg: FluxConfig, n: int,
 
 def sweep(params: CircuitParams, cfg: FluxConfig, n_list: list[int],
           coherence: CoherenceConfig) -> list[SweepRow]:
-    """Evaluate the full pipeline at each flux bias; failed rows are kept.
+    """Evaluate the full pipeline at each flux bias.
 
-    Rows are a pure function of the inputs and come back in n_list order.
+    A numerical or parameter failure at one bias becomes a row with ``error``
+    set and the sweep goes on; any other exception propagates. Rows are a
+    pure function of the inputs and come back in n_list order.
     """
     rows: list[SweepRow] = []
     for n in n_list:
         try:
             point = evaluate_flux_point(params, cfg, n, coherence)
-        except Exception as exc:  # collect, keep sweeping
+        except (NumericalError, ParameterError) as exc:
             rows.append(SweepRow(n=n, error=f"{type(exc).__name__}: {exc}"))
             continue
         rows.append(SweepRow(
@@ -170,7 +186,7 @@ def sweep(params: CircuitParams, cfg: FluxConfig, n_list: list[int],
             omega_q_t=point.spectrum.omega_q_t,
             delta=point.spectrum.delta,
             two_chi_total=point.spectrum.two_chi_total,
-            t1_model=point.coherence.t1_model,
+            **asdict(point.coherence),
         ))
     return rows
 
@@ -195,21 +211,23 @@ def _solve_e_jsigma(params: CircuitParams, f_target: float,
     return 0.5 * (lo + hi)
 
 
-def _scan_grid(a_step: float, a_max: float):
-    return (k * a_step for k in range(1, int(a_max / a_step) + 1))
+_A_STEP = 1e-4  # area-ratio grid step of the fitters' scans
+
+
+def _scan_grid(a_max: float):
+    return (k * _A_STEP for k in range(1, int(a_max / _A_STEP) + 1))
 
 
 def fit_one_squid(params: CircuitParams, f_q_zero: float, d_j_zero: float,
-                  anchor_n: int, d_j_anchor: float, a_step: float = 1e-4,
-                  a_max: float | None = None) -> FluxConfig:
+                  anchor_n: int, d_j_anchor: float) -> FluxConfig:
     """Reconstruct a one-SQUID flux configuration from measured observables.
 
     The zero-flux qubit frequency and asymmetry fix the junction split; the
     area ratio is then the grid value (deterministic bounded scan, step
-    ``a_step``) whose asymmetry at ``anchor_n`` is closest to the measured
-    one. The anchor is the asymmetry rather than the frequency because near
-    the zero crossing the sign of d_j is the sharper observable. The scan is
-    restricted to the first cosine branch (``a_max`` defaults to
+    1e-4) whose asymmetry at ``anchor_n`` is closest to the measured one.
+    The anchor is the asymmetry rather than the frequency because near the
+    zero crossing the sign of d_j is the sharper observable. The scan is
+    restricted to the first cosine branch (area ratios up to
     ``0.5/anchor_n``); aliased larger-area solutions reproduce the anchor but
     not the monotone tuning between the endpoints.
     """
@@ -217,10 +235,9 @@ def fit_one_squid(params: CircuitParams, f_q_zero: float, d_j_zero: float,
     e_j1 = (1.0 + d_j_zero) / 2.0 * e_jsigma0
     e_j2 = (1.0 - d_j_zero) / 2.0 * e_jsigma0
 
-    if a_max is None:
-        a_max = 0.5 / anchor_n
+    a_max = 0.5 / anchor_n
     best_a, best_err = None, math.inf
-    for a in _scan_grid(a_step, a_max):
+    for a in _scan_grid(a_max):
         ej2 = e_j2 * math.cos(anchor_n * math.pi * a)
         e_jsigma = e_j1 + ej2
         if e_jsigma > 0.0:
@@ -236,20 +253,18 @@ def fit_one_squid(params: CircuitParams, f_q_zero: float, d_j_zero: float,
 
 
 def fit_both_squids_area(params: CircuitParams, anchor_n: int,
-                         f_q_anchor: float, a_step: float = 1e-4,
-                         a_max: float | None = None) -> float:
+                         f_q_anchor: float) -> float:
     """Effective area ratio matching the qubit frequency at one flux anchor.
 
-    The scan is restricted to the first cosine branch (``a_max`` defaults to
-    ``0.5/anchor_n``) so the resulting 0..anchor_n sweep is monotone, as the
-    measured one is.
+    The scan (step 1e-4) is restricted to the first cosine branch (area
+    ratios up to ``0.5/anchor_n``) so the resulting 0..anchor_n sweep is
+    monotone, as the measured one is.
     """
     en = derive_energies(params)
     e_jsigma0 = en.e_jq
-    if a_max is None:
-        a_max = 0.5 / anchor_n
+    a_max = 0.5 / anchor_n
     best_a, best_err = None, math.inf
-    for a in _scan_grid(a_step, a_max):
+    for a in _scan_grid(a_max):
         scale = abs(math.cos(anchor_n * math.pi * a))
         if scale > 0.0:
             err = abs(_qubit_frequency(params, e_jsigma0 * scale) - f_q_anchor)

@@ -79,9 +79,6 @@ class HamiltonianMatrix:
     def flat_index(self, m_q: int, m_r: int) -> int:
         return m_q * self.trunc.n_r + m_r
 
-    def label_of(self, index: int) -> tuple[int, int]:
-        return divmod(index, self.trunc.n_r)
-
 
 @dataclass(frozen=True)
 class LabeledSpectrum:

@@ -33,16 +33,15 @@ class PhysicalConstants:
 
     planck_h: float = field(init=False, default=6.62607015e-34)          # J s (exact)
     electron_charge: float = field(init=False, default=1.602176634e-19)  # C (exact)
-    # reduced flux quantum hbar/2e in Wb
-    reduced_flux_quantum: float = field(init=False, default=0.0)
-
-    def __post_init__(self):
-        hbar = self.planck_h / (2.0 * math.pi)
-        object.__setattr__(self, "reduced_flux_quantum", hbar / (2.0 * self.electron_charge))
 
     @property
     def hbar(self) -> float:
         return self.planck_h / (2.0 * math.pi)
+
+    @property
+    def reduced_flux_quantum(self) -> float:
+        """hbar/2e in Wb."""
+        return self.hbar / (2.0 * self.electron_charge)
 
 
 CODATA2018 = PhysicalConstants()
@@ -105,23 +104,29 @@ class ValidationReport:
         return not self.violations
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (value > 0.0) or not math.isfinite(value):
-        raise ParameterError(f"{name} must be a positive finite number, got {value!r}")
+def _violations(params: CircuitParams) -> list[str]:
+    """Every range violation of ``params``, each naming its parameter."""
+    violations = []
+    for name in ("l_j", "c_j", "l_r", "c_r"):
+        value = getattr(params, name)
+        if not (value > 0.0) or not math.isfinite(value):
+            violations.append(f"{name} must be > 0, got {value!r}")
+    if not (0.0 <= params.b <= 1.0):
+        violations.append(f"b out of [0, 1]: {params.b!r}")
+    if not (abs(params.d_j) < 1.0):
+        violations.append(f"d_j out of (-1, 1): {params.d_j!r}")
+    return violations
 
 
 def derive_energies(params: CircuitParams) -> ModeEnergies:
     """Compute all mode energy scales (in Hz) from lumped-element values.
 
-    Pure function; rejects out-of-range inputs with the offending parameter
-    named in the message.
+    Pure function; rejects out-of-range inputs with a :class:`ParameterError`
+    that names every offending parameter.
     """
-    for name in ("l_j", "c_j", "l_r", "c_r"):
-        _require_positive(name, getattr(params, name))
-    if not (0.0 <= params.b <= 1.0):
-        raise ParameterError(f"b must lie in [0, 1], got {params.b!r}")
-    if not (abs(params.d_j) < 1.0):
-        raise ParameterError(f"d_j must lie in (-1, 1), got {params.d_j!r}")
+    violations = _violations(params)
+    if violations:
+        raise ParameterError("; ".join(violations))
 
     h = CODATA2018.planck_h
     e = CODATA2018.electron_charge
@@ -145,17 +150,8 @@ def derive_energies(params: CircuitParams) -> ModeEnergies:
 
 def validate(params: CircuitParams) -> ValidationReport:
     """Report-only check of parameter invariants and regime assumptions."""
-    violations: list[str] = []
+    violations = _violations(params)
     warnings: list[str] = []
-
-    for name in ("l_j", "c_j", "l_r", "c_r"):
-        value = getattr(params, name)
-        if not (value > 0.0) or not math.isfinite(value):
-            violations.append(f"{name} must be > 0, got {value!r}")
-    if not (0.0 <= params.b <= 1.0):
-        violations.append(f"b out of [0, 1]: {params.b!r}")
-    if not (abs(params.d_j) < 1.0):
-        violations.append(f"d_j out of (-1, 1): {params.d_j!r}")
 
     if not violations:
         en = derive_energies(params)

@@ -324,17 +324,19 @@ def _fd_bin_edges(pooled: np.ndarray) -> np.ndarray:
     return np.linspace(lo, hi, n_bins + 1)
 
 
-def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet,
-                        max_nfev: int = 2000) -> GaussianMixtureFit:
+_MAX_NFEV = 2000  # evaluation cap of the mixture fit
+
+
+def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet) -> GaussianMixtureFit:
     """Simultaneous least-squares fit of both state histograms.
 
     Histograms are density-normalized on shared Freedman-Diaconis bins.
     Initial means come from the 25th/75th percentiles of the pooled data,
     initial widths from the per-side deviations about the pooled median, and
     both dominant weights start at 0.95. Convergence: relative parameter step
-    below 1e-8 or residual stagnation; hitting the evaluation cap raises
-    :class:`FitConvergenceError`, an indistinguishable pair of shot sets
-    raises :class:`DegenerateMixtureError`.
+    below 1e-8 or residual stagnation; hitting the cap of 2000 evaluations
+    raises :class:`FitConvergenceError`, an indistinguishable pair of shot
+    sets raises :class:`DegenerateMixtureError`.
     """
     x0v = np.asarray(shots0.values, dtype=float)
     x1v = np.asarray(shots1.values, dtype=float)
@@ -370,10 +372,10 @@ def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet,
     lower = [-np.inf, -np.inf, 1e-12 * scale, 1e-12 * scale, 0.0, 0.0]
     upper = [np.inf, np.inf, np.inf, np.inf, 1.0, 1.0]
     result = least_squares(residuals, p_init, bounds=(lower, upper),
-                           xtol=1e-8, ftol=1e-12, gtol=None, max_nfev=max_nfev)
+                           xtol=1e-8, ftol=1e-12, gtol=None, max_nfev=_MAX_NFEV)
     if result.status == 0:
         raise FitConvergenceError(
-            f"mixture fit hit the evaluation cap ({max_nfev}) "
+            f"mixture fit hit the evaluation cap ({_MAX_NFEV}) "
             f"with residual norm {np.linalg.norm(result.fun):.3e}"
         )
 
@@ -440,14 +442,20 @@ class FidelityReport:
     eps_10: float
 
 
+def _assignment_errors(shots0: ShotSet, shots1: ShotSet, thr: float,
+                       sign: float) -> tuple[float, float]:
+    """Empirical (P(0|1), P(1|0)) when shots beyond ``thr`` in the direction
+    ``sign`` are assigned to state 1."""
+    p10 = float(np.mean(sign * (np.asarray(shots0.values) - thr) > 0.0))
+    p01 = float(np.mean(~(sign * (np.asarray(shots1.values) - thr) > 0.0)))
+    return p01, p10
+
+
 def fidelity_report(shots0: ShotSet, shots1: ShotSet, fit: GaussianMixtureFit,
                     thr: float) -> FidelityReport:
     """Empirical P(0|1), P(1|0) and the fidelity 1 - (P(0|1)+P(1|0))/2."""
     sign = 1.0 if fit.mu1 >= fit.mu0 else -1.0
-    assign1_0 = sign * (np.asarray(shots0.values) - thr) > 0.0
-    assign1_1 = sign * (np.asarray(shots1.values) - thr) > 0.0
-    p10 = float(np.mean(assign1_0))
-    p01 = float(np.mean(~assign1_1))
+    p01, p10 = _assignment_errors(shots0, shots1, thr, sign)
 
     # single-Gaussian tails across the threshold
     z0 = sign * (thr - fit.mu0) / fit.sigma0
@@ -499,10 +507,8 @@ def error_vs_integration(p: ReadoutParams, tau_list: list[float], n_shots: int,
             # too few/indistinct shots: fall back to an empirical midpoint split
             m0 = float(np.mean(s0.values))
             m1 = float(np.mean(s1.values))
-            thr = 0.5 * (m0 + m1)
-            sign = 1.0 if m1 >= m0 else -1.0
-            p10 = float(np.mean(sign * (s0.values - thr) > 0.0))
-            p01 = float(np.mean(~(sign * (s1.values - thr) > 0.0)))
+            p01, p10 = _assignment_errors(s0, s1, 0.5 * (m0 + m1),
+                                          1.0 if m1 >= m0 else -1.0)
             points.append(IntegrationPoint(
                 tau=tau, fidelity=1.0 - (p01 + p10) / 2.0,
                 eps_id=math.nan, eps_01=math.nan, eps_10=math.nan,

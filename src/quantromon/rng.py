@@ -16,11 +16,10 @@ the pure-numpy rounds this module used to compute; known-answer digests in
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ParameterError
 
-__all__ = ["philox4x64", "uniforms", "normals", "exponentials"]
+__all__ = ["philox4x64", "uniforms"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SHIFT11 = np.uint64(11)
@@ -82,13 +81,3 @@ def uniforms(seed: int, stream: int, indices: np.ndarray) -> np.ndarray:
     """
     return _to_unit_interval(philox4x64(indices, (seed, stream)))
 
-
-def normals(seed: int, stream: int, indices: np.ndarray, word: int = 0) -> np.ndarray:
-    """Standard normals via the inverse CDF of one uniform word per index."""
-    return ndtri(uniforms(seed, stream, indices)[:, word])
-
-
-def exponentials(seed: int, stream: int, indices: np.ndarray,
-                 word: int = 1) -> np.ndarray:
-    """Unit-mean exponentials from one uniform word per index."""
-    return -np.log(uniforms(seed, stream, indices)[:, word])

@@ -123,6 +123,28 @@ class TestSpectrumCommand:
 
 
 class TestSweepCommands:
+    @pytest.mark.parametrize("command", ["chi-sweep", "t1-model"])
+    @pytest.mark.parametrize("e_j2", [-1e10, -2e10])
+    def test_bad_junction_energy_exits_1(self, tmp_path, capsys, command, e_j2):
+        cfg = json.loads(open(SAMPLE_A).read())
+        cfg["flux"] = {"mode": "fixed", "e_j1_zero": 1e10, "e_j2_zero": e_j2}
+        path = _write_config(tmp_path, cfg)
+        assert run([command, "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "e_j2_zero" in captured.err
+
+    @pytest.mark.parametrize("command", ["chi-sweep", "t1-model"])
+    def test_programming_error_writes_no_rows(self, tmp_path, monkeypatch, command):
+        def broken(*args):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr("quantromon.flux.evaluate_flux_point", broken)
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(TypeError):
+            run([command, "--config", SAMPLE_A, "--out", str(out)])
+        assert not out.exists()
+
     def test_chi_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(["chi-sweep", "--config", SAMPLE_A, "--out", str(out)]) == 0

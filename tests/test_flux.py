@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from quantromon import flux
 from quantromon.coherence import CoherenceConfig
 from quantromon.errors import ParameterError, UnphysicalOperatingPointError
 from quantromon.flux import (
@@ -78,6 +79,16 @@ class TestTunedJunctions:
         with pytest.raises(ParameterError, match="integer"):
             FluxConfig(mode=FluxMode.BOTH_SQUIDS, e_j1_zero=20e9, e_j2_zero=20e9,
                        area_ratio_a=0.05, n=1.5)
+
+    @pytest.mark.parametrize("e_j1, e_j2, key", [
+        (20e9, -1e9, "e_j2_zero"),
+        (math.nan, 20e9, "e_j1_zero"),
+        (20e9, math.inf, "e_j2_zero"),
+        (0.0, 0.0, r"e_j1_zero \+ e_j2_zero"),
+    ])
+    def test_bad_junction_energies_rejected_by_name(self, e_j1, e_j2, key):
+        with pytest.raises(ParameterError, match=key):
+            FluxConfig(mode=FluxMode.FIXED, e_j1_zero=e_j1, e_j2_zero=e_j2)
 
     def test_area_ratio_bounds(self):
         with pytest.raises(ParameterError, match="area_ratio_a"):
@@ -161,6 +172,14 @@ class TestSweep:
         assert rows[1].error is not None and "Unphysical" in rows[1].error
         assert math.isnan(rows[1].two_chi_total)
         assert rows[2].error is None
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(flux, "evaluate_flux_point", broken)
+        with pytest.raises(TypeError, match="not a numerical failure"):
+            sweep(TABLE, _sample_a_cfg(), [0, 1], COH)
 
     def test_shift_decreases_while_detuning_grows(self):
         rows = sweep(TABLE, _sample_a_cfg(), list(range(10)), COH)

@@ -8,7 +8,6 @@ readout with double-Gaussian histogram analysis.
 
 from .analytic import (
     BareModes,
-    Source,
     SpectrumResult,
     asymmetric_corrections,
     bare_modes,

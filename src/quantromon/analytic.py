@@ -11,7 +11,6 @@ Delta = omega_q_t - omega_r_t is signed (qubit minus resonator).
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +20,6 @@ from .params import CODATA2018, ModeEnergies
 
 __all__ = [
     "BareModes",
-    "Source",
     "SpectrumResult",
     "constraint_coefficients",
     "bare_modes",
@@ -29,11 +27,6 @@ __all__ = [
     "asymmetric_corrections",
     "invert_chi",
 ]
-
-
-class Source(enum.Enum):
-    ANALYTIC = "analytic"
-    NUMERIC = "numeric"
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,6 @@ class SpectrumResult:
     two_chi: float
     g_asymm: float
     two_chi_total: float
-    source: Source
 
     @property
     def delta(self) -> float:
@@ -137,7 +129,6 @@ def dressed_spectrum(en: ModeEnergies) -> SpectrumResult:
         two_chi=two_chi,
         g_asymm=g_asymm,
         two_chi_total=two_chi_total,
-        source=Source.ANALYTIC,
     )
 
 

@@ -40,11 +40,25 @@ from .readout import (
 __all__ = ["main", "run", "load_config", "normalize_config", "RunConfig"]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimOptions:
+    """``readout_sim`` settings; ``--shots``/``--seed`` replace the first two."""
+
     n_shots: int = 20000
     seed: int = 0
     tau_list: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if not (_is_int(self.n_shots) and self.n_shots >= 1):
+            raise ConfigError(
+                f"readout_sim.n_shots must be a positive integer, got {self.n_shots!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
+            raise ConfigError(
+                f"readout_sim.seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +154,7 @@ def _parse_flux(section: dict, circuit: CircuitParams | None) -> FluxConfig:
         e_j1 = derived[0] if e_j1 is None else e_j1
         e_j2 = derived[1] if e_j2 is None else e_j2
     n = section.get("n", 0)
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not _is_int(n):
         raise ConfigError(f"flux.n must be an integer, got {n!r}")
     return FluxConfig(
         mode=mode, e_j1_zero=e_j1, e_j2_zero=e_j2,
@@ -152,24 +166,17 @@ def _parse_flux(section: dict, circuit: CircuitParams | None) -> FluxConfig:
 
 def _parse_n_list(section: dict) -> tuple[int, ...]:
     n_list = section.get("n_list", [])
-    if not isinstance(n_list, list) or any(
-            isinstance(n, bool) or not isinstance(n, int) for n in n_list):
+    if not isinstance(n_list, list) or not all(map(_is_int, n_list)):
         raise ConfigError("sweep.n_list must be a list of integers")
     return tuple(n_list)
 
 
 def _parse_sim(section: dict) -> SimOptions:
-    n_shots = section.get("n_shots", 20000)
-    seed = section.get("seed", 0)
-    if isinstance(n_shots, bool) or not isinstance(n_shots, int) or n_shots < 1:
-        raise ConfigError(f"readout_sim.n_shots must be a positive integer, got {n_shots!r}")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"readout_sim.seed must be a non-negative integer, got {seed!r}")
     tau_list = section.get("tau_list", [])
     if not isinstance(tau_list, list):
         raise ConfigError("readout_sim.tau_list must be a list of numbers")
     taus = tuple(_require_number("readout_sim", "tau_list", t) for t in tau_list)
-    return SimOptions(n_shots=n_shots, seed=seed, tau_list=taus)
+    return SimOptions(**{**section, "tau_list": taus})
 
 
 def load_config(path) -> RunConfig:
@@ -313,8 +320,9 @@ def _cmd_readout_sim(cfg: RunConfig, args) -> list[dict]:
     fidelity report or, when readout_sim.tau_list is set, the per-tau error
     table."""
     p = _need(cfg, "readout", "readout-sim")
-    n_shots = args.shots if args.shots is not None else cfg.sim.n_shots
-    seed = args.seed if args.seed is not None else cfg.sim.seed
+    flags = {"n_shots": args.shots, "seed": args.seed}
+    sim = dataclasses.replace(cfg.sim, **{k: v for k, v in flags.items() if v is not None})
+    n_shots, seed = sim.n_shots, sim.seed
     shots0 = simulate_shots(p, 0, n_shots, seed)
     shots1 = simulate_shots(p, 1, n_shots, seed)
     if args.out is not None:
@@ -323,9 +331,9 @@ def _cmd_readout_sim(cfg: RunConfig, args) -> list[dict]:
         stem = Path(args.out).stem
         export_shots_csv(shots0, out_dir / f"{stem}_shots0.csv")
         export_shots_csv(shots1, out_dir / f"{stem}_shots1.csv")
-    if cfg.sim.tau_list:
+    if sim.tau_list:
         rows = []
-        for point in error_vs_integration(p, list(cfg.sim.tau_list), n_shots, seed):
+        for point in error_vs_integration(p, list(sim.tau_list), n_shots, seed):
             row = {"n_shots": n_shots, "seed": seed}
             row.update(dataclasses.asdict(point))
             rows.append(row)

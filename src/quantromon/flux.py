@@ -73,50 +73,42 @@ class FluxConfig:
 
 def tuned_junctions(cfg: FluxConfig) -> tuple[float, float]:
     """Summed junction energy E_Jsigma (Hz) and asymmetry d_j at flux bias n."""
-    if cfg.mode is FluxMode.FIXED:
-        e_jsigma = cfg.e_j1_zero + cfg.e_j2_zero
-        d_j = (cfg.e_j1_zero - cfg.e_j2_zero) / e_jsigma
-        return e_jsigma, d_j
-
+    e_j1, e_j2 = cfg.e_j1_zero, cfg.e_j2_zero
     phase = cfg.n * math.pi * cfg.area_ratio_a
     if cfg.mode is FluxMode.ONE_SQUID:
-        ej2 = cfg.e_j2_zero * math.cos(phase)
-        e_jsigma = cfg.e_j1_zero + ej2
-        if e_jsigma <= 0.0:
-            raise UnphysicalOperatingPointError(
-                f"E_Jsigma = {e_jsigma:.4g} Hz <= 0 at n = {cfg.n}: "
-                "SQUID tuned through zero"
-            )
-        return e_jsigma, (cfg.e_j1_zero - ej2) / e_jsigma
-
-    # both SQUIDs, assumed identical: common |cos| scaling, asymmetry fixed
-    scale = abs(math.cos(phase))
-    e_jsigma = (cfg.e_j1_zero + cfg.e_j2_zero) * scale
+        e_j2 *= math.cos(phase)
+    e_jsigma = e_j1 + e_j2
     if e_jsigma <= 0.0:
         raise UnphysicalOperatingPointError(
-            f"E_Jsigma = 0 at n = {cfg.n}: SQUIDs biased at half flux quantum"
+            f"E_Jsigma = {e_jsigma:.4g} Hz <= 0 at n = {cfg.n}: "
+            "SQUID tuned through zero"
         )
-    d_j = (cfg.e_j1_zero - cfg.e_j2_zero) / (cfg.e_j1_zero + cfg.e_j2_zero)
+    d_j = (e_j1 - e_j2) / e_jsigma
+    if cfg.mode is FluxMode.BOTH_SQUIDS:
+        # both SQUIDs, assumed identical: common |cos| scaling, asymmetry fixed
+        e_jsigma *= abs(math.cos(phase))
+        if e_jsigma <= 0.0:
+            raise UnphysicalOperatingPointError(
+                f"E_Jsigma = 0 at n = {cfg.n}: SQUIDs biased at half flux quantum"
+            )
     return e_jsigma, d_j
+
+
+def _split(e_jsigma: float, d_j: float) -> tuple[float, float]:
+    """(E_J1, E_J2) of summed energy ``e_jsigma`` and asymmetry ``d_j``."""
+    return (1.0 + d_j) / 2.0 * e_jsigma, (1.0 - d_j) / 2.0 * e_jsigma
 
 
 def junction_energies_from_circuit(params: CircuitParams) -> tuple[float, float]:
     """Split the circuit's zero-flux E_Jsigma = 2*E_J per its asymmetry d_j."""
-    en = derive_energies(params)
-    return (1.0 + params.d_j) / 2.0 * en.e_jq, (1.0 - params.d_j) / 2.0 * en.e_jq
+    return _split(derive_energies(params).e_jq, params.d_j)
 
 
 def energies_at_flux(params: CircuitParams, e_jsigma: float, d_j: float) -> ModeEnergies:
     """Mode energies with the junction energy replaced by its tuned value."""
     base = derive_energies(params)
-    e_j = e_jsigma / 2.0
-    return replace(
-        base,
-        e_j=e_j,
-        e_jq=e_jsigma,
-        e_jr=base.e_lr + (base.b**2 / 2.0) * e_j,
-        d_j=d_j,
-    )
+    return ModeEnergies.from_scales(e_j=e_jsigma / 2.0, e_lr=base.e_lr, e_cq=base.e_cq,
+                                    e_cr=base.e_cr, b=base.b, d_j=d_j)
 
 
 @dataclass(frozen=True)
@@ -191,31 +183,47 @@ def sweep(params: CircuitParams, cfg: FluxConfig, n_list: list[int],
     return rows
 
 
-def _qubit_frequency(params: CircuitParams, e_jsigma: float, d_j: float = 0.0) -> float:
-    # bracket searches probe regimes where the closed form would warn; the
-    # monotone map is all that matters here
+def _qubit_frequency(params: CircuitParams, e_jsigma: float) -> float:
+    # the searches probe regimes where the closed form would warn; only the
+    # monotone map matters here, and omega_q_t does not depend on d_j
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return dressed_spectrum(energies_at_flux(params, e_jsigma, d_j)).omega_q_t
+        return dressed_spectrum(energies_at_flux(params, e_jsigma, 0.0)).omega_q_t
 
 
-def _solve_e_jsigma(params: CircuitParams, f_target: float,
-                    lo: float = 1e6, hi: float = 1e13) -> float:
-    # dressed qubit frequency is monotone in E_Jsigma over this bracket
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _qubit_frequency(params, mid) < f_target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _solve_e_jsigma(params: CircuitParams, f_q_zero: float) -> float:
+    """The E_Jsigma in [1e6, 1e13] Hz whose qubit frequency is ``f_q_zero``."""
+    from scipy.optimize import brentq  # deferred: importing flux loads no scipy
+
+    lo, hi = 1e6, 1e13
+    f_lo, f_hi = _qubit_frequency(params, lo), _qubit_frequency(params, hi)
+    if not (f_lo <= f_q_zero <= f_hi):
+        raise ParameterError(f"f_q_zero = {f_q_zero!r} Hz is outside the reachable "
+                             f"range [{f_lo!r}, {f_hi!r}] Hz")
+    return brentq(lambda e_jsigma: _qubit_frequency(params, e_jsigma) - f_q_zero, lo, hi)
 
 
 _A_STEP = 1e-4  # area-ratio grid step of the fitters' scans
 
 
-def _scan_grid(a_max: float):
-    return (k * _A_STEP for k in range(1, int(a_max / _A_STEP) + 1))
+def _scan_area(mode: FluxMode, e_j1: float, e_j2: float, anchor_n: int, cost) -> float:
+    """First grid area ratio ``k * 1e-4`` up to ``0.5/anchor_n`` with the least
+    ``cost(e_jsigma, d_j)`` at ``anchor_n``, skipping unphysical points."""
+    if isinstance(anchor_n, bool) or not isinstance(anchor_n, int) or anchor_n < 1:
+        raise ParameterError(f"anchor_n must be an integer >= 1, got {anchor_n!r}")
+    a_max = 0.5 / anchor_n
+    best_a, best_cost = None, math.inf
+    for a in (k * _A_STEP for k in range(1, int(a_max / _A_STEP) + 1)):
+        try:
+            tuned = tuned_junctions(FluxConfig(mode, e_j1, e_j2, a, anchor_n))
+        except UnphysicalOperatingPointError:
+            continue
+        c = cost(*tuned)
+        if c < best_cost:
+            best_a, best_cost = a, c
+    if best_a is None:
+        raise UnphysicalOperatingPointError(f"no physical area ratio found in (0, {a_max})")
+    return best_a
 
 
 def fit_one_squid(params: CircuitParams, f_q_zero: float, d_j_zero: float,
@@ -229,27 +237,14 @@ def fit_one_squid(params: CircuitParams, f_q_zero: float, d_j_zero: float,
     zero crossing the sign of d_j is the sharper observable. The scan is
     restricted to the first cosine branch (area ratios up to
     ``0.5/anchor_n``); aliased larger-area solutions reproduce the anchor but
-    not the monotone tuning between the endpoints.
+    not the monotone tuning between the endpoints. An unreachable
+    ``f_q_zero`` or ``anchor_n < 1`` raises :class:`ParameterError`.
     """
-    e_jsigma0 = _solve_e_jsigma(params, f_q_zero)
-    e_j1 = (1.0 + d_j_zero) / 2.0 * e_jsigma0
-    e_j2 = (1.0 - d_j_zero) / 2.0 * e_jsigma0
-
-    a_max = 0.5 / anchor_n
-    best_a, best_err = None, math.inf
-    for a in _scan_grid(a_max):
-        ej2 = e_j2 * math.cos(anchor_n * math.pi * a)
-        e_jsigma = e_j1 + ej2
-        if e_jsigma > 0.0:
-            err = abs((e_j1 - ej2) / e_jsigma - d_j_anchor)
-            if err < best_err:
-                best_a, best_err = a, err
-    if best_a is None:
-        raise UnphysicalOperatingPointError(
-            f"no physical area ratio found in (0, {a_max})"
-        )
+    e_j1, e_j2 = _split(_solve_e_jsigma(params, f_q_zero), d_j_zero)
+    a = _scan_area(FluxMode.ONE_SQUID, e_j1, e_j2, anchor_n,
+                   lambda e_jsigma, d_j: abs(d_j - d_j_anchor))
     return FluxConfig(mode=FluxMode.ONE_SQUID, e_j1_zero=e_j1, e_j2_zero=e_j2,
-                      area_ratio_a=best_a, n=0)
+                      area_ratio_a=a, n=0)
 
 
 def fit_both_squids_area(params: CircuitParams, anchor_n: int,
@@ -258,18 +253,10 @@ def fit_both_squids_area(params: CircuitParams, anchor_n: int,
 
     The scan (step 1e-4) is restricted to the first cosine branch (area
     ratios up to ``0.5/anchor_n``) so the resulting 0..anchor_n sweep is
-    monotone, as the measured one is.
+    monotone, as the measured one is. ``anchor_n < 1`` raises
+    :class:`ParameterError`.
     """
-    en = derive_energies(params)
-    e_jsigma0 = en.e_jq
-    a_max = 0.5 / anchor_n
-    best_a, best_err = None, math.inf
-    for a in _scan_grid(a_max):
-        scale = abs(math.cos(anchor_n * math.pi * a))
-        if scale > 0.0:
-            err = abs(_qubit_frequency(params, e_jsigma0 * scale) - f_q_anchor)
-            if err < best_err:
-                best_a, best_err = a, err
-    if best_a is None:
-        raise UnphysicalOperatingPointError(f"no area ratio found below {a_max}")
-    return best_a
+    e_j1, e_j2 = junction_energies_from_circuit(params)
+    return _scan_area(FluxMode.BOTH_SQUIDS, e_j1, e_j2, anchor_n,
+                      lambda e_jsigma, d_j: abs(_qubit_frequency(params, e_jsigma)
+                                                - f_q_anchor))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import Source, SpectrumResult, invert_chi
+from .analytic import SpectrumResult, invert_chi
 from .errors import AmbiguousLabelingError, EigensolveError, ParameterError
 from .params import ModeEnergies
 
@@ -243,7 +243,6 @@ def extract_observables(ls: LabeledSpectrum, en: ModeEnergies) -> SpectrumResult
         two_chi=two_chi,
         g_asymm=float(g_asymm),
         two_chi_total=two_chi_total,
-        source=Source.NUMERIC,
     )
 
 

@@ -93,6 +93,13 @@ class ModeEnergies:
     b: float
     d_j: float
 
+    @classmethod
+    def from_scales(cls, e_j: float, e_lr: float, e_cq: float, e_cr: float,
+                    b: float, d_j: float) -> ModeEnergies:
+        """Mode energies whose ``e_jq`` and ``e_jr`` are derived from ``e_j``."""
+        return cls(e_j=e_j, e_lr=e_lr, e_cq=e_cq, e_cr=e_cr, e_jq=2.0 * e_j,
+                   e_jr=e_lr + (b**2 / 2.0) * e_j, b=b, d_j=d_j)
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -132,17 +139,11 @@ def derive_energies(params: CircuitParams) -> ModeEnergies:
     e = CODATA2018.electron_charge
     phi0bar = CODATA2018.reduced_flux_quantum
 
-    e_j = phi0bar**2 / (params.l_j * h)
-    e_lr = phi0bar**2 / (params.l_r * h)
-    e_cq = e**2 / (4.0 * params.c_j * h)
-    e_cr = e**2 / (2.0 * (params.c_r + params.c_j / 2.0) * h)
-    return ModeEnergies(
-        e_j=e_j,
-        e_lr=e_lr,
-        e_cq=e_cq,
-        e_cr=e_cr,
-        e_jq=2.0 * e_j,
-        e_jr=e_lr + (params.b**2 / 2.0) * e_j,
+    return ModeEnergies.from_scales(
+        e_j=phi0bar**2 / (params.l_j * h),
+        e_lr=phi0bar**2 / (params.l_r * h),
+        e_cq=e**2 / (4.0 * params.c_j * h),
+        e_cr=e**2 / (2.0 * (params.c_r + params.c_j / 2.0) * h),
         b=params.b,
         d_j=params.d_j,
     )

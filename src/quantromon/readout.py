@@ -14,7 +14,7 @@ exponential time t and record the time-weighted mixture of the two pointers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -45,11 +45,6 @@ __all__ = [
     "fidelity_report",
     "error_vs_integration",
 ]
-
-# fields serialized into shot CSV headers, in order
-_PARAM_FIELDS = ("omega_r", "two_chi", "kappa_ext", "kappa_int", "nbar",
-                 "tau", "t1", "readout_freq", "noise_scale", "thermal_pop")
-
 
 @dataclass(frozen=True)
 class ReadoutParams:
@@ -199,16 +194,18 @@ def _format(x: float) -> str:
 def export_shots_csv(shots: ShotSet, path) -> None:
     """Write a ShotSet with full round-trip precision, LF line endings.
 
-    Each value is written as ``repr(float(v))``, the shortest text that reads
-    back to the same double.
+    The header holds the prepared state, the seed and every
+    :class:`ReadoutParams` field in declaration order. Each value is written
+    as ``repr(float(v))``, the shortest text that reads back to the same
+    double.
     """
     values = np.asarray(shots.values, dtype=np.float64)
     with open(path, "w", newline="") as f:
         f.write(f"# prepared_state={shots.prepared_state}\n")
         f.write(f"# seed={shots.seed}\n")
-        for name in _PARAM_FIELDS:
-            value = getattr(shots.params, name)
-            f.write(f"# {name}={'' if value is None else _format(value)}\n")
+        for param in fields(ReadoutParams):
+            value = getattr(shots.params, param.name)
+            f.write(f"# {param.name}={'' if value is None else _format(value)}\n")
         f.write("value\n")
         for i in range(0, values.size, _CSV_CHUNK):
             f.write("\n".join(map(repr, values[i:i + _CSV_CHUNK].tolist())))
@@ -270,12 +267,10 @@ def import_shots_csv(path) -> ShotSet:
             line_start = f.tell()
     try:
         kwargs = {}
-        for name in _PARAM_FIELDS:
-            raw = header.get(name, "")
-            if name == "readout_freq" and raw == "":
-                kwargs[name] = None
-            else:
-                kwargs[name] = float(raw)
+        for param in fields(ReadoutParams):
+            raw = header.get(param.name, "")
+            kwargs[param.name] = (None if raw == "" and param.default is None
+                                  else float(raw))
         params = ReadoutParams(**kwargs)
         prepared = int(header["prepared_state"])
         seed = int(header["seed"])

@@ -211,6 +211,36 @@ class TestReadoutCommands:
             assert fit_row[key] == sim_row[key]
 
 
+
+class TestSimOptions:
+    """--shots/--seed and readout_sim pass one check: n_shots >= 1 and
+    0 <= seed < 2**64."""
+
+    def test_negative_seed_flag_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert run(["readout-sim", "--config", SAMPLE_C, "--out", str(out),
+                    "--shots", "100", "--seed", "-1"]) == 1
+        assert "readout_sim.seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_shots_flag_exits_1(self, capsys):
+        assert run(["readout-sim", "--config", SAMPLE_C, "--shots", "0"]) == 1
+        assert "readout_sim.n_shots" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_config_seed_out_of_range_exits_1(self, tmp_path, capsys, seed):
+        cfg = json.loads(open(SAMPLE_C).read())
+        cfg["readout_sim"]["seed"] = seed
+        path = _write_config(tmp_path, cfg)
+        assert run(["readout-sim", "--config", path, "--shots", "100"]) == 1
+        assert "readout_sim.seed" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, tmp_path, capsys):
+        assert run(["readout-sim", "--config", SAMPLE_C, "--shots", "100",
+                    "--seed", str(2**64 - 1)]) == 0
+        assert str(2**64 - 1) in capsys.readouterr().out
+
+
 class TestDeterminism:
     def test_chi_sweep_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -2,6 +2,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantromon import flux
 from quantromon.coherence import CoherenceConfig
@@ -139,6 +141,59 @@ class TestFits:
                          e_j2_zero=e_j2, area_ratio_a=0.068, n=9)
         point = evaluate_flux_point(TABLE, cfg, 9, COH)
         assert point.spectrum.omega_q_t == pytest.approx(4.281e9, rel=0.035)
+
+
+
+class TestFitFailures:
+    def test_unreachable_qubit_frequency_rejected(self):
+        # 1 THz needs E_Jsigma beyond the 1e13 Hz end of the search bracket
+        with pytest.raises(ParameterError, match=r"f_q_zero .* reachable range"):
+            fit_one_squid(TABLE, f_q_zero=1e12, d_j_zero=-0.3, anchor_n=5,
+                          d_j_anchor=-0.015)
+
+    @pytest.mark.parametrize("anchor_n", [0, -1])
+    def test_anchor_below_one_rejected(self, anchor_n):
+        with pytest.raises(ParameterError, match="anchor_n"):
+            fit_one_squid(TABLE, f_q_zero=5.205e9, d_j_zero=-0.3,
+                          anchor_n=anchor_n, d_j_anchor=-0.015)
+        with pytest.raises(ParameterError, match="anchor_n"):
+            fit_both_squids_area(TABLE, anchor_n=anchor_n, f_q_anchor=4.281e9)
+
+
+@st.composite
+def _anchor_and_grid_area(draw):
+    """An anchor n and a grid area ratio inside the first cosine branch."""
+    n = draw(st.integers(3, 12))
+    k = draw(st.integers(1, math.ceil(0.5 / n / 1e-4) - 1))
+    return n, k * 1e-4
+
+
+class TestFitRoundTrip:
+    @settings(max_examples=20, deadline=None)
+    @given(_anchor_and_grid_area())
+    def test_both_squids_area_recovered(self, anchor_and_area):
+        n, area = anchor_and_area
+        e_j1, e_j2 = junction_energies_from_circuit(TABLE)
+        cfg = FluxConfig(mode=FluxMode.BOTH_SQUIDS, e_j1_zero=e_j1,
+                         e_j2_zero=e_j2, area_ratio_a=area, n=0)
+        f_q = evaluate_flux_point(TABLE, cfg, n, COH).spectrum.omega_q_t
+        assert fit_both_squids_area(TABLE, anchor_n=n, f_q_anchor=f_q) == area
+
+    @settings(max_examples=25, deadline=None)
+    @given(_anchor_and_grid_area(), st.floats(-0.6, 0.6))
+    def test_one_squid_config_recovered(self, anchor_and_area, d_j):
+        n, area = anchor_and_area
+        params = dataclasses.replace(TABLE, d_j=d_j)
+        e_j1, e_j2 = junction_energies_from_circuit(params)
+        cfg = FluxConfig(mode=FluxMode.ONE_SQUID, e_j1_zero=e_j1,
+                         e_j2_zero=e_j2, area_ratio_a=area, n=0)
+        point0 = evaluate_flux_point(params, cfg, 0, COH)
+        anchor = evaluate_flux_point(params, cfg, n, COH)
+        fit = fit_one_squid(params, f_q_zero=point0.spectrum.omega_q_t,
+                            d_j_zero=point0.d_j, anchor_n=n, d_j_anchor=anchor.d_j)
+        assert fit.area_ratio_a == area
+        assert fit.e_j1_zero == pytest.approx(e_j1, rel=1e-9)
+        assert fit.e_j2_zero == pytest.approx(e_j2, rel=1e-9)
 
 
 def _sample_a_cfg():

@@ -303,6 +303,10 @@ def _cmd_sweep(cfg: RunConfig, args) -> list[dict]:
     coherence = _need(cfg, "coherence", args.command)
     if not cfg.n_list:
         raise ConfigError(f"command {args.command!r} requires sweep.n_list")
+    # a circuit out of range would fail every row alike: reject it once here
+    # (the coherence section was range-checked when the config was loaded),
+    # so a row carries only a failure of its own flux point
+    derive_energies(circuit)
     columns = _SWEEP_COLUMNS[args.command]
     return [{c: getattr(row, c) for c in columns}
             for row in sweep(circuit, flux_cfg, list(cfg.n_list), coherence)]

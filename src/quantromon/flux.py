@@ -204,13 +204,16 @@ def _solve_e_jsigma(params: CircuitParams, f_q_zero: float) -> float:
 
 
 _A_STEP = 1e-4  # area-ratio grid step of the fitters' scans
+_MAX_ANCHOR = 5000  # above it the grid up to 0.5/anchor_n holds no point
 
 
 def _scan_area(mode: FluxMode, e_j1: float, e_j2: float, anchor_n: int, cost) -> float:
     """First grid area ratio ``k * 1e-4`` up to ``0.5/anchor_n`` with the least
     ``cost(e_jsigma, d_j)`` at ``anchor_n``, skipping unphysical points."""
-    if isinstance(anchor_n, bool) or not isinstance(anchor_n, int) or anchor_n < 1:
-        raise ParameterError(f"anchor_n must be an integer >= 1, got {anchor_n!r}")
+    if (isinstance(anchor_n, bool) or not isinstance(anchor_n, int)
+            or not 1 <= anchor_n <= _MAX_ANCHOR):
+        raise ParameterError(
+            f"anchor_n must be an integer in [1, {_MAX_ANCHOR}], got {anchor_n!r}")
     a_max = 0.5 / anchor_n
     best_a, best_cost = None, math.inf
     for a in (k * _A_STEP for k in range(1, int(a_max / _A_STEP) + 1)):
@@ -238,8 +241,11 @@ def fit_one_squid(params: CircuitParams, f_q_zero: float, d_j_zero: float,
     restricted to the first cosine branch (area ratios up to
     ``0.5/anchor_n``); aliased larger-area solutions reproduce the anchor but
     not the monotone tuning between the endpoints. An unreachable
-    ``f_q_zero`` or ``anchor_n < 1`` raises :class:`ParameterError`.
+    ``f_q_zero``, ``d_j_zero`` outside (-1, 1) or ``anchor_n`` outside
+    [1, 5000] raises :class:`ParameterError`.
     """
+    if not (abs(d_j_zero) < 1.0):
+        raise ParameterError(f"d_j_zero out of (-1, 1): {d_j_zero!r}")
     e_j1, e_j2 = _split(_solve_e_jsigma(params, f_q_zero), d_j_zero)
     a = _scan_area(FluxMode.ONE_SQUID, e_j1, e_j2, anchor_n,
                    lambda e_jsigma, d_j: abs(d_j - d_j_anchor))
@@ -253,7 +259,7 @@ def fit_both_squids_area(params: CircuitParams, anchor_n: int,
 
     The scan (step 1e-4) is restricted to the first cosine branch (area
     ratios up to ``0.5/anchor_n``) so the resulting 0..anchor_n sweep is
-    monotone, as the measured one is. ``anchor_n < 1`` raises
+    monotone, as the measured one is. ``anchor_n`` outside [1, 5000] raises
     :class:`ParameterError`.
     """
     e_j1, e_j2 = junction_energies_from_circuit(params)

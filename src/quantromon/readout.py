@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import ndtr, ndtri
 
 from . import rng
 from .errors import (
@@ -160,6 +158,7 @@ def simulate_shots(p: ReadoutParams, prepared: int, n_shots: int, seed: int) -> 
         raise ParameterError(f"prepared must be 0 or 1, got {prepared!r}")
     if n_shots < 1:
         raise ParameterError(f"n_shots must be >= 1, got {n_shots!r}")
+    from scipy.special import ndtri  # deferred: importing readout loads no scipy
 
     m0, m1 = pointer_means(p)
     sigma = _noise_sigma(p)
@@ -333,6 +332,8 @@ def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet) -> GaussianMixtureFit:
     raises :class:`FitConvergenceError`, an indistinguishable pair of shot
     sets raises :class:`DegenerateMixtureError`.
     """
+    from scipy.optimize import least_squares  # deferred: importing readout loads no scipy
+
     x0v = np.asarray(shots0.values, dtype=float)
     x1v = np.asarray(shots1.values, dtype=float)
     if x0v.size == 0 or x1v.size == 0:
@@ -449,6 +450,8 @@ def _assignment_errors(shots0: ShotSet, shots1: ShotSet, thr: float,
 def fidelity_report(shots0: ShotSet, shots1: ShotSet, fit: GaussianMixtureFit,
                     thr: float) -> FidelityReport:
     """Empirical P(0|1), P(1|0) and the fidelity 1 - (P(0|1)+P(1|0))/2."""
+    from scipy.special import ndtr  # deferred: importing readout loads no scipy
+
     sign = 1.0 if fit.mu1 >= fit.mu0 else -1.0
     p01, p10 = _assignment_errors(shots0, shots1, thr, sign)
 

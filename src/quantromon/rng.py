@@ -36,12 +36,16 @@ def philox4x64(counter: np.ndarray, key: tuple[int, int]) -> np.ndarray:
         The counters must be consecutive, ``c0, c0 + 1, ..., c0 + n - 1``,
         and must not pass ``2**64 - 1``.
     key : (int, int)
-        Two 64-bit key words.
+        The two 64-bit key words, the seed and the stream, each an integer
+        in ``[0, 2**64)``; anything else raises :class:`ParameterError`.
 
     Returns
     -------
     array of uint64, shape (n, 4)
     """
+    for name, word in zip(("seed", "stream"), key):
+        if not (isinstance(word, (int, np.integer)) and 0 <= word <= _MASK64):
+            raise ParameterError(f"{name} must be an integer in [0, 2**64), got {word!r}")
     c = np.asarray(counter, dtype=np.uint64)
     n = c.size
     if c.ndim != 1:
@@ -58,8 +62,7 @@ def philox4x64(counter: np.ndarray, key: tuple[int, int]) -> np.ndarray:
     # before each block: starting one below ``start`` (wrapping at 2**256)
     # makes the first block the one for counter ``start``.
     bg = np.random.Philox(counter=(start - 1) % 2**256,
-                          key=np.array([key[0] & _MASK64, key[1] & _MASK64],
-                                       dtype=np.uint64))
+                          key=np.array(key, dtype=np.uint64))
     return bg.random_raw(4 * n).reshape(n, 4)
 
 

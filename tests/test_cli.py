@@ -1,9 +1,16 @@
 import csv
 import importlib.resources
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import quantromon
 from quantromon.cli import load_config, normalize_config, run
 from quantromon.errors import ConfigError
 
@@ -145,6 +152,18 @@ class TestSweepCommands:
             run([command, "--config", SAMPLE_A, "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["chi-sweep", "t1-model"])
+    @pytest.mark.parametrize("b", [1.5, math.nan])
+    def test_bad_circuit_exits_1_without_rows(self, tmp_path, capsys, command, b):
+        # sample_b gives its junction energies, so only the sweep meets the circuit
+        cfg = json.loads(open(SAMPLE_B).read())
+        cfg["circuit"]["b"] = b
+        path = _write_config(tmp_path, cfg)
+        assert run([command, "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "b out of [0, 1]" in captured.err
+
     def test_chi_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(["chi-sweep", "--config", SAMPLE_A, "--out", str(out)]) == 0
@@ -239,6 +258,40 @@ class TestSimOptions:
         assert run(["readout-sim", "--config", SAMPLE_C, "--shots", "100",
                     "--seed", str(2**64 - 1)]) == 0
         assert str(2**64 - 1) in capsys.readouterr().out
+
+
+class TestImports:
+    # every bundled config each command runs on; none of them reads shots
+    NON_READOUT_RUNS = (
+        [["energies", "--config", c] for c in (REFERENCE, SAMPLE_A, SAMPLE_B, SAMPLE_C)]
+        + [["spectrum", "--config", c] for c in (REFERENCE, SAMPLE_A, SAMPLE_B, SAMPLE_C)]
+        + [[cmd, "--config", c] for cmd in ("chi-sweep", "t1-model")
+           for c in (SAMPLE_A, SAMPLE_B)]
+        + [["phase", "--config", SAMPLE_C]]
+    )
+    SCRIPT = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import quantromon
+        from quantromon.cli import run
+        exits = []
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                exits.append(run(argv))
+        scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        print(json.dumps({"exits": exits, "scipy": scipy}))
+    """)
+
+    def test_non_readout_commands_load_no_scipy(self):
+        # a fresh interpreter, so no other test's import of scipy counts
+        src = str(Path(quantromon.__file__).parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(self.NON_READOUT_RUNS)],
+            env=env, capture_output=True, text=True, check=True)
+        result = json.loads(done.stdout)
+        assert result["exits"] == [0] * len(self.NON_READOUT_RUNS)
+        assert result["scipy"] == []
 
 
 class TestDeterminism:

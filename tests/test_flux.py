@@ -159,6 +159,26 @@ class TestFitFailures:
         with pytest.raises(ParameterError, match="anchor_n"):
             fit_both_squids_area(TABLE, anchor_n=anchor_n, f_q_anchor=4.281e9)
 
+    @pytest.mark.parametrize("d_j_zero", [1.5, -1.0, math.nan])
+    def test_asymmetry_out_of_range_named(self, d_j_zero):
+        with pytest.raises(ParameterError, match=r"d_j_zero out of \(-1, 1\)"):
+            fit_one_squid(TABLE, f_q_zero=5.205e9, d_j_zero=d_j_zero, anchor_n=5,
+                          d_j_anchor=-0.015)
+
+    def test_anchor_beyond_grid_rejected(self):
+        # above 5000 the grid k * 1e-4 up to 0.5/anchor_n holds no point
+        with pytest.raises(ParameterError, match=r"anchor_n must be an integer in \[1, 5000\]"):
+            fit_one_squid(TABLE, f_q_zero=5.205e9, d_j_zero=-0.3, anchor_n=5001,
+                          d_j_anchor=-0.015)
+        with pytest.raises(ParameterError, match="anchor_n"):
+            fit_both_squids_area(TABLE, anchor_n=5001, f_q_anchor=4.281e9)
+
+    def test_largest_anchor_scans_one_point(self):
+        assert fit_both_squids_area(TABLE, anchor_n=5000, f_q_anchor=4.281e9) == 1e-4
+        fit = fit_one_squid(TABLE, f_q_zero=5.205e9, d_j_zero=-0.3, anchor_n=5000,
+                            d_j_anchor=-0.015)
+        assert fit.area_ratio_a == 1e-4
+
 
 @st.composite
 def _anchor_and_grid_area(draw):

@@ -163,6 +163,12 @@ class TestSimulateShots:
         with pytest.raises(ParameterError):
             simulate_shots(SAMPLE_C, 0, 0, 0)
 
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_out_of_range_rejected(self, seed):
+        # masking would alias these to the shots of seed 0 and 2**64 - 1
+        with pytest.raises(ParameterError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            simulate_shots(SAMPLE_C, 0, 100, seed)
+
 
 class TestShotCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):

@@ -113,3 +113,11 @@ def test_last_counter_is_reachable():
 def test_non_consecutive_indices_rejected(indices):
     with pytest.raises(ParameterError):
         uniforms(3, 0, indices)
+
+
+@pytest.mark.parametrize("seed, stream, name", [
+    (2**64, 0, "seed"), (-1, 0, "seed"), (1.0, 0, "seed"), (0, 2**64, "stream"),
+])
+def test_key_words_outside_64_bits_rejected(seed, stream, name):
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        uniforms(seed, stream, np.arange(2))

@@ -43,6 +43,7 @@ from .numeric import (
     extract_observables,
     label_states,
     numeric_spectrum,
+    parity_sectors,
 )
 from .params import (
     CODATA2018,

@@ -185,7 +185,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     data = normalize_config(raw)
     circuit = (_parse_numbers("circuit", CircuitParams, data["circuit"])
@@ -405,7 +405,7 @@ def run(argv: list[str]) -> int:
             cfg = load_config(args.config)
         rows = _COMMANDS[args.command](cfg, args)
         _emit(rows, args.out, args.format)
-    except (ConfigError, ParameterError, ValueError) as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

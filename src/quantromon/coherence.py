@@ -38,8 +38,8 @@ class CoherenceConfig:
     def __post_init__(self):
         if not (self.q_diel > 0.0):
             raise ParameterError(f"q_diel must be > 0, got {self.q_diel!r}")
-        if not (self.kappa > 0.0):
-            raise ParameterError(f"kappa must be > 0, got {self.kappa!r}")
+        if not (0.0 < self.kappa < math.inf):
+            raise ParameterError(f"kappa must be finite and > 0, got {self.kappa!r}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ dominant bare-state overlap, and extracts the same observables the
 closed-form module predicts. Serves as the independent numerical oracle for
 :mod:`quantromon.analytic`.
 
+Every term conserves the joint photon-number parity ``(m_q + m_r) mod 2``;
+without the transverse term (``d_j = 0``) each mode's own parity is
+conserved too. Entries between parity sectors are exactly zero, so
+:func:`numeric_spectrum` diagonalizes the two (or four) sector blocks one at
+a time and labels each required state inside its own sector.
+
 All matrix entries are in Hz. Charge terms enter as ``4*E_C*n**2`` with the
 dimensionless pair-number operator conjugate to the phase, so the quadratic
 part of each mode reproduces ``sqrt(8*E_Jmode*E_Cmode)`` exactly.
@@ -29,6 +35,7 @@ __all__ = [
     "eigensolve",
     "label_states",
     "extract_observables",
+    "parity_sectors",
     "numeric_spectrum",
 ]
 
@@ -168,15 +175,25 @@ def eigensolve(h: HamiltonianMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarra
     return w, v
 
 
-def label_states(w: np.ndarray, v: np.ndarray, trunc: Truncation) -> LabeledSpectrum:
+def label_states(w: np.ndarray, v: np.ndarray, trunc: Truncation,
+                 basis: np.ndarray | None = None) -> LabeledSpectrum:
     """Assign each required (m_q, m_r) label to a dressed eigenstate.
 
     Greedy assignment by descending bare-state overlap |<bare|dressed>|^2;
     ties below 1e-9 are broken by eigenvalue order. A best overlap below 0.5
     means the dressed state has no dominant bare character and labeling is
     declared ambiguous.
+
+    ``basis`` holds the flat product-basis index ``m_q*n_r + m_r`` of each
+    row of ``v`` (default: the full basis, in order); only the required
+    labels inside it are assigned.
     """
-    flat = {lbl: lbl[0] * trunc.n_r + lbl[1] for lbl in REQUIRED_LABELS}
+    basis = np.arange(trunc.dim) if basis is None else np.asarray(basis)
+    flat = {}
+    for lbl in REQUIRED_LABELS:
+        hit = np.flatnonzero(basis == lbl[0] * trunc.n_r + lbl[1])
+        if hit.size:
+            flat[lbl] = int(hit[0])
     candidates = []
     for lbl, row in flat.items():
         ov = v[row, :] ** 2
@@ -195,7 +212,7 @@ def label_states(w: np.ndarray, v: np.ndarray, trunc: Truncation) -> LabeledSpec
 
     energies: dict[tuple[int, int], float] = {}
     overlaps: dict[tuple[int, int], float] = {}
-    for lbl in REQUIRED_LABELS:
+    for lbl in flat:
         if lbl not in assigned:
             raise AmbiguousLabelingError(f"no eigenstate available for label {lbl}")
         k, ov = assigned[lbl]
@@ -246,9 +263,26 @@ def extract_observables(ls: LabeledSpectrum, en: ModeEnergies) -> SpectrumResult
     )
 
 
+def parity_sectors(trunc: Truncation, per_mode: bool) -> list[np.ndarray]:
+    """Flat basis indices of each photon-number parity sector, ascending.
+
+    ``per_mode`` splits by each mode's parity, ``2*(m_q % 2) + m_r % 2``
+    (four sectors); otherwise by the joint parity ``(m_q + m_r) % 2`` (two).
+    """
+    m_q, m_r = np.divmod(np.arange(trunc.dim), trunc.n_r)
+    sector = 2 * (m_q % 2) + m_r % 2 if per_mode else (m_q + m_r) % 2
+    return [np.flatnonzero(sector == s) for s in range(4 if per_mode else 2)]
+
+
 def numeric_spectrum(en: ModeEnergies, trunc: Truncation | None = None) -> SpectrumResult:
-    """Build, diagonalize, label, and extract in one call."""
+    """Build, diagonalize and label one parity block at a time, then extract."""
     trunc = trunc or Truncation()
     h = build_hamiltonian(en, trunc)
-    w, v = eigensolve(h)
-    return extract_observables(label_states(w, v, trunc), en)
+    energies: dict[tuple[int, int], float] = {}
+    overlaps: dict[tuple[int, int], float] = {}
+    for idx in parity_sectors(trunc, per_mode=en.d_j == 0.0):
+        w, v = eigensolve(h.entries[np.ix_(idx, idx)])
+        ls = label_states(w, v, trunc, idx)
+        energies.update(ls.energies)
+        overlaps.update(ls.overlaps)
+    return extract_observables(LabeledSpectrum(energies, overlaps, trunc), en)

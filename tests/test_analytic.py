@@ -2,6 +2,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantromon.analytic import (
     asymmetric_corrections,
@@ -172,6 +174,18 @@ class TestInvertChi:
         chi = TWO_CHI / 2
         _, total = asymmetric_corrections(en45, chi, -0.398e9)
         recovered = invert_chi(total, -0.398e9, en45.e_cq, en45.e_jq, 0.045)
+        assert recovered == pytest.approx(2 * chi, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+           st.floats(0.001, 0.5) | st.floats(-0.5, -0.001),
+           st.floats(1e3, 1e7), st.floats(1.5, 20.0), st.sampled_from([-1.0, 1.0]))
+    def test_inverts_asymmetric_corrections(self, ec_scale, ej_scale, d_j, chi, ratio, sign):
+        # |Delta| > alpha on either side keeps the detuning out of the straddling regime
+        en = dataclasses.replace(EN, e_cq=EN.e_cq * ec_scale, e_jq=EN.e_jq * ej_scale, d_j=d_j)
+        delta = sign * ratio * en.e_cq
+        _, total = asymmetric_corrections(en, chi, delta)
+        recovered = invert_chi(total, delta, en.e_cq, en.e_jq, d_j)
         assert recovered == pytest.approx(2 * chi, rel=1e-12)
 
     def test_measured_shift_inversion(self):

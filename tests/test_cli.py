@@ -103,6 +103,21 @@ class TestExitCodes:
         assert f"{shots1}, line 20:" in err
         assert "'abc'" in err
 
+    def test_undecodable_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert run(["energies", "--config", str(path)]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_plain_value_error_propagates(self, monkeypatch):
+        # only typed errors mean bad input; a bare ValueError is a program fault
+        def broken(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr("quantromon.cli.numeric_spectrum", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            run(["spectrum", "--config", REFERENCE])
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # junction inductance tuned so the dressed modes are degenerate and
         # the asymmetric coupling hybridizes them: labeling must fail
@@ -163,6 +178,15 @@ class TestSweepCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "b out of [0, 1]" in captured.err
+
+    def test_infinite_kappa_exits_1(self, tmp_path, capsys):
+        cfg = json.loads(open(SAMPLE_A).read())
+        cfg["coherence"]["kappa"] = math.inf  # written as Infinity
+        path = _write_config(tmp_path, cfg)
+        assert run(["t1-model", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "kappa" in captured.err
 
     def test_chi_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -292,6 +316,29 @@ class TestImports:
         result = json.loads(done.stdout)
         assert result["exits"] == [0] * len(self.NON_READOUT_RUNS)
         assert result["scipy"] == []
+
+
+class TestColdPath:
+    # numpy.ma loads lazily, on the first call of helpers such as np.unique;
+    # the spectrum path must not pay for it in every fresh process
+    SCRIPT = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from quantromon.cli import run
+        exits = []
+        for path in sys.argv[1:]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                exits.append(run(["spectrum", "--config", path]))
+        print(json.dumps({"exits": exits, "numpy_ma": "numpy.ma" in sys.modules}))
+    """)
+
+    def test_spectrum_loads_no_numpy_ma(self):
+        # reference_device has d_j = 0 (four parity blocks), sample_b d_j != 0 (two)
+        src = str(Path(quantromon.__file__).parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, REFERENCE, SAMPLE_B],
+                              env=env, capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == {"exits": [0, 0], "numpy_ma": False}
 
 
 class TestDeterminism:

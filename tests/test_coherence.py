@@ -136,3 +136,8 @@ class TestReport:
             CoherenceConfig(q_diel=0.0, kappa=1e6)
         with pytest.raises(ParameterError):
             CoherenceConfig(q_diel=1e6, kappa=-1.0)
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    def test_kappa_must_be_finite(self, kappa):
+        with pytest.raises(ParameterError, match="kappa"):
+            CoherenceConfig(q_diel=1e6, kappa=kappa)

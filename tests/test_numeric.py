@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantromon.analytic import bare_modes, dressed_spectrum
 from quantromon.errors import AmbiguousLabelingError, ParameterError
@@ -14,8 +16,10 @@ from quantromon.numeric import (
     Truncation,
     build_hamiltonian,
     eigensolve,
+    extract_observables,
     label_states,
     numeric_spectrum,
+    parity_sectors,
 )
 from quantromon.params import CircuitParams, derive_energies
 
@@ -240,3 +244,58 @@ class TestObservables:
             num = numeric_spectrum(en, Truncation(12, 12))
             deviations.append(abs(num.two_chi - ana.two_chi) / num.two_chi)
         assert all(lo < hi for lo, hi in zip(deviations, deviations[1:]))
+
+
+def _scaled(factors, d_j):
+    """Energies of TABLE with l_j, c_j, l_r, c_r and b scaled by ``factors``."""
+    names = ("l_j", "c_j", "l_r", "c_r", "b")
+    scaled = {k: getattr(TABLE, k) * f for k, f in zip(names, factors)}
+    return derive_energies(dataclasses.replace(TABLE, d_j=d_j, **scaled))
+
+
+_AROUND_TABLE = st.tuples(*[st.floats(0.8, 1.2)] * 5)
+# each factor lowers the qubit or raises the resonator: dispersive side
+_DISPERSIVE = st.tuples(st.floats(1.0, 1.3), st.floats(1.0, 1.1), st.floats(0.95, 1.0),
+                        st.floats(0.95, 1.0), st.floats(0.95, 1.05))
+_ASYMMETRY = st.floats(0.01, 0.1) | st.floats(-0.1, -0.01)
+_OBSERVABLES = ("omega_q_t", "omega_r_t", "alpha_q", "two_chi", "g_asymm", "two_chi_total")
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @settings(max_examples=15, deadline=None)
+    @given(_AROUND_TABLE, _ASYMMETRY, st.integers(6, 14), st.integers(6, 14))
+    def test_entries_between_sectors_exactly_zero(self, symmetric, factors, d_j, n_q, n_r):
+        d_j = 0.0 if symmetric else d_j
+        trunc = Truncation(n_q, n_r)
+        m = build_hamiltonian(_scaled(factors, d_j), trunc).entries
+        m_q, m_r = np.divmod(np.arange(trunc.dim), n_r)
+        parities = [m_q % 2, m_r % 2] if symmetric else [(m_q + m_r) % 2]
+        same = np.logical_and.reduce([p[:, None] == p[None, :] for p in parities])
+        assert np.all(m[~same] == 0.0)
+
+        sectors = parity_sectors(trunc, per_mode=symmetric)
+        assert len(sectors) == (4 if symmetric else 2)
+        assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(trunc.dim))
+        for idx in sectors:
+            assert np.all(same[np.ix_(idx, idx)])
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @settings(max_examples=8, deadline=None)
+    @given(_DISPERSIVE, _ASYMMETRY, st.integers(10, 14))
+    def test_blocked_matches_full_matrix(self, symmetric, factors, d_j, n):
+        en = _scaled(factors, 0.0 if symmetric else d_j)
+        trunc = Truncation(n, n)
+        w, v = eigensolve(build_hamiltonian(en, trunc))
+        full = extract_observables(label_states(w, v, trunc), en)
+        blocked = numeric_spectrum(en, trunc)
+        for name in _OBSERVABLES:
+            assert getattr(blocked, name) == pytest.approx(getattr(full, name), rel=1e-9)
+
+    def test_labels_only_rows_of_given_basis(self):
+        trunc = Truncation(8, 8)
+        h = build_hamiltonian(EN, trunc)
+        idx = parity_sectors(trunc, per_mode=True)[0]  # m_q and m_r even
+        w, v = eigensolve(h.entries[np.ix_(idx, idx)])
+        ls = label_states(w, v, trunc, idx)
+        assert set(ls.energies) == {(0, 0), (2, 0)}

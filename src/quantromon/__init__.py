@@ -35,8 +35,6 @@ from .flux import (
     tuned_junctions,
 )
 from .numeric import (
-    HamiltonianMatrix,
-    LabeledSpectrum,
     Truncation,
     build_hamiltonian,
     eigensolve,

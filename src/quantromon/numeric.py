@@ -1,8 +1,9 @@
 """Exact diagonalization of the truncated two-mode quartic Hamiltonian.
 
-Builds the Hamiltonian in a product Fock basis (the harmonic basis of each
-mode's quadratic part), diagonalizes it, labels dressed states by their
-dominant bare-state overlap, and extracts the same observables the
+Builds the Hamiltonian as a plain symmetric array in a product Fock basis
+(the harmonic basis of each mode's quadratic part; flat index
+``m_q*n_r + m_r``), diagonalizes it, labels each dressed state by its
+largest bare-state overlap, and extracts the same observables the
 closed-form module predicts. Serves as the independent numerical oracle for
 :mod:`quantromon.analytic`.
 
@@ -19,7 +20,7 @@ part of each mode reproduces ``sqrt(8*E_Jmode*E_Cmode)`` exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +30,6 @@ from .params import ModeEnergies
 
 __all__ = [
     "Truncation",
-    "HamiltonianMatrix",
-    "LabeledSpectrum",
     "build_hamiltonian",
     "eigensolve",
     "label_states",
@@ -44,7 +43,6 @@ REQUIRED_LABELS = tuple((mq, mr) for mq in range(3) for mr in range(2))
 
 _MIN_LEVELS = 4  # quartic terms need at least four Fock levels
 _OVERLAP_THRESHOLD = 0.5
-_OVERLAP_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,30 +70,6 @@ class Truncation:
         return self.n_q * self.n_r
 
 
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Dense real symmetric Hamiltonian with its basis bookkeeping."""
-
-    trunc: Truncation
-    entries: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.trunc.dim
-
-    def flat_index(self, m_q: int, m_r: int) -> int:
-        return m_q * self.trunc.n_r + m_r
-
-
-@dataclass(frozen=True)
-class LabeledSpectrum:
-    """Dressed-state energies (Hz) and bare-state overlaps keyed by (m_q, m_r)."""
-
-    energies: dict[tuple[int, int], float]
-    overlaps: dict[tuple[int, int], float]
-    trunc: Truncation
-
-
 def _ladder(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n)), k=1)
 
@@ -116,8 +90,11 @@ def _mode_operators(n: int, e_c: float, e_j_mode: float) -> tuple[np.ndarray, np
 
 
 def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
-                      include_quartics: bool = True) -> HamiltonianMatrix:
-    """Assemble the truncated quartic Hamiltonian in the product Fock basis.
+                      include_quartics: bool = True) -> np.ndarray:
+    """The truncated quartic Hamiltonian (Hz) in the product Fock basis.
+
+    A ``dim x dim`` symmetric array; row and column ``m_q*n_r + m_r`` belong
+    to the bare state (m_q, m_r).
 
     Terms, with E_Jsigma = en.e_jq and constant offsets dropped:
     quadratic mode energies, quartic self-terms ``-(E_Jsigma/24) x_q**4`` and
@@ -133,11 +110,11 @@ def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
         x_q, n2_q = _mode_operators(trunc.n_q, en.e_cq, en.e_jq)
         x_r, n2_r = _mode_operators(trunc.n_r, en.e_cr, en.e_jr)
 
-        h_q = 4.0 * en.e_cq * n2_q + (en.e_jq / 2.0) * (x_q @ x_q)
-        h_r = 4.0 * en.e_cr * n2_r + (en.e_jr / 2.0) * (x_r @ x_r)
+        x2_q = x_q @ x_q
+        x2_r = x_r @ x_r
+        h_q = 4.0 * en.e_cq * n2_q + (en.e_jq / 2.0) * x2_q
+        h_r = 4.0 * en.e_cr * n2_r + (en.e_jr / 2.0) * x2_r
         if include_quartics:
-            x2_q = x_q @ x_q
-            x2_r = x_r @ x_r
             h_q = h_q - (e_jsigma / 24.0) * (x2_q @ x2_q)
             h_r = h_r - (en.b**4 / 384.0) * e_jsigma * (x2_r @ x2_r)
 
@@ -145,7 +122,7 @@ def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
         eye_r = np.eye(trunc.n_r)
         h = np.kron(h_q, eye_r) + np.kron(eye_q, h_r)
         if include_quartics:
-            h -= (en.b**2 / 16.0) * e_jsigma * np.kron(x_q @ x_q, x_r @ x_r)
+            h -= (en.b**2 / 16.0) * e_jsigma * np.kron(x2_q, x2_r)
         if en.d_j != 0.0:
             h -= en.d_j * (en.b / 2.0) * e_jsigma * np.kron(x_q, x_r)
 
@@ -158,77 +135,70 @@ def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
         raise EigensolveError(
             f"assembled matrix asymmetry {asymmetry / scale:.3e} exceeds 1e-9"
         )
-    h = 0.5 * (h + h.T)
-    return HamiltonianMatrix(trunc=trunc, entries=h)
+    return 0.5 * (h + h.T)
 
 
-def eigensolve(h: HamiltonianMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors (columns)."""
-    matrix = h.entries if isinstance(h, HamiltonianMatrix) else np.asarray(h)
     try:
-        w, v = np.linalg.eigh(matrix)
+        w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigensolveError(
-            f"eigh failed to converge on a {matrix.shape[0]}x{matrix.shape[0]} "
-            f"matrix: {exc}"
+            f"eigh failed to converge on a {h.shape[0]}x{h.shape[0]} matrix: {exc}"
         ) from exc
     return w, v
 
 
 def label_states(w: np.ndarray, v: np.ndarray, trunc: Truncation,
-                 basis: np.ndarray | None = None) -> LabeledSpectrum:
+                 basis: np.ndarray | None = None
+                 ) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
     """Assign each required (m_q, m_r) label to a dressed eigenstate.
 
-    Greedy assignment by descending bare-state overlap |<bare|dressed>|^2;
-    ties below 1e-9 are broken by eigenvalue order. A best overlap below 0.5
-    means the dressed state has no dominant bare character and labeling is
-    declared ambiguous.
+    Each label takes the eigenstate with the largest bare-state overlap
+    |<bare|dressed>|^2. A largest overlap below 0.5 means no dressed state
+    has dominant bare character, and labeling is declared ambiguous. So is a
+    collision, two labels taking the same eigenstate: an eigenstate's
+    overlaps sum to 1, so that happens only at an exact 50/50 mix, and above
+    it the assignment is one-to-one. Both raise
+    :class:`AmbiguousLabelingError`.
 
     ``basis`` holds the flat product-basis index ``m_q*n_r + m_r`` of each
     row of ``v`` (default: the full basis, in order); only the required
-    labels inside it are assigned.
+    labels inside it are assigned. Returns the dressed energies (Hz) and the
+    overlaps, each keyed by label.
     """
     basis = np.arange(trunc.dim) if basis is None else np.asarray(basis)
-    flat = {}
-    for lbl in REQUIRED_LABELS:
-        hit = np.flatnonzero(basis == lbl[0] * trunc.n_r + lbl[1])
-        if hit.size:
-            flat[lbl] = int(hit[0])
-    candidates = []
-    for lbl, row in flat.items():
-        ov = v[row, :] ** 2
-        for k in np.argsort(ov)[::-1][: len(REQUIRED_LABELS) + 4]:
-            candidates.append((lbl, int(k), float(ov[k])))
-    # descending overlap; near-ties resolved toward lower eigenvalues
-    candidates.sort(key=lambda c: (-round(c[2] / _OVERLAP_TIE), c[1]))
-
-    assigned: dict[tuple[int, int], tuple[int, float]] = {}
-    used: set[int] = set()
-    for lbl, k, ov in candidates:
-        if lbl in assigned or k in used:
-            continue
-        assigned[lbl] = (k, ov)
-        used.add(k)
-
     energies: dict[tuple[int, int], float] = {}
     overlaps: dict[tuple[int, int], float] = {}
-    for lbl in flat:
-        if lbl not in assigned:
-            raise AmbiguousLabelingError(f"no eigenstate available for label {lbl}")
-        k, ov = assigned[lbl]
-        if ov < _OVERLAP_THRESHOLD:
+    owner: dict[int, tuple[int, int]] = {}
+    for lbl in REQUIRED_LABELS:
+        hit = np.flatnonzero(basis == lbl[0] * trunc.n_r + lbl[1])
+        if not hit.size:
+            continue
+        ov = v[hit[0], :] ** 2
+        k = int(np.argmax(ov))
+        best = float(ov[k])
+        if best < _OVERLAP_THRESHOLD:
             raise AmbiguousLabelingError(
-                f"label {lbl}: best overlap {ov!r} < {_OVERLAP_THRESHOLD} at "
+                f"label {lbl}: best overlap {best!r} < {_OVERLAP_THRESHOLD} at "
                 f"truncation {trunc.n_q}x{trunc.n_r} (near-resonant mixing, or "
                 "mixing with the top kept level; try a larger truncation)"
             )
+        if k in owner:
+            raise AmbiguousLabelingError(
+                f"labels {owner[k]} and {lbl} both have their best overlap "
+                f"({best!r}) with one eigenstate at truncation "
+                f"{trunc.n_q}x{trunc.n_r}: an exact 50/50 mix"
+            )
+        owner[k] = lbl
         energies[lbl] = float(w[k])
-        overlaps[lbl] = ov
-    return LabeledSpectrum(energies=energies, overlaps=overlaps, trunc=trunc)
+        overlaps[lbl] = best
+    return energies, overlaps
 
 
-def extract_observables(ls: LabeledSpectrum, en: ModeEnergies) -> SpectrumResult:
-    """Dressed observables from labeled transition energies.
+def extract_observables(e: dict[tuple[int, int], float],
+                        en: ModeEnergies) -> SpectrumResult:
+    """Dressed observables from the labeled energies ``e`` (Hz, by (m_q, m_r)).
 
     omega_q_t = E(1,0)-E(0,0), omega_r_t = E(0,1)-E(0,0),
     alpha_q = [E(1,0)-E(0,0)] - [E(2,0)-E(1,0)], and the total dispersive
@@ -239,7 +209,6 @@ def extract_observables(ls: LabeledSpectrum, en: ModeEnergies) -> SpectrumResult
     The quartic model's alpha_q exceeds the first-order closed form E_CQ by
     the fraction (17/4) E_CQ/omega_q at second order in E_CQ/omega_q.
     """
-    e = ls.energies
     omega_q_t = e[(1, 0)] - e[(0, 0)]
     omega_r_t = e[(0, 1)] - e[(0, 0)]
     alpha_q = 2.0 * e[(1, 0)] - e[(0, 0)] - e[(2, 0)]
@@ -279,10 +248,7 @@ def numeric_spectrum(en: ModeEnergies, trunc: Truncation | None = None) -> Spect
     trunc = trunc or Truncation()
     h = build_hamiltonian(en, trunc)
     energies: dict[tuple[int, int], float] = {}
-    overlaps: dict[tuple[int, int], float] = {}
     for idx in parity_sectors(trunc, per_mode=en.d_j == 0.0):
-        w, v = eigensolve(h.entries[np.ix_(idx, idx)])
-        ls = label_states(w, v, trunc, idx)
-        energies.update(ls.energies)
-        overlaps.update(ls.overlaps)
-    return extract_observables(LabeledSpectrum(energies, overlaps, trunc), en)
+        w, v = eigensolve(h[np.ix_(idx, idx)])
+        energies.update(label_states(w, v, trunc, idx)[0])
+    return extract_observables(energies, en)

@@ -125,11 +125,28 @@ def _violations(params: CircuitParams) -> list[str]:
     return violations
 
 
+def _energy(name: str, value: float, numerator: float, denominator: float) -> float:
+    """``numerator / denominator`` in Hz, derived from parameter ``name``.
+
+    An element value that is in range can still be so extreme that the
+    denominator underflows to 0.0, or the energy to 0.0; either raises a
+    :class:`ParameterError` naming the parameter.
+    """
+    energy = numerator / denominator if denominator > 0.0 else math.inf
+    if not 0.0 < energy < math.inf:
+        raise ParameterError(
+            f"{name} = {value!r} gives a derived energy of {energy!r} Hz; "
+            "it must be finite and > 0"
+        )
+    return energy
+
+
 def derive_energies(params: CircuitParams) -> ModeEnergies:
     """Compute all mode energy scales (in Hz) from lumped-element values.
 
     Pure function; rejects out-of-range inputs with a :class:`ParameterError`
-    that names every offending parameter.
+    that names every offending parameter, and an element value whose energy
+    is not finite and > 0 with one that names that value.
     """
     violations = _violations(params)
     if violations:
@@ -140,10 +157,10 @@ def derive_energies(params: CircuitParams) -> ModeEnergies:
     phi0bar = CODATA2018.reduced_flux_quantum
 
     return ModeEnergies.from_scales(
-        e_j=phi0bar**2 / (params.l_j * h),
-        e_lr=phi0bar**2 / (params.l_r * h),
-        e_cq=e**2 / (4.0 * params.c_j * h),
-        e_cr=e**2 / (2.0 * (params.c_r + params.c_j / 2.0) * h),
+        e_j=_energy("l_j", params.l_j, phi0bar**2, params.l_j * h),
+        e_lr=_energy("l_r", params.l_r, phi0bar**2, params.l_r * h),
+        e_cq=_energy("c_j", params.c_j, e**2, 4.0 * params.c_j * h),
+        e_cr=_energy("c_r", params.c_r, e**2, 2.0 * (params.c_r + params.c_j / 2.0) * h),
         b=params.b,
         d_j=params.d_j,
     )
@@ -155,7 +172,10 @@ def validate(params: CircuitParams) -> ValidationReport:
     warnings: list[str] = []
 
     if not violations:
-        en = derive_energies(params)
+        try:
+            en = derive_energies(params)
+        except ParameterError as exc:
+            return ValidationReport(violations=(str(exc),), warnings=())
         if en.e_lr / en.e_j <= 1.0:
             warnings.append(
                 "E_LR >> E_J regime violated "

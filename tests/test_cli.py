@@ -109,6 +109,19 @@ class TestExitCodes:
         assert run(["energies", "--config", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["energies", "spectrum"])
+    @pytest.mark.parametrize("key, value", [("c_j", 1e308), ("c_r", 1e308),
+                                            ("l_j", 1e-300), ("l_r", 1e-300)])
+    def test_extreme_element_exits_1_naming_key(self, tmp_path, capsys, command,
+                                                key, value):
+        cfg = json.loads(open(REFERENCE).read())
+        cfg["circuit"][key] = value
+        path = _write_config(tmp_path, cfg)
+        assert run([command, "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} = ")
+
     def test_plain_value_error_propagates(self, monkeypatch):
         # only typed errors mean bad input; a bare ValueError is a program fault
         def broken(*args):

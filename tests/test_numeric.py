@@ -12,7 +12,6 @@ from quantromon.errors import AmbiguousLabelingError, ParameterError
 from quantromon.flux import energies_at_flux
 from quantromon.numeric import (
     REQUIRED_LABELS,
-    HamiltonianMatrix,
     Truncation,
     build_hamiltonian,
     eigensolve,
@@ -66,18 +65,18 @@ class TestEigensolve:
 class TestBuildHamiltonian:
     def test_symmetric(self):
         h = build_hamiltonian(EN, Truncation(10, 10))
-        scale = np.max(np.abs(h.entries))
-        assert np.max(np.abs(h.entries - h.entries.T)) <= 1e-9 * scale
+        scale = np.max(np.abs(h))
+        assert np.max(np.abs(h - h.T)) <= 1e-9 * scale
 
     def test_harmonic_limit_energies_exact(self):
         # quartics off: labeled transition energies are m_q*w_q + m_r*w_r
         trunc = Truncation(10, 10)
         h = build_hamiltonian(EN, trunc, include_quartics=False)
         w, v = eigensolve(h)
-        ls = label_states(w, v, trunc)
+        energies, _ = label_states(w, v, trunc)
         modes = bare_modes(EN)
-        e0 = ls.energies[(0, 0)]
-        for (mq, mr), energy in ls.energies.items():
+        e0 = energies[(0, 0)]
+        for (mq, mr), energy in energies.items():
             expected = mq * modes.omega_q + mr * modes.omega_r
             assert energy - e0 == pytest.approx(expected, rel=1e-12, abs=1.0)
 
@@ -85,18 +84,17 @@ class TestBuildHamiltonian:
         en0 = derive_energies(dataclasses.replace(TABLE, b=0.0))
         trunc = Truncation(8, 8)
         h = build_hamiltonian(en0, trunc)
-        m = h.entries
         for iq in range(8):
             for ir in range(8):
                 for jq in range(8):
                     for jr in range(8):
                         if iq != jq and ir != jr:
-                            assert m[h.flat_index(iq, ir), h.flat_index(jq, jr)] == 0.0
+                            assert h[iq * 8 + ir, jq * 8 + jr] == 0.0
         w, v = eigensolve(h)
-        ls = label_states(w, v, trunc)
+        _, overlaps = label_states(w, v, trunc)
         # the cross-mode factorization is exact; the qubit's own quartic
         # still dresses its Fock states (about 3e-3 at m_q = 2)
-        for overlap in ls.overlaps.values():
+        for overlap in overlaps.values():
             assert overlap >= 0.99
 
     def test_harmonic_uncoupled_overlaps_exactly_one(self):
@@ -104,21 +102,20 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(derive_energies(dataclasses.replace(TABLE, b=0.0)),
                               trunc, include_quartics=False)
         w, v = eigensolve(h)
-        ls = label_states(w, v, trunc)
-        for overlap in ls.overlaps.values():
+        _, overlaps = label_states(w, v, trunc)
+        for overlap in overlaps.values():
             assert overlap >= 1.0 - 1e-12
 
     def test_parity_block_structure(self):
         # d_j = 0: per-mode photon-number parity is conserved at this order
         trunc = Truncation(8, 8)
         h = build_hamiltonian(EN, trunc)
-        m = h.entries
         for iq in range(8):
             for ir in range(8):
                 for jq in range(8):
                     for jr in range(8):
                         if (iq - jq) % 2 or (ir - jr) % 2:
-                            assert m[h.flat_index(iq, ir), h.flat_index(jq, jr)] == 0.0
+                            assert h[iq * 8 + ir, jq * 8 + jr] == 0.0
 
     def test_overflow_rejected(self):
         # zero-point amplitude (2*e_cq/e_jq)**(1/4) overflows for this combo
@@ -172,9 +169,8 @@ class TestObservables:
         trunc = Truncation(10, 10)
         h = build_hamiltonian(EN, trunc, include_quartics=False)
         w, v = eigensolve(h)
-        ls = label_states(w, v, trunc)
-        from quantromon.numeric import extract_observables
-        obs = extract_observables(ls, EN)
+        energies, _ = label_states(w, v, trunc)
+        obs = extract_observables(energies, EN)
         assert abs(obs.alpha_q) < 1.0
         assert abs(obs.two_chi) < 1.0
 
@@ -187,9 +183,9 @@ class TestObservables:
         trunc = Truncation(12, 12)
         h = build_hamiltonian(EN, trunc)
         w, v = eigensolve(h)
-        ls = label_states(w, v, trunc)
-        assert set(ls.overlaps) == set(REQUIRED_LABELS)
-        assert all(ov > 0.9 for ov in ls.overlaps.values())
+        _, overlaps = label_states(w, v, trunc)
+        assert set(overlaps) == set(REQUIRED_LABELS)
+        assert all(ov > 0.9 for ov in overlaps.values())
 
     def test_transverse_coupling_raises_total_shift(self):
         sym = numeric_spectrum(EN, Truncation(12, 12))
@@ -246,6 +242,45 @@ class TestObservables:
         assert all(lo < hi for lo, hi in zip(deviations, deviations[1:]))
 
 
+class TestLabelStates:
+    def test_exact_half_mix_collides(self):
+        # a 45 degree rotation over the rows of (0, 0) and (1, 0): each row's
+        # largest overlap, 0.5000000000000001, is shared by the same two
+        # eigenstates, so neither label is dominant in its own state
+        trunc = Truncation(4, 4)
+        rows = [0 * trunc.n_r + 0, 1 * trunc.n_r + 0]
+        v = np.eye(trunc.dim)
+        c = math.sqrt(0.5)
+        v[np.ix_(rows, rows)] = [[c, -c], [c, c]]
+        with pytest.raises(AmbiguousLabelingError, match=r"\(0, 0\) and \(1, 0\)"):
+            label_states(np.arange(trunc.dim, dtype=float), v, trunc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 6), st.integers(4, 6), st.booleans(), st.integers(0, 3),
+           st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
+    def test_labels_distinct_and_dominant(self, n_q, n_r, per_mode, sector, coupling,
+                                          seed):
+        # a random symmetric block over one parity sector: diagonal spread
+        # 1, off-diagonal coupling up to twice that
+        trunc = Truncation(n_q, n_r)
+        sectors = parity_sectors(trunc, per_mode)
+        idx = sectors[sector % len(sectors)]
+        rng = np.random.default_rng(seed)
+        m = coupling * rng.normal(size=(idx.size, idx.size))
+        m = 0.5 * (m + m.T) + np.diag(rng.normal(size=idx.size))
+        w, v = eigensolve(m)
+        try:
+            energies, overlaps = label_states(w, v, trunc, idx)
+        except AmbiguousLabelingError:
+            return
+        picked = [int(np.flatnonzero(w == energies[lbl])[0]) for lbl in energies]
+        assert len(set(picked)) == len(picked)
+        for lbl, k in zip(energies, picked):
+            row = int(np.flatnonzero(idx == lbl[0] * n_r + lbl[1])[0])
+            assert overlaps[lbl] == np.max(v[row] ** 2) == v[row, k] ** 2
+            assert overlaps[lbl] >= 0.5
+
+
 def _scaled(factors, d_j):
     """Energies of TABLE with l_j, c_j, l_r, c_r and b scaled by ``factors``."""
     names = ("l_j", "c_j", "l_r", "c_r", "b")
@@ -268,7 +303,7 @@ class TestParitySectors:
     def test_entries_between_sectors_exactly_zero(self, symmetric, factors, d_j, n_q, n_r):
         d_j = 0.0 if symmetric else d_j
         trunc = Truncation(n_q, n_r)
-        m = build_hamiltonian(_scaled(factors, d_j), trunc).entries
+        m = build_hamiltonian(_scaled(factors, d_j), trunc)
         m_q, m_r = np.divmod(np.arange(trunc.dim), n_r)
         parities = [m_q % 2, m_r % 2] if symmetric else [(m_q + m_r) % 2]
         same = np.logical_and.reduce([p[:, None] == p[None, :] for p in parities])
@@ -287,7 +322,7 @@ class TestParitySectors:
         en = _scaled(factors, 0.0 if symmetric else d_j)
         trunc = Truncation(n, n)
         w, v = eigensolve(build_hamiltonian(en, trunc))
-        full = extract_observables(label_states(w, v, trunc), en)
+        full = extract_observables(label_states(w, v, trunc)[0], en)
         blocked = numeric_spectrum(en, trunc)
         for name in _OBSERVABLES:
             assert getattr(blocked, name) == pytest.approx(getattr(full, name), rel=1e-9)
@@ -296,6 +331,6 @@ class TestParitySectors:
         trunc = Truncation(8, 8)
         h = build_hamiltonian(EN, trunc)
         idx = parity_sectors(trunc, per_mode=True)[0]  # m_q and m_r even
-        w, v = eigensolve(h.entries[np.ix_(idx, idx)])
-        ls = label_states(w, v, trunc, idx)
-        assert set(ls.energies) == {(0, 0), (2, 0)}
+        w, v = eigensolve(h[np.ix_(idx, idx)])
+        energies, overlaps = label_states(w, v, trunc, idx)
+        assert set(energies) == set(overlaps) == {(0, 0), (2, 0)}

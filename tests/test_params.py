@@ -90,6 +90,19 @@ def test_nonpositive_inputs_rejected_by_name(field):
         derive_energies(bad)
 
 
+@pytest.mark.parametrize("field, value", [("c_j", 1e308), ("c_r", 1e308),
+                                          ("l_j", 1e-300), ("l_r", 1e-300)])
+def test_extreme_element_energy_rejected_by_name(field, value):
+    # in range, but the energy derived from it underflows to 0.0 (a huge
+    # capacitance) or its denominator does (a tiny inductance)
+    bad = dataclasses.replace(TABLE, **{field: value})
+    with pytest.raises(ParameterError, match=f"^{field} = "):
+        derive_energies(bad)
+    report = validate(bad)
+    assert not report.ok
+    assert report.violations[0].startswith(f"{field} = ")
+
+
 def test_out_of_range_b_and_dj_rejected():
     with pytest.raises(ParameterError, match="b"):
         derive_energies(dataclasses.replace(TABLE, b=1.2))

@@ -44,18 +44,28 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# cap on readout_sim.n_shots: simulate_shots peaks near 77 MiB per 1M shots
+# of the excited state (tracemalloc, sample_c.json)
+MAX_SHOTS = 10**7
+
+
 @dataclass(frozen=True)
 class SimOptions:
-    """``readout_sim`` settings; ``--shots``/``--seed`` replace the first two."""
+    """``readout_sim`` settings; ``--shots``/``--seed`` replace the first two.
+
+    ``n_shots`` is at most :data:`MAX_SHOTS`, about 0.75 GiB at the peak of
+    one :func:`~quantromon.readout.simulate_shots` call.
+    """
 
     n_shots: int = 20000
     seed: int = 0
     tau_list: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not (_is_int(self.n_shots) and self.n_shots >= 1):
+        if not (_is_int(self.n_shots) and 1 <= self.n_shots <= MAX_SHOTS):
             raise ConfigError(
-                f"readout_sim.n_shots must be a positive integer, got {self.n_shots!r}")
+                f"readout_sim.n_shots must be an integer in [1, {MAX_SHOTS}], "
+                f"got {self.n_shots!r}")
         if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ConfigError(
                 f"readout_sim.seed must be an integer in [0, 2**64), got {self.seed!r}")

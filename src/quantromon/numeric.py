@@ -10,8 +10,9 @@ closed-form module predicts. Serves as the independent numerical oracle for
 Every term conserves the joint photon-number parity ``(m_q + m_r) mod 2``;
 without the transverse term (``d_j = 0``) each mode's own parity is
 conserved too. Entries between parity sectors are exactly zero, so
-:func:`numeric_spectrum` diagonalizes the two (or four) sector blocks one at
-a time and labels each required state inside its own sector.
+:func:`numeric_spectrum` assembles the two (or four) sector blocks directly,
+never the full matrix, diagonalizes them one at a time and labels each
+required state inside its own sector.
 
 All matrix entries are in Hz. Charge terms enter as ``4*E_C*n**2`` with the
 dimensionless pair-number operator conjugate to the phase, so the quadratic
@@ -89,12 +90,45 @@ def _mode_operators(n: int, e_c: float, e_j_mode: float) -> tuple[np.ndarray, np
     return x, n2
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two 2-D arrays: the same elementwise products."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+# each mode's E_J/E_C, and the circuit elements that set it (params.derive_energies)
+_MODE_SCALES = {
+    "qubit": ("E_JQ/E_CQ", "e_jq", "e_cq", "circuit.l_j, circuit.c_j"),
+    "resonator": ("E_JR/E_CR", "e_jr", "e_cr",
+                  "circuit.l_r, circuit.c_r, circuit.l_j, circuit.c_j, circuit.b"),
+}
+
+
+def _overflow_error(en: ModeEnergies, mode_hamiltonians: dict[str, np.ndarray]
+                    ) -> ParameterError:
+    """The overflow error. It names each mode whose own Hamiltonian is not
+    finite (both, when only their coupling overflows) and the circuit
+    elements that set that mode's scale."""
+    modes = [mode for mode, h in mode_hamiltonians.items()
+             if not np.all(np.isfinite(h))] or list(mode_hamiltonians)
+    parts = []
+    for mode in modes:
+        ratio, e_j, e_c, elements = _MODE_SCALES[mode]
+        parts.append(f"{mode} mode: {ratio} = {getattr(en, e_j) / getattr(en, e_c):.3g} "
+                     f"({elements})")
+    return ParameterError(
+        "Hamiltonian entries overflow: energy scales too large; " + "; ".join(parts))
+
+
 def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
+                      basis: np.ndarray | None = None,
                       include_quartics: bool = True) -> np.ndarray:
     """The truncated quartic Hamiltonian (Hz) in the product Fock basis.
 
-    A ``dim x dim`` symmetric array; row and column ``m_q*n_r + m_r`` belong
-    to the bare state (m_q, m_r).
+    A symmetric array; row and column ``m_q*n_r + m_r`` belong to the bare
+    state (m_q, m_r). ``basis`` (ascending flat indices, a union of sectors
+    from :func:`parity_sectors`) selects the principal submatrix on those
+    states; the default is the full matrix.
 
     Terms, with E_Jsigma = en.e_jq and constant offsets dropped:
     quadratic mode energies, quartic self-terms ``-(E_Jsigma/24) x_q**4`` and
@@ -102,13 +136,33 @@ def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
     ``-(b**2/16) E_Jsigma x_q**2 x_r**2``, and the asymmetry-induced
     transverse term ``-d_j (b/2) E_Jsigma x_q x_r``.
 
+    A block is assembled directly, without the full matrix. Each
+    per-mode parity sector (``m_q % 2``, ``m_r % 2``) is a Kronecker product
+    of the two modes' even or odd levels, in ascending flat order. Only the
+    transverse term couples two sectors, and it flips both parities. A
+    union of sectors is assembled block by block and scattered once into
+    ascending flat order. Every entry has the bits of the same entry of the
+    full matrix, up to the sign of a zero.
+
     ``include_quartics=False`` keeps only the quadratic and transverse parts
     (harmonic limit, used by tests).
     """
+    n_q, n_r = trunc.n_q, trunc.n_r
+    basis = np.arange(trunc.dim) if basis is None else np.asarray(basis)
+    m_q, m_r = np.divmod(basis, n_r)
+    # the per-mode sectors in basis, as (qubit parity, resonator parity), and
+    # the flat indices of each in Kronecker order
+    sectors = [divmod(int(k), 2)
+               for k in np.flatnonzero(np.bincount(2 * (m_q % 2) + m_r % 2, minlength=4))]
+    order = [(np.arange(s, n_q, 2)[:, None] * n_r + np.arange(t, n_r, 2)).ravel()
+             for s, t in sectors]
+    if not np.array_equal(np.sort(np.concatenate(order)), basis):
+        raise ValueError("basis must be ascending and a union of parity sectors")
+
     e_jsigma = en.e_jq
     with np.errstate(invalid="ignore", over="ignore"):  # guarded below
-        x_q, n2_q = _mode_operators(trunc.n_q, en.e_cq, en.e_jq)
-        x_r, n2_r = _mode_operators(trunc.n_r, en.e_cr, en.e_jr)
+        x_q, n2_q = _mode_operators(n_q, en.e_cq, en.e_jq)
+        x_r, n2_r = _mode_operators(n_r, en.e_cr, en.e_jr)
 
         x2_q = x_q @ x_q
         x2_r = x_r @ x_r
@@ -117,17 +171,32 @@ def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
         if include_quartics:
             h_q = h_q - (e_jsigma / 24.0) * (x2_q @ x2_q)
             h_r = h_r - (en.b**4 / 384.0) * e_jsigma * (x2_r @ x2_r)
+        kerr = (en.b**2 / 16.0) * e_jsigma
+        transverse = en.d_j * (en.b / 2.0) * e_jsigma
 
-        eye_q = np.eye(trunc.n_q)
-        eye_r = np.eye(trunc.n_r)
-        h = np.kron(h_q, eye_r) + np.kron(eye_q, h_r)
-        if include_quartics:
-            h -= (en.b**2 / 16.0) * e_jsigma * np.kron(x2_q, x2_r)
-        if en.d_j != 0.0:
-            h -= en.d_j * (en.b / 2.0) * e_jsigma * np.kron(x_q, x_r)
+        blocks = {}  # (row sector, column sector) -> block in Kronecker order
+        for k, (s, t) in enumerate(sectors):
+            q, r = slice(s, None, 2), slice(t, None, 2)
+            for l, (u, w) in enumerate(sectors):
+                if k == l:
+                    hq, hr = h_q[q, q], h_r[r, r]
+                    block = _kron(hq, np.eye(len(hr))) + _kron(np.eye(len(hq)), hr)
+                    if include_quartics:
+                        block -= kerr * _kron(x2_q[q, q], x2_r[r, r])
+                    blocks[k, l] = block
+                elif u != s and w != t and en.d_j != 0.0:
+                    blocks[k, l] = -(transverse * _kron(x_q[q, u::2], x_r[r, w::2]))
+
+    if len(sectors) == 1:
+        h = blocks[0, 0]
+    else:  # one scatter into ascending order; uncoupled entries stay 0.0
+        pos = [np.searchsorted(basis, o) for o in order]
+        h = np.zeros((basis.size, basis.size))
+        for (k, l), block in blocks.items():
+            h[np.ix_(pos[k], pos[l])] = block
 
     if not np.all(np.isfinite(h)):
-        raise ParameterError("Hamiltonian entries overflow: energy scales too large")
+        raise _overflow_error(en, {"qubit": h_q, "resonator": h_r})
 
     scale = np.max(np.abs(h))
     asymmetry = np.max(np.abs(h - h.T))
@@ -246,9 +315,11 @@ def parity_sectors(trunc: Truncation, per_mode: bool) -> list[np.ndarray]:
 def numeric_spectrum(en: ModeEnergies, trunc: Truncation | None = None) -> SpectrumResult:
     """Build, diagonalize and label one parity block at a time, then extract."""
     trunc = trunc or Truncation()
-    h = build_hamiltonian(en, trunc)
+    sectors = parity_sectors(trunc, per_mode=en.d_j == 0.0)
+    # every block passes its checks before the first solve
+    blocks = [build_hamiltonian(en, trunc, idx) for idx in sectors]
     energies: dict[tuple[int, int], float] = {}
-    for idx in parity_sectors(trunc, per_mode=en.d_j == 0.0):
-        w, v = eigensolve(h[np.ix_(idx, idx)])
+    for idx, h in zip(sectors, blocks):
+        w, v = eigensolve(h)
         energies.update(label_states(w, v, trunc, idx)[0])
     return extract_observables(energies, en)

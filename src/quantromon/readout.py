@@ -53,7 +53,7 @@ class ReadoutParams:
     the two pulled frequencies. ``noise_scale`` is the calibrated
     SNR-per-sqrt(tau) factor described in the module docstring;
     ``thermal_pop`` is the probability that a nominally-ground shot starts
-    excited.
+    excited. Every value must be finite; only ``readout_freq`` may be None.
     """
 
     omega_r: float
@@ -68,6 +68,10 @@ class ReadoutParams:
     thermal_pop: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value is None and f.name == "readout_freq" or math.isfinite(value)):
+                raise ParameterError(f"{f.name} must be finite, got {value!r}")
         if self.kappa_ext < 0.0 or self.kappa_int < 0.0:
             raise ParameterError("kappa_ext and kappa_int must be >= 0")
         if self.kappa_ext + self.kappa_int <= 0.0:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import quantromon
-from quantromon.cli import load_config, normalize_config, run
+from quantromon.cli import MAX_SHOTS, load_config, normalize_config, run
 from quantromon.errors import ConfigError
 
 CONFIG_DIR = importlib.resources.files("quantromon") / "configs"
@@ -121,6 +121,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {key} = ")
+
+    def test_hamiltonian_overflow_exits_1_naming_elements(self, tmp_path, capsys):
+        # l_j = 1e308 leaves E_JQ finite and > 0, but E_JQ/E_CQ underflows
+        cfg = json.loads(open(REFERENCE).read())
+        cfg["circuit"]["l_j"] = 1e308
+        path = _write_config(tmp_path, cfg)
+        assert run(["spectrum", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Hamiltonian entries overflow: energy scales too large")
+        assert "qubit mode: E_JQ/E_CQ = " in err and "circuit.l_j, circuit.c_j" in err
 
     def test_plain_value_error_propagates(self, monkeypatch):
         # only typed errors mean bad input; a bare ValueError is a program fault
@@ -235,6 +245,17 @@ class TestPhaseCommand:
         row = _read_csv(out)[0]
         assert float(row["separation_deg"]) == pytest.approx(232.32, abs=0.01)
 
+    @pytest.mark.parametrize("key", ["two_chi", "kappa_ext", "kappa_int"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_readout_value_exits_1(self, tmp_path, capsys, key, value):
+        cfg = json.loads(open(SAMPLE_C).read())
+        cfg["readout"][key] = value
+        path = _write_config(tmp_path, cfg)
+        assert run(["phase", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key} must be finite, got {value!r}\n"
+
 
 class TestReadoutCommands:
     def test_sim_writes_shots_and_report(self, tmp_path):
@@ -269,8 +290,9 @@ class TestReadoutCommands:
 
 
 class TestSimOptions:
-    """--shots/--seed and readout_sim pass one check: n_shots >= 1 and
-    0 <= seed < 2**64."""
+    """--shots/--seed and readout_sim pass one check: 1 <= n_shots <=
+    MAX_SHOTS and 0 <= seed < 2**64. No test here simulates more than 100
+    shots."""
 
     def test_negative_seed_flag_exits_1(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -282,6 +304,26 @@ class TestSimOptions:
     def test_zero_shots_flag_exits_1(self, capsys):
         assert run(["readout-sim", "--config", SAMPLE_C, "--shots", "0"]) == 1
         assert "readout_sim.n_shots" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_shots", [MAX_SHOTS + 1, 2**70])
+    def test_too_many_shots_rejected_at_load(self, tmp_path, n_shots):
+        cfg = json.loads(open(SAMPLE_C).read())
+        cfg["readout_sim"]["n_shots"] = n_shots
+        with pytest.raises(ConfigError, match=r"readout_sim\.n_shots must be an integer "
+                                              r"in \[1, 10000000\], got " + str(n_shots)):
+            load_config(_write_config(tmp_path, cfg))
+
+    def test_largest_shot_count_loads(self, tmp_path):
+        cfg = json.loads(open(SAMPLE_C).read())
+        cfg["readout_sim"]["n_shots"] = MAX_SHOTS
+        assert load_config(_write_config(tmp_path, cfg)).sim.n_shots == MAX_SHOTS
+
+    def test_too_many_shots_flag_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert run(["readout-sim", "--config", SAMPLE_C, "--out", str(out),
+                    "--shots", str(2**70)]) == 1
+        assert "readout_sim.n_shots" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", [2**64, -1])
     def test_config_seed_out_of_range_exits_1(self, tmp_path, capsys, seed):

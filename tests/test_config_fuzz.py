@@ -3,10 +3,13 @@
 Each trial replaces one leaf (a section value or a list element) of a bundled
 config with a hostile value and runs one command in-process. Whatever the
 value, the command must end with a typed exit code, and a failure must say
-why on one ``error:`` or ``numerical failure:`` line of stderr.
+why on one ``error:`` or ``numerical failure:`` line of stderr. When the
+unmutated config runs clean, an ``error:`` line (exit 1) must name the
+mutated leaf's key or its section.
 """
 
 import contextlib
+import functools
 import importlib.resources
 import io
 import json
@@ -58,21 +61,37 @@ def _with_leaf(cfg, path, value):
     return cfg
 
 
+def _run(cfg, command):
+    """Exit code and stderr of ``command`` on config ``cfg``, in-process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(COMMANDS[command] + ["--config", str(config)])
+    return code, err.getvalue()
+
+
+@functools.cache
+def _clean_exit(name, command):
+    """Exit code of ``command`` on the unmutated config ``name``."""
+    return _run(CONFIGS[name], command)[0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(leaf=st.sampled_from(LEAVES), value=st.sampled_from(HOSTILE),
        command=st.sampled_from(sorted(COMMANDS)))
 @example(leaf=("reference_device", ("circuit", "c_j")), value=1e308, command="spectrum")
+@example(leaf=("reference_device", ("circuit", "l_j")), value=1e308, command="spectrum")
 def test_hostile_leaf_gives_typed_exit(leaf, value, command):
     name, path = leaf
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "cfg.json"
-        config.write_text(json.dumps(_with_leaf(CONFIGS[name], path, value)))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(COMMANDS[command] + ["--config", str(config)])
+    code, err = _run(_with_leaf(CONFIGS[name], path, value), command)
     assert code in (0, 1, 2)
     if code:
-        diagnostics = [line for line in err.getvalue().splitlines()
+        diagnostics = [line for line in err.splitlines()
                        if line.startswith(tuple(PREFIXES.values()))]
-        assert len(diagnostics) == 1, err.getvalue()
+        assert len(diagnostics) == 1, err
         assert diagnostics[0].startswith(PREFIXES[code])
+        if code == 1 and _clean_exit(name, command) == 0:
+            key = [part for part in path if isinstance(part, str)][-1]
+            assert key in diagnostics[0] or path[0] in diagnostics[0], diagnostics[0]

@@ -4,11 +4,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quantromon import numeric
 from quantromon.analytic import bare_modes, dressed_spectrum
-from quantromon.errors import AmbiguousLabelingError, ParameterError
+from quantromon.errors import AmbiguousLabelingError, EigensolveError, ParameterError
 from quantromon.flux import energies_at_flux
 from quantromon.numeric import (
     REQUIRED_LABELS,
@@ -258,6 +259,7 @@ class TestLabelStates:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(4, 6), st.integers(4, 6), st.booleans(), st.integers(0, 3),
            st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
+    @example(4, 4, True, 0, 0.4296817094518418, 202)  # (v ** 2)[k] != v[k] ** 2
     def test_labels_distinct_and_dominant(self, n_q, n_r, per_mode, sector, coupling,
                                           seed):
         # a random symmetric block over one parity sector: diagonal spread
@@ -277,7 +279,10 @@ class TestLabelStates:
         assert len(set(picked)) == len(picked)
         for lbl, k in zip(energies, picked):
             row = int(np.flatnonzero(idx == lbl[0] * n_r + lbl[1])[0])
-            assert overlaps[lbl] == np.max(v[row] ** 2) == v[row, k] ** 2
+            # the label's overlap is its row's largest, in the column it took
+            # (squared as an array, as label_states does: a scalar float64
+            # ** 2 can round differently)
+            assert overlaps[lbl] == np.max(v[row] ** 2) == (v[row] ** 2)[k]
             assert overlaps[lbl] >= 0.5
 
 
@@ -334,3 +339,77 @@ class TestParitySectors:
         w, v = eigensolve(h[np.ix_(idx, idx)])
         energies, overlaps = label_states(w, v, trunc, idx)
         assert set(energies) == set(overlaps) == {(0, 0), (2, 0)}
+
+
+def _oracle(en, trunc, include_quartics=True):
+    """The full quartic Hamiltonian, assembled with ``np.kron`` on the whole
+    product basis: an independent oracle for ``build_hamiltonian``."""
+    e_jsigma = en.e_jq
+    x_q, n2_q = numeric._mode_operators(trunc.n_q, en.e_cq, en.e_jq)
+    x_r, n2_r = numeric._mode_operators(trunc.n_r, en.e_cr, en.e_jr)
+    x2_q, x2_r = x_q @ x_q, x_r @ x_r
+    h_q = 4.0 * en.e_cq * n2_q + (en.e_jq / 2.0) * x2_q
+    h_r = 4.0 * en.e_cr * n2_r + (en.e_jr / 2.0) * x2_r
+    if include_quartics:
+        h_q = h_q - (e_jsigma / 24.0) * (x2_q @ x2_q)
+        h_r = h_r - (en.b**4 / 384.0) * e_jsigma * (x2_r @ x2_r)
+    h = np.kron(h_q, np.eye(trunc.n_r)) + np.kron(np.eye(trunc.n_q), h_r)
+    if include_quartics:
+        h -= (en.b**2 / 16.0) * e_jsigma * np.kron(x2_q, x2_r)
+    if en.d_j != 0.0:
+        h -= en.d_j * (en.b / 2.0) * e_jsigma * np.kron(x_q, x_r)
+    return 0.5 * (h + h.T)
+
+
+class TestBlockAssembly:
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @settings(max_examples=25, deadline=None)
+    @given(_AROUND_TABLE, _ASYMMETRY, st.integers(4, 15), st.integers(4, 15), st.booleans())
+    def test_blocks_equal_oracle_submatrix(self, symmetric, factors, d_j, n_q, n_r, quartics):
+        # every sector of both kinds (joint sectors at d_j = 0 too), and the
+        # full matrix: the same bits as the oracle, and the same eigenvalues
+        en = _scaled(factors, 0.0 if symmetric else d_j)
+        trunc = Truncation(n_q, n_r)
+        full = _oracle(en, trunc, quartics)
+        assert np.array_equal(build_hamiltonian(en, trunc, include_quartics=quartics), full)
+        for per_mode in (True, False):
+            for idx in parity_sectors(trunc, per_mode):
+                block = build_hamiltonian(en, trunc, idx, include_quartics=quartics)
+                expected = full[np.ix_(idx, idx)]
+                assert np.array_equal(block, expected)
+                assert (np.linalg.eigvalsh(block).tobytes()
+                        == np.linalg.eigvalsh(expected).tobytes())
+
+    @pytest.mark.parametrize("basis", [[0, 1], [1, 0], [0, 2, 8, 10, 11], [0, 2, 8], [-1]])
+    def test_basis_not_a_union_of_sectors_rejected(self, basis):
+        with pytest.raises(ValueError, match="union of parity sectors"):
+            build_hamiltonian(EN, Truncation(4, 4), np.array(basis))
+
+    def test_overflow_names_mode_and_elements_through_numeric_spectrum(self):
+        # E_JQ/E_CQ underflows, so the qubit's zero-point amplitude overflows
+        en = dataclasses.replace(EN, e_jq=1e-300, e_cq=1e300)
+        with pytest.raises(ParameterError) as info:
+            numeric_spectrum(en, Truncation(6, 6))
+        msg = str(info.value)
+        assert msg.startswith("Hamiltonian entries overflow: energy scales too large")
+        assert "qubit mode: E_JQ/E_CQ = " in msg and "circuit.l_j, circuit.c_j" in msg
+        assert "resonator" not in msg
+
+    def test_resonator_overflow_names_resonator(self):
+        en = dataclasses.replace(EN, d_j=0.05, e_jr=1e-300, e_cr=1e300)
+        with pytest.raises(ParameterError, match=r"resonator mode: E_JR/E_CR = .*circuit\.l_r"):
+            numeric_spectrum(en, Truncation(6, 6))
+
+    @pytest.mark.parametrize("d_j", [0.0, 0.05])
+    def test_asymmetry_check_fires_through_numeric_spectrum(self, monkeypatch, d_j):
+        exact = numeric._mode_operators
+
+        def skewed(n, e_c, e_j_mode):
+            x, n2 = exact(n, e_c, e_j_mode)
+            n2 = n2.copy()
+            n2[0, 2] *= 1.0 + 1e-6  # a relative skew far above 1e-9
+            return x, n2
+
+        monkeypatch.setattr(numeric, "_mode_operators", skewed)
+        with pytest.raises(EigensolveError, match=r"asymmetry .* exceeds 1e-9"):
+            numeric_spectrum(dataclasses.replace(EN, d_j=d_j), Truncation(6, 6))

@@ -53,6 +53,19 @@ def _as_shotset(values, prepared=0, seed=0):
                    seed=seed, params=SAMPLE_C)
 
 
+class TestReadoutParams:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ReadoutParams)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected_by_name(self, name, value):
+        with pytest.raises(ParameterError) as info:
+            dataclasses.replace(SAMPLE_C, **{name: value})
+        assert str(info.value) == f"{name} must be finite, got {value!r}"
+
+    def test_readout_freq_may_be_none(self):
+        assert SAMPLE_C.readout_freq is None
+        assert dataclasses.replace(SAMPLE_C, readout_freq=7.4e9).readout_freq == 7.4e9
+
+
 class TestReflection:
     def test_critical_coupling_on_resonance(self):
         assert reflection_coefficient(5e9, 5e9, 1e6, 1e6) == 0.0

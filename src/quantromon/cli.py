@@ -198,8 +198,12 @@ def load_config(path) -> RunConfig:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     data = normalize_config(raw)
-    circuit = (_parse_numbers("circuit", CircuitParams, data["circuit"])
-               if "circuit" in data else None)
+    circuit = None
+    if "circuit" in data:
+        circuit = _parse_numbers("circuit", CircuitParams, data["circuit"])
+        # the one range check of the circuit, for every command; it also
+        # rejects an element whose derived energy is not finite and > 0
+        derive_energies(circuit)
     return RunConfig(
         circuit=circuit,
         flux=_parse_flux(data["flux"], circuit) if "flux" in data else None,
@@ -313,10 +317,8 @@ def _cmd_sweep(cfg: RunConfig, args) -> list[dict]:
     coherence = _need(cfg, "coherence", args.command)
     if not cfg.n_list:
         raise ConfigError(f"command {args.command!r} requires sweep.n_list")
-    # a circuit out of range would fail every row alike: reject it once here
-    # (the coherence section was range-checked when the config was loaded),
-    # so a row carries only a failure of its own flux point
-    derive_energies(circuit)
+    # the circuit and coherence sections were range-checked when the config
+    # was loaded, so a row carries only a failure of its own flux point
     columns = _SWEEP_COLUMNS[args.command]
     return [{c: getattr(row, c) for c in columns}
             for row in sweep(circuit, flux_cfg, list(cfg.n_list), coherence)]

@@ -30,7 +30,12 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class CoherenceConfig:
-    """Dielectric quality factor and readout linewidth (kappa/2pi, Hz)."""
+    """Dielectric quality factor and readout linewidth (kappa/2pi, Hz).
+
+    ``q_diel`` must be > 0 and may be ``inf``: no dielectric loss, so
+    ``t1_diel`` is infinite and ``t1_model`` is the Purcell lifetime alone.
+    ``kappa`` must be finite and > 0.
+    """
 
     q_diel: float
     kappa: float

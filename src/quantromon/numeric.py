@@ -12,7 +12,9 @@ without the transverse term (``d_j = 0``) each mode's own parity is
 conserved too. Entries between parity sectors are exactly zero, so
 :func:`numeric_spectrum` assembles the two (or four) sector blocks directly,
 never the full matrix, diagonalizes them one at a time and labels each
-required state inside its own sector.
+required state inside its own sector. Each block is written into one array:
+the Kronecker products of the per-mode operators go straight into strided
+views of it, and its checks reuse one more array, which is returned.
 
 All matrix entries are in Hz. Charge terms enter as ``4*E_C*n**2`` with the
 dimensionless pair-number operator conjugate to the phase, so the quadratic
@@ -90,12 +92,6 @@ def _mode_operators(n: int, e_c: float, e_j_mode: float) -> tuple[np.ndarray, np
     return x, n2
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` of two 2-D arrays: the same elementwise products."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
 # each mode's E_J/E_C, and the circuit elements that set it (params.derive_energies)
 _MODE_SCALES = {
     "qubit": ("E_JQ/E_CQ", "e_jq", "e_cq", "circuit.l_j, circuit.c_j"),
@@ -136,13 +132,23 @@ def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
     ``-(b**2/16) E_Jsigma x_q**2 x_r**2``, and the asymmetry-induced
     transverse term ``-d_j (b/2) E_Jsigma x_q x_r``.
 
-    A block is assembled directly, without the full matrix. Each
+    A block is written into one array, without the full matrix. Each
     per-mode parity sector (``m_q % 2``, ``m_r % 2``) is a Kronecker product
-    of the two modes' even or odd levels, in ascending flat order. Only the
-    transverse term couples two sectors, and it flips both parities. A
-    union of sectors is assembled block by block and scattered once into
-    ascending flat order. Every entry has the bits of the same entry of the
-    full matrix, up to the sign of a zero.
+    of the two modes' even or odd levels. In ``basis`` its states sit on an
+    affine grid, first + i*step_q + j*step_r for its i-th qubit and j-th
+    resonator level, because ``basis`` repeats with period two in ``m_q``. So
+    the product of two sectors is a strided view of the block, and each
+    Kronecker product is written straight into it. A sector's own block
+    takes ``-kerr*kron(x2_q, x2_r)``, then the ``h_q`` and ``h_r`` bands in
+    place, then its diagonal as ``(h_q + h_r) - kerr*kron(x2_q, x2_r)``.
+    Only the transverse term couples two sectors, and it flips both
+    parities. Every entry has the bits of the same entry of the full matrix,
+    up to the sign of a zero.
+
+    The checks allocate one more array, which is also the result: the scale
+    is ``max(h.max(), -h.min())`` (not finite when an entry is not), the
+    asymmetry is the largest entry of ``h - h.T``, and the same buffer then
+    holds ``0.5*(h + h.T)``.
 
     ``include_quartics=False`` keeps only the quadratic and transverse parts
     (harmonic limit, used by tests).
@@ -151,15 +157,21 @@ def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
     basis = np.arange(trunc.dim) if basis is None else np.asarray(basis)
     m_q, m_r = np.divmod(basis, n_r)
     # the per-mode sectors in basis, as (qubit parity, resonator parity), and
-    # the flat indices of each in Kronecker order
+    # the flat index of each state of each, by (qubit level, resonator level)
     sectors = [divmod(int(k), 2)
                for k in np.flatnonzero(np.bincount(2 * (m_q % 2) + m_r % 2, minlength=4))]
-    order = [(np.arange(s, n_q, 2)[:, None] * n_r + np.arange(t, n_r, 2)).ravel()
-             for s, t in sectors]
-    if not np.array_equal(np.sort(np.concatenate(order)), basis):
+    order = [np.arange(s, n_q, 2)[:, None] * n_r + np.arange(t, n_r, 2) for s, t in sectors]
+    if not np.array_equal(np.sort(np.concatenate([o.ravel() for o in order])), basis):
         raise ValueError("basis must be ascending and a union of parity sectors")
+    size = basis.size
+    grids = []  # (first, step_q, step_r): the rows of each sector in the block
+    for o in order:
+        pos = np.searchsorted(basis, o)
+        grids.append((int(pos[0, 0]), int(pos[1, 0] - pos[0, 0]), int(pos[0, 1] - pos[0, 0])))
 
     e_jsigma = en.e_jq
+    h = np.empty((size, size))
+    row_stride, col_stride = h.strides
     with np.errstate(invalid="ignore", over="ignore"):  # guarded below
         x_q, n2_q = _mode_operators(n_q, en.e_cq, en.e_jq)
         x_r, n2_r = _mode_operators(n_r, en.e_cr, en.e_jr)
@@ -174,37 +186,56 @@ def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
         kerr = (en.b**2 / 16.0) * e_jsigma
         transverse = en.d_j * (en.b / 2.0) * e_jsigma
 
-        blocks = {}  # (row sector, column sector) -> block in Kronecker order
         for k, (s, t) in enumerate(sectors):
             q, r = slice(s, None, 2), slice(t, None, 2)
+            row, row_q, row_r = grids[k]
             for l, (u, w) in enumerate(sectors):
+                col, col_q, col_r = grids[l]
+                # h on rows of sector k and columns of sector l (np.ndarray
+                # refuses a view that reaches outside h)
+                block = np.ndarray(order[k].shape + order[l].shape, h.dtype, buffer=h,
+                                   offset=row * row_stride + col * col_stride,
+                                   strides=(row_q * row_stride, row_r * row_stride,
+                                            col_q * col_stride, col_r * col_stride))
                 if k == l:
-                    hq, hr = h_q[q, q], h_r[r, r]
-                    block = _kron(hq, np.eye(len(hr))) + _kron(np.eye(len(hq)), hr)
                     if include_quartics:
-                        block -= kerr * _kron(x2_q[q, q], x2_r[r, r])
-                    blocks[k, l] = block
+                        np.multiply(x2_q[q, q][:, None, :, None], x2_r[r, r][None, :, None, :],
+                                    out=block)
+                        block *= -kerr
+                    else:
+                        block.fill(0.0)
+                    # einsum gives writeable views: the h_q band block[a, b, c, b],
+                    # the h_r band block[a, b, a, d] and the diagonal block[a, b, a, b]
+                    band_q = np.einsum("abcb->acb", block)
+                    band_q += h_q[q, q][:, :, None]
+                    band_r = np.einsum("abad->abd", block)
+                    band_r += h_r[r, r]
+                    diagonal = h_q.diagonal()[q, None] + h_r.diagonal()[r]
+                    if include_quartics:
+                        diagonal -= kerr * (x2_q.diagonal()[q, None] * x2_r.diagonal()[r])
+                    np.einsum("abab->ab", block)[...] = diagonal
                 elif u != s and w != t and en.d_j != 0.0:
-                    blocks[k, l] = -(transverse * _kron(x_q[q, u::2], x_r[r, w::2]))
+                    np.multiply(x_q[q, u::2][:, None, :, None], x_r[r, w::2][None, :, None, :],
+                                out=block)
+                    block *= -transverse
+                else:  # no term couples these two sectors
+                    block.fill(0.0)
 
-    if len(sectors) == 1:
-        h = blocks[0, 0]
-    else:  # one scatter into ascending order; uncoupled entries stay 0.0
-        pos = [np.searchsorted(basis, o) for o in order]
-        h = np.zeros((basis.size, basis.size))
-        for (k, l), block in blocks.items():
-            h[np.ix_(pos[k], pos[l])] = block
-
-    if not np.all(np.isfinite(h)):
+        scale = max(h.max(), -h.min())
+    if not np.isfinite(scale):
         raise _overflow_error(en, {"qubit": h_q, "resonator": h_r})
 
-    scale = np.max(np.abs(h))
-    asymmetry = np.max(np.abs(h - h.T))
+    # h - h.T is antisymmetric bit for bit, so its largest entry is its
+    # largest magnitude
+    out = np.subtract(h, h.T)
+    asymmetry = out.max()
     if scale > 0 and asymmetry > 1e-9 * scale:
         raise EigensolveError(
             f"assembled matrix asymmetry {asymmetry / scale:.3e} exceeds 1e-9"
         )
-    return 0.5 * (h + h.T)
+    np.add(h, h.T, out=out)
+    out *= 0.5
+    return out
 
 
 def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,7 +350,7 @@ def numeric_spectrum(en: ModeEnergies, trunc: Truncation | None = None) -> Spect
     # every block passes its checks before the first solve
     blocks = [build_hamiltonian(en, trunc, idx) for idx in sectors]
     energies: dict[tuple[int, int], float] = {}
-    for idx, h in zip(sectors, blocks):
-        w, v = eigensolve(h)
+    for idx in sectors:
+        w, v = eigensolve(blocks.pop(0))  # a solved block is freed at once
         energies.update(label_states(w, v, trunc, idx)[0])
     return extract_observables(energies, en)

@@ -54,13 +54,13 @@ class CircuitParams:
     Attributes
     ----------
     l_j : float
-        Single-junction Josephson inductance in H.
+        Single-junction Josephson inductance in H, finite and > 0.
     c_j : float
-        Junction-shunt capacitance in F.
+        Junction-shunt capacitance in F, finite and > 0.
     l_r : float
-        Total linear inductance in H.
+        Total linear inductance in H, finite and > 0.
     c_r : float
-        Interdigital capacitance in F.
+        Interdigital capacitance in F, finite and > 0.
     b : float
         Fraction of the linear inductor enclosed in the qubit loop, in [0, 1].
     d_j : float

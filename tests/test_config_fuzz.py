@@ -5,7 +5,8 @@ config with a hostile value and runs one command in-process. Whatever the
 value, the command must end with a typed exit code, and a failure must say
 why on one ``error:`` or ``numerical failure:`` line of stderr. When the
 unmutated config runs clean, an ``error:`` line (exit 1) must name the
-mutated leaf's key or its section.
+mutated leaf's key or its section. A circuit or coherence value outside its
+documented range never exits 0, whatever the command.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +37,29 @@ COMMANDS = {
     "phase": ["phase"],
 }
 PREFIXES = {1: "error: ", 2: "numerical failure: "}
+
+
+def _positive(value):
+    return 0.0 < value < math.inf
+
+
+# the documented range of each circuit and coherence value (CircuitParams,
+# CoherenceConfig); q_diel = inf is legal, and means no dielectric loss
+IN_RANGE = {
+    "circuit": {"l_j": _positive, "c_j": _positive, "l_r": _positive, "c_r": _positive,
+                "b": lambda value: 0.0 <= value <= 1.0,
+                "d_j": lambda value: -1.0 < value < 1.0},
+    "coherence": {"q_diel": lambda value: value > 0.0, "kappa": _positive},
+}
+
+
+def _out_of_range(path, value):
+    """Whether ``value`` at ``path`` is outside a documented circuit or
+    coherence range; a value that is not a number is outside every range."""
+    if path[0] not in IN_RANGE:
+        return False
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return not (is_number and IN_RANGE[path[0]][path[-1]](value))
 
 
 def _leaves(node, path=()):
@@ -83,10 +108,14 @@ def _clean_exit(name, command):
        command=st.sampled_from(sorted(COMMANDS)))
 @example(leaf=("reference_device", ("circuit", "c_j")), value=1e308, command="spectrum")
 @example(leaf=("reference_device", ("circuit", "l_j")), value=1e308, command="spectrum")
+@example(leaf=("sample_c", ("circuit", "b")), value=-1, command="phase")
+@example(leaf=("sample_c", ("coherence", "q_diel")), value=math.inf, command="t1-model")
 def test_hostile_leaf_gives_typed_exit(leaf, value, command):
     name, path = leaf
     code, err = _run(_with_leaf(CONFIGS[name], path, value), command)
     assert code in (0, 1, 2)
+    if _out_of_range(path, value):
+        assert code != 0, f"{path} = {value!r} is out of range, but {command} exits 0"
     if code:
         diagnostics = [line for line in err.splitlines()
                        if line.startswith(tuple(PREFIXES.values()))]
@@ -95,3 +124,15 @@ def test_hostile_leaf_gives_typed_exit(leaf, value, command):
         if code == 1 and _clean_exit(name, command) == 0:
             key = [part for part in path if isinstance(part, str)][-1]
             assert key in diagnostics[0] or path[0] in diagnostics[0], diagnostics[0]
+
+
+@pytest.mark.parametrize("leaf", [leaf for leaf in LEAVES if leaf[1][0] in IN_RANGE],
+                         ids=lambda leaf: "-".join(map(str, (leaf[0],) + leaf[1])))
+def test_out_of_range_leaf_never_exits_0(leaf):
+    # every hostile value outside the leaf's range, under every command
+    name, path = leaf
+    for value in HOSTILE + (1.5, -1.5):
+        if _out_of_range(path, value):
+            cfg = _with_leaf(CONFIGS[name], path, value)
+            for command in COMMANDS:
+                assert _run(cfg, command)[0] != 0, (path, value, command)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,10 @@ class TestBlockAssembly:
     @pytest.mark.parametrize("symmetric", [True, False])
     @settings(max_examples=25, deadline=None)
     @given(_AROUND_TABLE, _ASYMMETRY, st.integers(4, 15), st.integers(4, 15), st.booleans())
+    # odd and even n_r: at odd n_r the two sectors of a joint block keep
+    # different numbers of resonator levels
+    @example(factors=(1.0,) * 5, d_j=0.05, n_q=14, n_r=15, quartics=True)
+    @example(factors=(1.0,) * 5, d_j=-0.05, n_q=15, n_r=14, quartics=True)
     def test_blocks_equal_oracle_submatrix(self, symmetric, factors, d_j, n_q, n_r, quartics):
         # every sector of both kinds (joint sectors at d_j = 0 too), and the
         # full matrix: the same bits as the oracle, and the same eigenvalues
@@ -379,6 +384,22 @@ class TestBlockAssembly:
                 assert np.array_equal(block, expected)
                 assert (np.linalg.eigvalsh(block).tobytes()
                         == np.linalg.eigvalsh(expected).tobytes())
+
+    def test_spectrum_peak_memory_in_blocks(self):
+        # 30x30 at d_j != 0: two 450x450 joint blocks. Both are built before
+        # the first solve and each is freed once solved, so the peak is one
+        # block plus the assembly array and the check buffer of the next
+        # (3.09 blocks measured)
+        en, trunc = dataclasses.replace(EN, d_j=0.05), Truncation(30, 30)
+        block = (trunc.dim // 2) ** 2 * np.dtype(float).itemsize
+        numeric_spectrum(en, trunc)  # first-call allocations are not the spectrum's
+        tracemalloc.start()
+        try:
+            numeric_spectrum(en, trunc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * block, f"{peak / block:.2f} blocks"
 
     @pytest.mark.parametrize("basis", [[0, 1], [1, 0], [0, 2, 8, 10, 11], [0, 2, 8], [-1]])
     def test_basis_not_a_union_of_sectors_rejected(self, basis):

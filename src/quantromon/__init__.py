@@ -11,7 +11,6 @@ from .analytic import (
     SpectrumResult,
     asymmetric_corrections,
     bare_modes,
-    constraint_coefficients,
     dressed_spectrum,
     invert_chi,
 )

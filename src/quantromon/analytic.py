@@ -1,9 +1,8 @@
 """Closed-form two-mode spectrum.
 
-Evaluates the constraint coefficients of the reduced circuit, the bare mode
-frequencies/impedances, the renormalized (dressed) spectrum with its
-cross-Kerr dispersive shift, and the corrections induced by junction
-asymmetry. All inputs and outputs are ordinary frequencies in Hz.
+Evaluates the bare mode frequencies/impedances, the renormalized (dressed)
+spectrum with its cross-Kerr dispersive shift, and the corrections induced
+by junction asymmetry. All inputs and outputs are ordinary frequencies in Hz.
 
 Sign conventions: chi > 0 with interaction -2*chi*n_q*n_r, and the detuning
 Delta = omega_q_t - omega_r_t is signed (qubit minus resonator).
@@ -21,7 +20,6 @@ from .params import CODATA2018, ModeEnergies
 __all__ = [
     "BareModes",
     "SpectrumResult",
-    "constraint_coefficients",
     "bare_modes",
     "dressed_spectrum",
     "asymmetric_corrections",
@@ -59,22 +57,6 @@ class SpectrumResult:
     def delta(self) -> float:
         """Signed qubit-resonator detuning in Hz."""
         return self.omega_q_t - self.omega_r_t
-
-
-def constraint_coefficients(e_j: float, e_lr: float, b: float) -> tuple[float, float]:
-    """Coefficients eliminating the two massless circuit variables.
-
-    Returns ``(c1, c2)`` such that the constrained variables are
-    ``x1 = c1 * x4`` and ``x2 = c2 * x3``. In the stiff-inductor limit
-    (e_lr >> e_j) these tend to ``(0, -(1-b)/2)``.
-    """
-    if e_lr <= 0.0:
-        raise ParameterError(f"e_lr must be > 0, got {e_lr!r}")
-    if not (0.0 < b < 1.0):
-        raise ParameterError(f"b must lie strictly inside (0, 1), got {b!r}")
-    c1 = -2.0 * e_j / (2.0 * e_j + 4.0 * e_lr / (1.0 - b))
-    c2 = -(e_j + 2.0 * e_lr / b) / (2.0 * e_j + 4.0 * e_lr / (b * (1.0 - b)))
-    return c1, c2
 
 
 def bare_modes(en: ModeEnergies) -> BareModes:

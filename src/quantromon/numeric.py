@@ -12,9 +12,10 @@ without the transverse term (``d_j = 0``) each mode's own parity is
 conserved too. Entries between parity sectors are exactly zero, so
 :func:`numeric_spectrum` assembles the two (or four) sector blocks directly,
 never the full matrix, diagonalizes them one at a time and labels each
-required state inside its own sector. Each block is written into one array:
-the Kronecker products of the per-mode operators go straight into strided
-views of it, and its checks reuse one more array, which is returned.
+required state inside its own sector. Each term of the Hamiltonian is a
+Kronecker product of banded per-mode operators, so a block is the sum of
+those products' nonzeros that fall inside it, taken by one ``np.bincount``;
+its checks reuse one more array, which is returned.
 
 All matrix entries are in Hz. Charge terms enter as ``4*E_C*n**2`` with the
 dimensionless pair-number operator conjugate to the phase, so the quadratic
@@ -116,15 +117,25 @@ def _overflow_error(en: ModeEnergies, mode_hamiltonians: dict[str, np.ndarray]
         "Hamiltonian entries overflow: energy scales too large; " + "; ".join(parts))
 
 
+def _kron_entries(a: np.ndarray, b: np.ndarray, n_r: int) -> tuple[np.ndarray, ...]:
+    """Flat rows, columns and values of the nonzeros of ``np.kron(a, b)``
+    (``b`` has ``n_r`` rows); each value is the product kron takes."""
+    i, j = np.nonzero(a)
+    k, l = np.nonzero(b)
+    rows = (i[:, None] * n_r + k).ravel()
+    cols = (j[:, None] * n_r + l).ravel()
+    return rows, cols, np.multiply.outer(a[i, j], b[k, l]).ravel()
+
+
 def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
                       basis: np.ndarray | None = None,
                       include_quartics: bool = True) -> np.ndarray:
     """The truncated quartic Hamiltonian (Hz) in the product Fock basis.
 
     A symmetric array; row and column ``m_q*n_r + m_r`` belong to the bare
-    state (m_q, m_r). ``basis`` (ascending flat indices, a union of sectors
-    from :func:`parity_sectors`) selects the principal submatrix on those
-    states; the default is the full matrix.
+    state (m_q, m_r). ``basis`` (strictly ascending flat indices, such as a
+    sector from :func:`parity_sectors`) selects the principal submatrix on
+    those states; the default is the full matrix.
 
     Terms, with E_Jsigma = en.e_jq and constant offsets dropped:
     quadratic mode energies, quartic self-terms ``-(E_Jsigma/24) x_q**4`` and
@@ -132,95 +143,49 @@ def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
     ``-(b**2/16) E_Jsigma x_q**2 x_r**2``, and the asymmetry-induced
     transverse term ``-d_j (b/2) E_Jsigma x_q x_r``.
 
-    A block is written into one array, without the full matrix. Each
-    per-mode parity sector (``m_q % 2``, ``m_r % 2``) is a Kronecker product
-    of the two modes' even or odd levels. In ``basis`` its states sit on an
-    affine grid, first + i*step_q + j*step_r for its i-th qubit and j-th
-    resonator level, because ``basis`` repeats with period two in ``m_q``. So
-    the product of two sectors is a strided view of the block, and each
-    Kronecker product is written straight into it. A sector's own block
-    takes ``-kerr*kron(x2_q, x2_r)``, then the ``h_q`` and ``h_r`` bands in
-    place, then its diagonal as ``(h_q + h_r) - kerr*kron(x2_q, x2_r)``.
-    Only the transverse term couples two sectors, and it flips both
-    parities. Every entry has the bits of the same entry of the full matrix,
-    up to the sign of a zero.
-
-    The checks allocate one more array, which is also the result: the scale
-    is ``max(h.max(), -h.min())`` (not finite when an entry is not), the
-    asymmetry is the largest entry of ``h - h.T``, and the same buffer then
-    holds ``0.5*(h + h.T)``.
+    Each term is a Kronecker product of banded per-mode operators. One
+    ``np.bincount`` adds the nonzeros inside the block in the order of the
+    full sum ``((T_q + T_r) - kerr*K) - transverse*X``, so every entry has
+    its bits, up to the sign of a zero. The checks run in one more array,
+    which is returned: the scale is ``max(h.max(), -h.min())`` (not finite
+    when an entry is not), the asymmetry the largest entry of ``h - h.T``,
+    and the same buffer then holds ``0.5*(h + h.T)``.
 
     ``include_quartics=False`` keeps only the quadratic and transverse parts
     (harmonic limit, used by tests).
     """
-    n_q, n_r = trunc.n_q, trunc.n_r
-    basis = np.arange(trunc.dim) if basis is None else np.asarray(basis)
-    m_q, m_r = np.divmod(basis, n_r)
-    # the per-mode sectors in basis, as (qubit parity, resonator parity), and
-    # the flat index of each state of each, by (qubit level, resonator level)
-    sectors = [divmod(int(k), 2)
-               for k in np.flatnonzero(np.bincount(2 * (m_q % 2) + m_r % 2, minlength=4))]
-    order = [np.arange(s, n_q, 2)[:, None] * n_r + np.arange(t, n_r, 2) for s, t in sectors]
-    if not np.array_equal(np.sort(np.concatenate([o.ravel() for o in order])), basis):
-        raise ValueError("basis must be ascending and a union of parity sectors")
-    size = basis.size
-    grids = []  # (first, step_q, step_r): the rows of each sector in the block
-    for o in order:
-        pos = np.searchsorted(basis, o)
-        grids.append((int(pos[0, 0]), int(pos[1, 0] - pos[0, 0]), int(pos[0, 1] - pos[0, 0])))
-
-    e_jsigma = en.e_jq
-    h = np.empty((size, size))
-    row_stride, col_stride = h.strides
+    n_q, n_r, dim = trunc.n_q, trunc.n_r, trunc.dim
+    basis = np.arange(dim) if basis is None else np.asarray(basis)
+    if (basis.ndim != 1 or basis.size == 0 or basis[0] < 0 or basis[-1] >= dim
+            or np.any(np.diff(basis) <= 0)):
+        raise ValueError(f"basis must be non-empty, strictly ascending and in [0, {dim})")
+    size, e_jsigma = basis.size, en.e_jq
     with np.errstate(invalid="ignore", over="ignore"):  # guarded below
         x_q, n2_q = _mode_operators(n_q, en.e_cq, en.e_jq)
         x_r, n2_r = _mode_operators(n_r, en.e_cr, en.e_jr)
-
-        x2_q = x_q @ x_q
-        x2_r = x_r @ x_r
+        x2_q, x2_r = x_q @ x_q, x_r @ x_r
         h_q = 4.0 * en.e_cq * n2_q + (en.e_jq / 2.0) * x2_q
         h_r = 4.0 * en.e_cr * n2_r + (en.e_jr / 2.0) * x2_r
         if include_quartics:
             h_q = h_q - (e_jsigma / 24.0) * (x2_q @ x2_q)
             h_r = h_r - (en.b**4 / 384.0) * e_jsigma * (x2_r @ x2_r)
-        kerr = (en.b**2 / 16.0) * e_jsigma
-        transverse = en.d_j * (en.b / 2.0) * e_jsigma
-
-        for k, (s, t) in enumerate(sectors):
-            q, r = slice(s, None, 2), slice(t, None, 2)
-            row, row_q, row_r = grids[k]
-            for l, (u, w) in enumerate(sectors):
-                col, col_q, col_r = grids[l]
-                # h on rows of sector k and columns of sector l (np.ndarray
-                # refuses a view that reaches outside h)
-                block = np.ndarray(order[k].shape + order[l].shape, h.dtype, buffer=h,
-                                   offset=row * row_stride + col * col_stride,
-                                   strides=(row_q * row_stride, row_r * row_stride,
-                                            col_q * col_stride, col_r * col_stride))
-                if k == l:
-                    if include_quartics:
-                        np.multiply(x2_q[q, q][:, None, :, None], x2_r[r, r][None, :, None, :],
-                                    out=block)
-                        block *= -kerr
-                    else:
-                        block.fill(0.0)
-                    # einsum gives writeable views: the h_q band block[a, b, c, b],
-                    # the h_r band block[a, b, a, d] and the diagonal block[a, b, a, b]
-                    band_q = np.einsum("abcb->acb", block)
-                    band_q += h_q[q, q][:, :, None]
-                    band_r = np.einsum("abad->abd", block)
-                    band_r += h_r[r, r]
-                    diagonal = h_q.diagonal()[q, None] + h_r.diagonal()[r]
-                    if include_quartics:
-                        diagonal -= kerr * (x2_q.diagonal()[q, None] * x2_r.diagonal()[r])
-                    np.einsum("abab->ab", block)[...] = diagonal
-                elif u != s and w != t and en.d_j != 0.0:
-                    np.multiply(x_q[q, u::2][:, None, :, None], x_r[r, w::2][None, :, None, :],
-                                out=block)
-                    block *= -transverse
-                else:  # no term couples these two sectors
-                    block.fill(0.0)
-
+        # (a, b, c): the term c*kron(a, b), in the order the terms are summed
+        terms = [(h_q, np.eye(n_r), 1.0), (np.eye(n_q), h_r, 1.0)]
+        if include_quartics:
+            terms.append((x2_q, x2_r, -(en.b**2 / 16.0) * e_jsigma))
+        if en.d_j != 0.0:
+            terms.append((x_q, x_r, -(en.d_j * (en.b / 2.0) * e_jsigma)))
+        pos = np.full(dim, -1)  # each state's row in the block, -1 outside it
+        pos[basis] = np.arange(size)
+        flat, values = [], []
+        for a, b, c in terms:
+            rows, cols, v = _kron_entries(a, b, n_r)
+            rows, cols = pos[rows], pos[cols]
+            inside = (rows >= 0) & (cols >= 0)
+            flat.append(rows[inside] * size + cols[inside])
+            values.append(c * v[inside])
+        h = np.bincount(np.concatenate(flat), np.concatenate(values),
+                        minlength=size * size).reshape(size, size)
         scale = max(h.max(), -h.min())
     if not np.isfinite(scale):
         raise _overflow_error(en, {"qubit": h_q, "resonator": h_r})

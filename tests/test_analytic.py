@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from quantromon.analytic import (
     asymmetric_corrections,
     bare_modes,
-    constraint_coefficients,
     dressed_spectrum,
     invert_chi,
 )
@@ -55,28 +54,6 @@ class TestBareModes:
         en = dataclasses.replace(EN, e_cq=EN.e_jq)
         expected = CODATA2018.hbar / CODATA2018.electron_charge**2
         assert bare_modes(en).z_q == expected
-
-
-class TestConstraintCoefficients:
-    def test_stiff_inductor_limit(self):
-        # e_lr/e_j -> infinity at b = 0.405: c1 -> 0, c2 -> -(1-b)/2
-        c1, c2 = constraint_coefficients(1.0, 1e12, 0.405)
-        assert abs(c1) < 1e-11
-        assert c2 == pytest.approx(-(1 - 0.405) / 2, rel=1e-10)
-
-    def test_zero_junction_energy(self):
-        c1, _ = constraint_coefficients(0.0, 1.0, 0.3)
-        assert c1 == 0.0
-
-    def test_unit_energies_half_b(self):
-        c1, c2 = constraint_coefficients(1.0, 1.0, 0.5)
-        assert c1 == pytest.approx(-0.2, rel=1e-14)
-        assert c2 == pytest.approx(-5.0 / 18.0, rel=1e-14)
-
-    @pytest.mark.parametrize("b", [0.0, 1.0])
-    def test_boundary_b_rejected(self, b):
-        with pytest.raises(ParameterError):
-            constraint_coefficients(1.0, 1.0, b)
 
 
 class TestDressedSpectrum:

@@ -47,7 +47,7 @@ class TestConfigParsing:
             normalize_config({"circuit": {"l_x": 1.0}})
 
     def test_normalize_idempotent(self):
-        raw = json.loads(open(SAMPLE_A).read())
+        raw = json.loads(Path(SAMPLE_A).read_text())
         once = normalize_config(raw)
         assert normalize_config(once) == once
 
@@ -114,7 +114,7 @@ class TestExitCodes:
                                             ("l_j", 1e-300), ("l_r", 1e-300)])
     def test_extreme_element_exits_1_naming_key(self, tmp_path, capsys, command,
                                                 key, value):
-        cfg = json.loads(open(REFERENCE).read())
+        cfg = json.loads(Path(REFERENCE).read_text())
         cfg["circuit"][key] = value
         path = _write_config(tmp_path, cfg)
         assert run([command, "--config", path]) == 1
@@ -124,7 +124,7 @@ class TestExitCodes:
 
     def test_hamiltonian_overflow_exits_1_naming_elements(self, tmp_path, capsys):
         # l_j = 1e308 leaves E_JQ finite and > 0, but E_JQ/E_CQ underflows
-        cfg = json.loads(open(REFERENCE).read())
+        cfg = json.loads(Path(REFERENCE).read_text())
         cfg["circuit"]["l_j"] = 1e308
         path = _write_config(tmp_path, cfg)
         assert run(["spectrum", "--config", path]) == 1
@@ -171,7 +171,7 @@ class TestSweepCommands:
     @pytest.mark.parametrize("command", ["chi-sweep", "t1-model"])
     @pytest.mark.parametrize("e_j2", [-1e10, -2e10])
     def test_bad_junction_energy_exits_1(self, tmp_path, capsys, command, e_j2):
-        cfg = json.loads(open(SAMPLE_A).read())
+        cfg = json.loads(Path(SAMPLE_A).read_text())
         cfg["flux"] = {"mode": "fixed", "e_j1_zero": 1e10, "e_j2_zero": e_j2}
         path = _write_config(tmp_path, cfg)
         assert run([command, "--config", path]) == 1
@@ -194,7 +194,7 @@ class TestSweepCommands:
     @pytest.mark.parametrize("b", [1.5, math.nan])
     def test_bad_circuit_exits_1_without_rows(self, tmp_path, capsys, command, b):
         # sample_b gives its junction energies, so only the sweep meets the circuit
-        cfg = json.loads(open(SAMPLE_B).read())
+        cfg = json.loads(Path(SAMPLE_B).read_text())
         cfg["circuit"]["b"] = b
         path = _write_config(tmp_path, cfg)
         assert run([command, "--config", path]) == 1
@@ -203,7 +203,7 @@ class TestSweepCommands:
         assert "b out of [0, 1]" in captured.err
 
     def test_infinite_kappa_exits_1(self, tmp_path, capsys):
-        cfg = json.loads(open(SAMPLE_A).read())
+        cfg = json.loads(Path(SAMPLE_A).read_text())
         cfg["coherence"]["kappa"] = math.inf  # written as Infinity
         path = _write_config(tmp_path, cfg)
         assert run(["t1-model", "--config", path]) == 1
@@ -248,7 +248,7 @@ class TestPhaseCommand:
     @pytest.mark.parametrize("key", ["two_chi", "kappa_ext", "kappa_int"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_readout_value_exits_1(self, tmp_path, capsys, key, value):
-        cfg = json.loads(open(SAMPLE_C).read())
+        cfg = json.loads(Path(SAMPLE_C).read_text())
         cfg["readout"][key] = value
         path = _write_config(tmp_path, cfg)
         assert run(["phase", "--config", path]) == 1
@@ -268,7 +268,7 @@ class TestReadoutCommands:
         assert (tmp_path / "readout" / "report_shots1.csv").exists()
 
     def test_fit_round_trip_matches_sim_report(self, tmp_path):
-        cfg = json.loads(open(SAMPLE_C).read())
+        cfg = json.loads(Path(SAMPLE_C).read_text())
         del cfg["readout_sim"]["tau_list"]  # single-point report
         path = _write_config(tmp_path, cfg)
         out = tmp_path / "report.csv"
@@ -307,14 +307,14 @@ class TestSimOptions:
 
     @pytest.mark.parametrize("n_shots", [MAX_SHOTS + 1, 2**70])
     def test_too_many_shots_rejected_at_load(self, tmp_path, n_shots):
-        cfg = json.loads(open(SAMPLE_C).read())
+        cfg = json.loads(Path(SAMPLE_C).read_text())
         cfg["readout_sim"]["n_shots"] = n_shots
         with pytest.raises(ConfigError, match=r"readout_sim\.n_shots must be an integer "
                                               r"in \[1, 10000000\], got " + str(n_shots)):
             load_config(_write_config(tmp_path, cfg))
 
     def test_largest_shot_count_loads(self, tmp_path):
-        cfg = json.loads(open(SAMPLE_C).read())
+        cfg = json.loads(Path(SAMPLE_C).read_text())
         cfg["readout_sim"]["n_shots"] = MAX_SHOTS
         assert load_config(_write_config(tmp_path, cfg)).sim.n_shots == MAX_SHOTS
 
@@ -327,7 +327,7 @@ class TestSimOptions:
 
     @pytest.mark.parametrize("seed", [2**64, -1])
     def test_config_seed_out_of_range_exits_1(self, tmp_path, capsys, seed):
-        cfg = json.loads(open(SAMPLE_C).read())
+        cfg = json.loads(Path(SAMPLE_C).read_text())
         cfg["readout_sim"]["seed"] = seed
         path = _write_config(tmp_path, cfg)
         assert run(["readout-sim", "--config", path, "--shots", "100"]) == 1

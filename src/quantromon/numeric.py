@@ -1,8 +1,8 @@
 """Exact diagonalization of the truncated two-mode quartic Hamiltonian.
 
-Builds the Hamiltonian as a plain symmetric array in a product Fock basis
+Builds the Hamiltonian as plain symmetric arrays in a product Fock basis
 (the harmonic basis of each mode's quadratic part; flat index
-``m_q*n_r + m_r``), diagonalizes it, labels each dressed state by its
+``m_q*n_r + m_r``), diagonalizes them, labels each dressed state by its
 largest bare-state overlap, and extracts the same observables the
 closed-form module predicts. Serves as the independent numerical oracle for
 :mod:`quantromon.analytic`.
@@ -10,12 +10,11 @@ closed-form module predicts. Serves as the independent numerical oracle for
 Every term conserves the joint photon-number parity ``(m_q + m_r) mod 2``;
 without the transverse term (``d_j = 0``) each mode's own parity is
 conserved too. Entries between parity sectors are exactly zero, so
-:func:`numeric_spectrum` assembles the two (or four) sector blocks directly,
-never the full matrix, diagonalizes them one at a time and labels each
-required state inside its own sector. Each term of the Hamiltonian is a
-Kronecker product of banded per-mode operators, so a block is the sum of
-those products' nonzeros that fall inside it, taken by one ``np.bincount``;
-its checks reuse one more array, which is returned.
+:func:`build_hamiltonian` returns the two (or four) sector blocks, never
+the full matrix, and :func:`numeric_spectrum` diagonalizes them one at a
+time and labels each required state inside its own sector. Each term is a
+Kronecker product of banded per-mode operators: their nonzeros are listed
+once per spectrum and each block is summed by one ``np.bincount``.
 
 All matrix entries are in Hz. Charge terms enter as ``4*E_C*n**2`` with the
 dimensionless pair-number operator conjugate to the phase, so the quadratic
@@ -46,6 +45,7 @@ __all__ = [
 REQUIRED_LABELS = tuple((mq, mr) for mq in range(3) for mr in range(2))
 
 _MIN_LEVELS = 4  # quartic terms need at least four Fock levels
+_MAX_LEVELS = 64  # well past the meaningful range; 1000 levels would ask for GBs
 _OVERLAP_THRESHOLD = 0.5
 
 
@@ -57,15 +57,16 @@ class Truncation:
     the meaningful regime: the top one or two levels of each mode carry
     boundary artifacts, and very large bases (40+ levels at typical device
     parameters) start probing the unbounded region of the quartic potential.
+    Each mode keeps 4 to 64 levels.
     """
 
     n_q: int = 12
     n_r: int = 12
 
     def __post_init__(self):
-        if self.n_q < _MIN_LEVELS or self.n_r < _MIN_LEVELS:
+        if not all(_MIN_LEVELS <= n <= _MAX_LEVELS for n in (self.n_q, self.n_r)):
             raise ParameterError(
-                f"truncation must keep at least {_MIN_LEVELS} levels per mode, "
+                f"truncation must keep {_MIN_LEVELS} to {_MAX_LEVELS} levels per mode, "
                 f"got ({self.n_q}, {self.n_r})"
             )
 
@@ -74,17 +75,13 @@ class Truncation:
         return self.n_q * self.n_r
 
 
-def _ladder(n: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, n)), k=1)
-
-
 def _mode_operators(n: int, e_c: float, e_j_mode: float) -> tuple[np.ndarray, np.ndarray]:
     """Phase operator x and charge-squared operator n2 for one mode.
 
     Zero-point amplitudes follow from the mode impedance:
     x_zp = (2*E_C/E_Jmode)**(1/4), n_zp = (E_Jmode/(32*E_C))**(1/4).
     """
-    a = _ladder(n)
+    a = np.diag(np.sqrt(np.arange(1, n)), k=1)  # annihilation operator
     x_zp = (2.0 * e_c / e_j_mode) ** 0.25
     n_zp = (e_j_mode / (32.0 * e_c)) ** 0.25
     x = x_zp * (a + a.T)
@@ -117,25 +114,38 @@ def _overflow_error(en: ModeEnergies, mode_hamiltonians: dict[str, np.ndarray]
         "Hamiltonian entries overflow: energy scales too large; " + "; ".join(parts))
 
 
-def _kron_entries(a: np.ndarray, b: np.ndarray, n_r: int) -> tuple[np.ndarray, ...]:
-    """Flat rows, columns and values of the nonzeros of ``np.kron(a, b)``
-    (``b`` has ``n_r`` rows); each value is the product kron takes."""
-    i, j = np.nonzero(a)
-    k, l = np.nonzero(b)
+def _kron_entries(a: np.ndarray, b: np.ndarray, c: float, n_r: int) -> tuple[np.ndarray, ...]:
+    """Flat rows, columns and values of the nonzeros of ``c * np.kron(a, b)``
+    (``b`` has ``n_r`` rows); each value is rounded as that product rounds it."""
+    (i, j), (k, l) = np.nonzero(a), np.nonzero(b)
     rows = (i[:, None] * n_r + k).ravel()
     cols = (j[:, None] * n_r + l).ravel()
-    return rows, cols, np.multiply.outer(a[i, j], b[k, l]).ravel()
+    return rows, cols, c * np.multiply.outer(a[i, j], b[k, l]).ravel()
 
 
-def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
-                      basis: np.ndarray | None = None,
-                      include_quartics: bool = True) -> np.ndarray:
-    """The truncated quartic Hamiltonian (Hz) in the product Fock basis.
+def _sector_entries(terms: list, sectors: list[np.ndarray], trunc: Truncation) -> list[tuple]:
+    """Each sector's nonzeros of ``sum(c * kron(a, b) for a, b, c in terms)``,
+    as flat positions ``row*size + col`` in its block and values, in term
+    order. The terms' nonzeros are listed once; those between sectors go."""
+    rows, cols, values = (np.concatenate(part) for part in
+                          zip(*(_kron_entries(a, b, c, trunc.n_r) for a, b, c in terms)))
+    sector, pos = np.empty((2, trunc.dim), dtype=np.intp)  # each state's sector, row in it
+    for s, idx in enumerate(sectors):
+        sector[idx], pos[idx] = s, np.arange(idx.size)
+    owner = np.where(sector[rows] == sector[cols], sector[rows], -1)  # -1: between sectors
+    rows, cols = pos[rows], pos[cols]
+    return [(rows[owner == s] * idx.size + cols[owner == s], values[owner == s])
+            for s, idx in enumerate(sectors)]
 
-    A symmetric array; row and column ``m_q*n_r + m_r`` belong to the bare
-    state (m_q, m_r). ``basis`` (strictly ascending flat indices, such as a
-    sector from :func:`parity_sectors`) selects the principal submatrix on
-    those states; the default is the full matrix.
+
+def build_hamiltonian(en: ModeEnergies, trunc: Truncation, include_quartics: bool = True
+                      ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The truncated quartic Hamiltonian (Hz) as its parity blocks.
+
+    One ``(indices, block)`` pair per sector of
+    ``parity_sectors(trunc, per_mode=en.d_j == 0.0)``, in that order: the
+    symmetric principal submatrix on the flat indices ``m_q*n_r + m_r`` of
+    its bare states. Entries between sectors are exactly zero.
 
     Terms, with E_Jsigma = en.e_jq and constant offsets dropped:
     quadratic mode energies, quartic self-terms ``-(E_Jsigma/24) x_q**4`` and
@@ -143,23 +153,19 @@ def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
     ``-(b**2/16) E_Jsigma x_q**2 x_r**2``, and the asymmetry-induced
     transverse term ``-d_j (b/2) E_Jsigma x_q x_r``.
 
-    Each term is a Kronecker product of banded per-mode operators. One
-    ``np.bincount`` adds the nonzeros inside the block in the order of the
-    full sum ``((T_q + T_r) - kerr*K) - transverse*X``, so every entry has
-    its bits, up to the sign of a zero. The checks run in one more array,
-    which is returned: the scale is ``max(h.max(), -h.min())`` (not finite
-    when an entry is not), the asymmetry the largest entry of ``h - h.T``,
-    and the same buffer then holds ``0.5*(h + h.T)``.
+    Each term is a Kronecker product of banded per-mode operators, built
+    once. A block adds the terms' nonzeros in the order of the full sum
+    ``((T_q + T_r) - kerr*K) - transverse*X``, so every entry has its bits,
+    up to the sign of a zero. All blocks pass the checks before any is
+    returned, each in one more array: the scale is ``max(h.max(), -h.min())``
+    (not finite when an entry is not), the asymmetry the largest entry of
+    ``h - h.T``; the array then holds ``0.5*(h + h.T)`` and is returned.
 
     ``include_quartics=False`` keeps only the quadratic and transverse parts
     (harmonic limit, used by tests).
     """
-    n_q, n_r, dim = trunc.n_q, trunc.n_r, trunc.dim
-    basis = np.arange(dim) if basis is None else np.asarray(basis)
-    if (basis.ndim != 1 or basis.size == 0 or basis[0] < 0 or basis[-1] >= dim
-            or np.any(np.diff(basis) <= 0)):
-        raise ValueError(f"basis must be non-empty, strictly ascending and in [0, {dim})")
-    size, e_jsigma = basis.size, en.e_jq
+    n_q, n_r, e_jsigma = trunc.n_q, trunc.n_r, en.e_jq
+    sectors = parity_sectors(trunc, per_mode=en.d_j == 0.0)
     with np.errstate(invalid="ignore", over="ignore"):  # guarded below
         x_q, n2_q = _mode_operators(n_q, en.e_cq, en.e_jq)
         x_r, n2_r = _mode_operators(n_r, en.e_cr, en.e_jr)
@@ -175,32 +181,26 @@ def build_hamiltonian(en: ModeEnergies, trunc: Truncation,
             terms.append((x2_q, x2_r, -(en.b**2 / 16.0) * e_jsigma))
         if en.d_j != 0.0:
             terms.append((x_q, x_r, -(en.d_j * (en.b / 2.0) * e_jsigma)))
-        pos = np.full(dim, -1)  # each state's row in the block, -1 outside it
-        pos[basis] = np.arange(size)
-        flat, values = [], []
-        for a, b, c in terms:
-            rows, cols, v = _kron_entries(a, b, n_r)
-            rows, cols = pos[rows], pos[cols]
-            inside = (rows >= 0) & (cols >= 0)
-            flat.append(rows[inside] * size + cols[inside])
-            values.append(c * v[inside])
-        h = np.bincount(np.concatenate(flat), np.concatenate(values),
-                        minlength=size * size).reshape(size, size)
-        scale = max(h.max(), -h.min())
-    if not np.isfinite(scale):
-        raise _overflow_error(en, {"qubit": h_q, "resonator": h_r})
+        entries = _sector_entries(terms, sectors, trunc)
 
-    # h - h.T is antisymmetric bit for bit, so its largest entry is its
-    # largest magnitude
-    out = np.subtract(h, h.T)
-    asymmetry = out.max()
-    if scale > 0 and asymmetry > 1e-9 * scale:
-        raise EigensolveError(
-            f"assembled matrix asymmetry {asymmetry / scale:.3e} exceeds 1e-9"
-        )
-    np.add(h, h.T, out=out)
-    out *= 0.5
-    return out
+    blocks = []
+    for idx in sectors:
+        flat, values = entries.pop(0)
+        h = np.bincount(flat, values, minlength=idx.size**2).reshape(idx.size, idx.size)
+        scale = max(h.max(), -h.min())
+        if not np.isfinite(scale):
+            raise _overflow_error(en, {"qubit": h_q, "resonator": h_r})
+        # h - h.T is antisymmetric bit for bit: its largest entry is its largest magnitude
+        out = np.subtract(h, h.T)
+        asymmetry = out.max()
+        if scale > 0 and asymmetry > 1e-9 * scale:
+            raise EigensolveError(f"assembled matrix asymmetry {asymmetry / scale:.3e} "
+                                  "exceeds 1e-9")
+        np.add(h, h.T, out=out)
+        out *= 0.5
+        blocks.append((idx, out))
+        del h  # the next block's sum can take its memory
+    return blocks
 
 
 def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,13 +309,11 @@ def parity_sectors(trunc: Truncation, per_mode: bool) -> list[np.ndarray]:
 
 
 def numeric_spectrum(en: ModeEnergies, trunc: Truncation | None = None) -> SpectrumResult:
-    """Build, diagonalize and label one parity block at a time, then extract."""
+    """Build every parity block, diagonalize and label one at a time, then extract."""
     trunc = trunc or Truncation()
-    sectors = parity_sectors(trunc, per_mode=en.d_j == 0.0)
-    # every block passes its checks before the first solve
-    blocks = [build_hamiltonian(en, trunc, idx) for idx in sectors]
+    blocks = build_hamiltonian(en, trunc)  # every block is checked before the first solve
     energies: dict[tuple[int, int], float] = {}
-    for idx in sectors:
-        w, v = eigensolve(blocks.pop(0))  # a solved block is freed at once
-        energies.update(label_states(w, v, trunc, idx)[0])
+    while blocks:
+        idx, h = blocks.pop(0)  # a solved block is freed before the next solve
+        energies.update(label_states(*eigensolve(h), trunc, idx)[0])
     return extract_observables(energies, en)

@@ -85,6 +85,17 @@ class TestExitCodes:
     def test_malformed_trunc(self, capsys):
         assert run(["spectrum", "--config", REFERENCE, "--trunc", "abc"]) == 1
 
+    def test_oversized_trunc_exits_1_before_building(self, monkeypatch, capsys):
+        # a 1000x1000 basis would ask for hundreds of GB; the truncation is
+        # rejected before any Hamiltonian is built
+        def unreachable(*args):
+            raise AssertionError("numeric_spectrum was called")
+
+        monkeypatch.setattr("quantromon.cli.numeric_spectrum", unreachable)
+        assert run(["spectrum", "--config", REFERENCE, "--trunc", "1000x1000"]) == 1
+        err = capsys.readouterr().err
+        assert "truncation" in err and "(1000, 1000)" in err
+
     def test_missing_shot_file(self, capsys):
         assert run(["readout-fit", "--shots0", "/nope0.csv", "--shots1", "/nope1.csv"]) == 1
 

@@ -36,6 +36,15 @@ class TestTruncation:
         with pytest.raises(ParameterError):
             Truncation(12, 3)
 
+    def test_maximum_levels_rejected(self):
+        for n_q, n_r in ((65, 12), (12, 65)):
+            with pytest.raises(ParameterError, match=rf"4 to 64 levels per mode, got "
+                                                     rf"\({n_q}, {n_r}\)"):
+                Truncation(n_q, n_r)
+
+    def test_maximum_levels_accepted(self):
+        assert Truncation(64, 64).dim == 64 * 64
+
     def test_dim(self):
         assert Truncation(5, 7).dim == 35
 
@@ -64,16 +73,25 @@ class TestEigensolve:
             assert np.linalg.norm(m @ v[:, k] - w[k] * v[:, k]) <= 1e-8 * norm
 
 
+def _full(en, trunc, include_quartics=True):
+    """The ``dim x dim`` matrix with the blocks of ``build_hamiltonian``
+    scattered into place and zeros between them."""
+    h = np.zeros((trunc.dim, trunc.dim))
+    for idx, block in build_hamiltonian(en, trunc, include_quartics):
+        h[np.ix_(idx, idx)] = block
+    return h
+
+
 class TestBuildHamiltonian:
     def test_symmetric(self):
-        h = build_hamiltonian(EN, Truncation(10, 10))
+        h = _full(EN, Truncation(10, 10))
         scale = np.max(np.abs(h))
         assert np.max(np.abs(h - h.T)) <= 1e-9 * scale
 
     def test_harmonic_limit_energies_exact(self):
         # quartics off: labeled transition energies are m_q*w_q + m_r*w_r
         trunc = Truncation(10, 10)
-        h = build_hamiltonian(EN, trunc, include_quartics=False)
+        h = _full(EN, trunc, include_quartics=False)
         w, v = eigensolve(h)
         energies, _ = label_states(w, v, trunc)
         modes = bare_modes(EN)
@@ -85,7 +103,7 @@ class TestBuildHamiltonian:
     def test_uncoupled_b_zero(self):
         en0 = derive_energies(dataclasses.replace(TABLE, b=0.0))
         trunc = Truncation(8, 8)
-        h = build_hamiltonian(en0, trunc)
+        h = _full(en0, trunc)
         for iq in range(8):
             for ir in range(8):
                 for jq in range(8):
@@ -101,17 +119,22 @@ class TestBuildHamiltonian:
 
     def test_harmonic_uncoupled_overlaps_exactly_one(self):
         trunc = Truncation(10, 10)
-        h = build_hamiltonian(derive_energies(dataclasses.replace(TABLE, b=0.0)),
-                              trunc, include_quartics=False)
+        h = _full(derive_energies(dataclasses.replace(TABLE, b=0.0)), trunc,
+                  include_quartics=False)
         w, v = eigensolve(h)
         _, overlaps = label_states(w, v, trunc)
         for overlap in overlaps.values():
             assert overlap >= 1.0 - 1e-12
 
     def test_parity_block_structure(self):
-        # d_j = 0: per-mode photon-number parity is conserved at this order
+        # d_j = 0: per-mode photon-number parity is conserved at this order,
+        # so the blocks are the four per-mode sectors
         trunc = Truncation(8, 8)
-        h = build_hamiltonian(EN, trunc)
+        sectors = [idx for idx, _ in build_hamiltonian(EN, trunc)]
+        assert len(sectors) == 4
+        for idx, expected in zip(sectors, parity_sectors(trunc, per_mode=True)):
+            assert np.array_equal(idx, expected)
+        h = _oracle(EN, trunc)
         for iq in range(8):
             for ir in range(8):
                 for jq in range(8):
@@ -169,7 +192,7 @@ class TestObservables:
 
     def test_harmonic_uncoupled_limit_zero_chi_and_alpha(self):
         trunc = Truncation(10, 10)
-        h = build_hamiltonian(EN, trunc, include_quartics=False)
+        h = _full(EN, trunc, include_quartics=False)
         w, v = eigensolve(h)
         energies, _ = label_states(w, v, trunc)
         obs = extract_observables(energies, EN)
@@ -183,7 +206,7 @@ class TestObservables:
 
     def test_dispersive_overlaps_above_ninety_percent(self):
         trunc = Truncation(12, 12)
-        h = build_hamiltonian(EN, trunc)
+        h = _full(EN, trunc)
         w, v = eigensolve(h)
         _, overlaps = label_states(w, v, trunc)
         assert set(overlaps) == set(REQUIRED_LABELS)
@@ -309,7 +332,8 @@ class TestParitySectors:
     def test_entries_between_sectors_exactly_zero(self, symmetric, factors, d_j, n_q, n_r):
         d_j = 0.0 if symmetric else d_j
         trunc = Truncation(n_q, n_r)
-        m = build_hamiltonian(_scaled(factors, d_j), trunc)
+        # the zero structure the blocked assembly rests on, in the oracle
+        m = _oracle(_scaled(factors, d_j), trunc)
         m_q, m_r = np.divmod(np.arange(trunc.dim), n_r)
         parities = [m_q % 2, m_r % 2] if symmetric else [(m_q + m_r) % 2]
         same = np.logical_and.reduce([p[:, None] == p[None, :] for p in parities])
@@ -327,7 +351,7 @@ class TestParitySectors:
     def test_blocked_matches_full_matrix(self, symmetric, factors, d_j, n):
         en = _scaled(factors, 0.0 if symmetric else d_j)
         trunc = Truncation(n, n)
-        w, v = eigensolve(build_hamiltonian(en, trunc))
+        w, v = eigensolve(_full(en, trunc))
         full = extract_observables(label_states(w, v, trunc)[0], en)
         blocked = numeric_spectrum(en, trunc)
         for name in _OBSERVABLES:
@@ -335,7 +359,7 @@ class TestParitySectors:
 
     def test_labels_only_rows_of_given_basis(self):
         trunc = Truncation(8, 8)
-        h = build_hamiltonian(EN, trunc)
+        h = _full(EN, trunc)
         idx = parity_sectors(trunc, per_mode=True)[0]  # m_q and m_r even
         w, v = eigensolve(h[np.ix_(idx, idx)])
         energies, overlaps = label_states(w, v, trunc, idx)
@@ -371,26 +395,27 @@ class TestBlockAssembly:
     @example(factors=(1.0,) * 5, d_j=0.05, n_q=14, n_r=15, quartics=True)
     @example(factors=(1.0,) * 5, d_j=-0.05, n_q=15, n_r=14, quartics=True)
     def test_blocks_equal_oracle_submatrix(self, symmetric, factors, d_j, n_q, n_r, quartics):
-        # every sector of both kinds (joint sectors at d_j = 0 too), and the
-        # full matrix: the same bits as the oracle, and the same eigenvalues
+        # every returned block, on the sectors numeric_spectrum solves, and
+        # the blocks put together: the same bits as the oracle, and the same
+        # eigenvalues
         en = _scaled(factors, 0.0 if symmetric else d_j)
         trunc = Truncation(n_q, n_r)
         full = _oracle(en, trunc, quartics)
-        assert np.array_equal(build_hamiltonian(en, trunc, include_quartics=quartics), full)
-        # any strictly ascending basis, not only a sector, gives its submatrix
-        bases = [np.array(b) for b in ([0, 1], [0, 2, 8], [0, 2, 8, 10, 11])]
-        for idx in parity_sectors(trunc, True) + parity_sectors(trunc, False) + bases:
-            block = build_hamiltonian(en, trunc, idx, include_quartics=quartics)
+        assert np.array_equal(_full(en, trunc, quartics), full)
+        blocks = build_hamiltonian(en, trunc, include_quartics=quartics)
+        sectors = parity_sectors(trunc, per_mode=symmetric)
+        assert [idx.tolist() for idx, _ in blocks] == [idx.tolist() for idx in sectors]
+        for idx, block in blocks:
             expected = full[np.ix_(idx, idx)]
             assert np.array_equal(block, expected)
             assert (np.linalg.eigvalsh(block).tobytes()
                     == np.linalg.eigvalsh(expected).tobytes())
 
     def test_spectrum_peak_memory_in_blocks(self):
-        # 30x30 at d_j != 0: two 450x450 joint blocks. Both are built before
-        # the first solve and each is freed once solved, so the peak is one
-        # block plus the assembly array and the check buffer of the next
-        # (3.24 blocks measured)
+        # 30x30 at d_j != 0: two 450x450 joint blocks. Both are built and
+        # checked before the first solve, each sum is freed once its checked
+        # copy exists and each block once solved, so the peak is about three
+        # blocks (3.18 blocks measured)
         en, trunc = dataclasses.replace(EN, d_j=0.05), Truncation(30, 30)
         block = (trunc.dim // 2) ** 2 * np.dtype(float).itemsize
         numeric_spectrum(en, trunc)  # first-call allocations are not the spectrum's
@@ -401,15 +426,6 @@ class TestBlockAssembly:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * block, f"{peak / block:.2f} blocks"
-
-    # the bases that are not a valid index set: unordered, out of range,
-    # repeated and empty (unchecked, -1 would wrap to the last state and a
-    # repeat would collapse into one row)
-    @pytest.mark.parametrize("basis", [[1, 0], [-1], [0, 0], [16], []])
-    def test_basis_not_a_union_of_sectors_rejected(self, basis):
-        with pytest.raises(ValueError, match=r"basis must be non-empty, strictly ascending "
-                                             r"and in \[0, 16\)"):
-            build_hamiltonian(EN, Truncation(4, 4), np.array(basis, dtype=int))
 
     def test_overflow_names_mode_and_elements_through_numeric_spectrum(self):
         # E_JQ/E_CQ underflows, so the qubit's zero-point amplitude overflows
@@ -425,6 +441,20 @@ class TestBlockAssembly:
         en = dataclasses.replace(EN, d_j=0.05, e_jr=1e-300, e_cr=1e300)
         with pytest.raises(ParameterError, match=r"resonator mode: E_JR/E_CR = .*circuit\.l_r"):
             numeric_spectrum(en, Truncation(6, 6))
+
+    @pytest.mark.parametrize("d_j", [0.0, 0.05])
+    def test_one_build_and_one_operator_pair_per_spectrum(self, monkeypatch, d_j):
+        # four blocks at d_j = 0, two otherwise, from one call that builds
+        # each mode's operators once
+        calls = {"build_hamiltonian": 0, "_mode_operators": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(numeric, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(numeric, name, counted)
+        numeric_spectrum(dataclasses.replace(EN, d_j=d_j), Truncation(8, 8))
+        assert calls == {"build_hamiltonian": 1, "_mode_operators": 2}
 
     @pytest.mark.parametrize("d_j", [0.0, 0.05])
     def test_asymmetry_check_fires_through_numeric_spectrum(self, monkeypatch, d_j):

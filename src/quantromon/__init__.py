@@ -47,9 +47,8 @@ from .params import (
     CircuitParams,
     ModeEnergies,
     PhysicalConstants,
-    ValidationReport,
     derive_energies,
-    validate,
+    regime_warnings,
 )
 from .readout import (
     FidelityReport,

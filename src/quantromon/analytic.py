@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ParameterError, StraddlingResonanceError, UnphysicalRegimeError
-from .params import CODATA2018, ModeEnergies
+from .params import CODATA2018, ModeEnergies, regime_warnings
 
 __all__ = [
     "BareModes",
@@ -82,14 +82,11 @@ def dressed_spectrum(en: ModeEnergies) -> SpectrumResult:
     Evaluated with bare (not self-consistent) energies; the Fock-basis
     diagonalization in :mod:`quantromon.numeric` is the higher-accuracy path.
     The anharmonicity ``alpha_q = E_CQ`` is first order in E_CQ/omega_q.
-    Emits a warning outside the stiff-inductor regime e_lr/e_j > 1.
+    Emits a ``UserWarning`` for each message of
+    :func:`~quantromon.params.regime_warnings`.
     """
-    if en.e_lr / en.e_j <= 1.0:
-        warnings.warn(
-            f"e_lr/e_j = {en.e_lr / en.e_j:.3g} <= 1: "
-            "perturbative formulas unreliable",
-            stacklevel=2,
-        )
+    for message in regime_warnings(en):
+        warnings.warn(message, stacklevel=2)
     modes = bare_modes(en)
     root = _chi_root(en)
     shift = (en.b**2 / 2.0) * root

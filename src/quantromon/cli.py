@@ -24,7 +24,7 @@ from .coherence import CoherenceConfig
 from .errors import ConfigError, NumericalError, ParameterError
 from .flux import FluxConfig, FluxMode, junction_energies_from_circuit, sweep
 from .numeric import Truncation, numeric_spectrum
-from .params import CircuitParams, derive_energies, validate
+from .params import CircuitParams, derive_energies, regime_warnings
 from .readout import (
     ReadoutParams,
     error_vs_integration,
@@ -269,10 +269,8 @@ def _emit(rows: list[dict], out: str | None, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_energies(cfg: RunConfig, args) -> list[dict]:
-    circuit = _need(cfg, "circuit", "energies")
-    row = dataclasses.asdict(derive_energies(circuit))
-    row["warnings"] = " | ".join(validate(circuit).warnings)
-    return [row]
+    en = derive_energies(_need(cfg, "circuit", "energies"))
+    return [{**dataclasses.asdict(en), "warnings": " | ".join(regime_warnings(en))}]
 
 
 def _parse_trunc(spec: str | None) -> Truncation:
@@ -339,8 +337,10 @@ def _cmd_readout_sim(cfg: RunConfig, args) -> list[dict]:
     flags = {"n_shots": args.shots, "seed": args.seed}
     sim = dataclasses.replace(cfg.sim, **{k: v for k, v in flags.items() if v is not None})
     n_shots, seed = sim.n_shots, sim.seed
-    shots0 = simulate_shots(p, 0, n_shots, seed)
-    shots1 = simulate_shots(p, 1, n_shots, seed)
+    # the base shot sets are simulated only when they are exported or fitted
+    if args.out is not None or not sim.tau_list:
+        shots0 = simulate_shots(p, 0, n_shots, seed)
+        shots1 = simulate_shots(p, 1, n_shots, seed)
     if args.out is not None:
         out_dir = Path(args.out).parent
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -57,7 +57,8 @@ class Truncation:
     the meaningful regime: the top one or two levels of each mode carry
     boundary artifacts, and very large bases (40+ levels at typical device
     parameters) start probing the unbounded region of the quartic potential.
-    Each mode keeps 4 to 64 levels.
+    Each mode keeps 4 to 64 levels, but with 4 the top level can mix about
+    50/50 with the first excitation and fail to label; use 5 or more.
     """
 
     n_q: int = 12

@@ -21,9 +21,8 @@ __all__ = [
     "CODATA2018",
     "CircuitParams",
     "ModeEnergies",
-    "ValidationReport",
     "derive_energies",
-    "validate",
+    "regime_warnings",
 ]
 
 
@@ -49,7 +48,8 @@ CODATA2018 = PhysicalConstants()
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """Raw lumped-element values. A plain record; see :func:`validate`.
+    """Raw lumped-element values. A plain record; :func:`derive_energies`
+    range-checks it.
 
     Attributes
     ----------
@@ -101,30 +101,6 @@ class ModeEnergies:
                    e_jr=e_lr + (b**2 / 2.0) * e_j, b=b, d_j=d_j)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-    warnings: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _violations(params: CircuitParams) -> list[str]:
-    """Every range violation of ``params``, each naming its parameter."""
-    violations = []
-    for name in ("l_j", "c_j", "l_r", "c_r"):
-        value = getattr(params, name)
-        if not (value > 0.0) or not math.isfinite(value):
-            violations.append(f"{name} must be > 0, got {value!r}")
-    if not (0.0 <= params.b <= 1.0):
-        violations.append(f"b out of [0, 1]: {params.b!r}")
-    if not (abs(params.d_j) < 1.0):
-        violations.append(f"d_j out of (-1, 1): {params.d_j!r}")
-    return violations
-
-
 def _energy(name: str, value: float, numerator: float, denominator: float) -> float:
     """``numerator / denominator`` in Hz, derived from parameter ``name``.
 
@@ -148,7 +124,15 @@ def derive_energies(params: CircuitParams) -> ModeEnergies:
     that names every offending parameter, and an element value whose energy
     is not finite and > 0 with one that names that value.
     """
-    violations = _violations(params)
+    violations = []
+    for name in ("l_j", "c_j", "l_r", "c_r"):
+        value = getattr(params, name)
+        if not (value > 0.0) or not math.isfinite(value):
+            violations.append(f"{name} must be > 0, got {value!r}")
+    if not (0.0 <= params.b <= 1.0):
+        violations.append(f"b out of [0, 1]: {params.b!r}")
+    if not (abs(params.d_j) < 1.0):
+        violations.append(f"d_j out of (-1, 1): {params.d_j!r}")
     if violations:
         raise ParameterError("; ".join(violations))
 
@@ -166,26 +150,22 @@ def derive_energies(params: CircuitParams) -> ModeEnergies:
     )
 
 
-def validate(params: CircuitParams) -> ValidationReport:
-    """Report-only check of parameter invariants and regime assumptions."""
-    violations = _violations(params)
-    warnings: list[str] = []
+def regime_warnings(en: ModeEnergies) -> tuple[str, ...]:
+    """The closed form's regime assumptions that ``en`` breaks, one message each.
 
-    if not violations:
-        try:
-            en = derive_energies(params)
-        except ParameterError as exc:
-            return ValidationReport(violations=(str(exc),), warnings=())
-        if en.e_lr / en.e_j <= 1.0:
-            warnings.append(
-                "E_LR >> E_J regime violated "
-                f"(e_lr/e_j = {en.e_lr / en.e_j:.3g}); "
-                "perturbative formulas unreliable"
-            )
-        if params.b == 1.0:
-            warnings.append(
-                "b = 1: constraint reduction assumes 0 < b < 1; "
-                "values taken from the b -> 1 limit"
-            )
-
-    return ValidationReport(violations=tuple(violations), warnings=tuple(warnings))
+    The resonator mode is treated as harmonic, which needs the stiff linear
+    inductor ``e_lr/e_j > 1``; the constraint reduction assumes ``0 < b < 1``.
+    """
+    messages = []
+    if en.e_lr / en.e_j <= 1.0:
+        messages.append(
+            "E_LR >> E_J regime violated "
+            f"(e_lr/e_j = {en.e_lr / en.e_j:.3g}); "
+            "perturbative formulas unreliable"
+        )
+    if en.b == 1.0:
+        messages.append(
+            "b = 1: constraint reduction assumes 0 < b < 1; "
+            "values taken from the b -> 1 limit"
+        )
+    return tuple(messages)

@@ -16,7 +16,7 @@ from quantromon.errors import (
     StraddlingResonanceError,
     UnphysicalRegimeError,
 )
-from quantromon.params import CODATA2018, CircuitParams, derive_energies
+from quantromon.params import CODATA2018, CircuitParams, derive_energies, regime_warnings
 
 TABLE = CircuitParams(l_j=8.2e-9, c_j=56.88e-15, l_r=0.546e-9, c_r=781.8e-15,
                       b=0.405, d_j=0.0)
@@ -91,6 +91,13 @@ class TestDressedSpectrum:
                                    e_jr=0.5 * EN.e_j + EN.b**2 / 2 * EN.e_j)
         with pytest.warns(UserWarning, match="perturbative"):
             dressed_spectrum(soft)
+
+    def test_one_warning_per_regime_message(self):
+        soft_b1 = derive_energies(dataclasses.replace(TABLE, l_r=2e-8, b=1.0))
+        with pytest.warns(UserWarning) as record:
+            dressed_spectrum(soft_b1)
+        assert tuple(str(w.message) for w in record) == regime_warnings(soft_b1)
+        assert len(record) == 2
 
     def test_chi_ratio_closed_form(self):
         r = EN.e_lr / EN.e_j

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,26 @@ class TestSpectrumCommand:
         rows = json.loads(out.read_text())
         assert {r["quantity"] for r in rows} >= {"two_chi", "alpha_q"}
 
+    def test_energies_warnings_cell_matches_spectrum_warnings(self, tmp_path):
+        # a soft linear inductor (e_lr/e_j = 0.41) and b = 1 break both
+        # regime assumptions of the closed form
+        cfg = json.loads(Path(REFERENCE).read_text())
+        cfg["circuit"].update(l_r=2e-8, b=1.0)
+        path = _write_config(tmp_path, cfg)
+        out = tmp_path / "energies.csv"
+        assert run(["energies", "--config", path, "--out", str(out)]) == 0
+        cell = _read_csv(out)[0]["warnings"]
+        assert cell == (
+            "E_LR >> E_J regime violated (e_lr/e_j = 0.41); perturbative "
+            "formulas unreliable | b = 1: constraint reduction assumes "
+            "0 < b < 1; values taken from the b -> 1 limit")
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert run(["spectrum", "--config", path,
+                        "--out", str(tmp_path / "spectrum.csv")]) == 0
+        emitted = [str(w.message) for w in record if w.category is UserWarning]
+        assert emitted == cell.split(" | ")
+
 
 class TestSweepCommands:
     @pytest.mark.parametrize("command", ["chi-sweep", "t1-model"])
@@ -221,6 +242,20 @@ class TestSweepCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "kappa" in captured.err
+
+    def test_every_row_failed_exits_0_with_each_error(self, tmp_path, capsys):
+        # kappa is finite and > 0, so the config loads, but every flux
+        # point's Purcell T1 underflows to 0.0: the error is carried per row
+        cfg = json.loads(Path(SAMPLE_A).read_text())
+        cfg["coherence"]["kappa"] = 1e308
+        path = _write_config(tmp_path, cfg)
+        out = tmp_path / "t1.csv"
+        assert run(["t1-model", "--config", path, "--out", str(out)]) == 0
+        rows = _read_csv(out)
+        assert [r["n"] for r in rows] == [str(n) for n in range(10)]
+        for row in rows:
+            assert row["error"] == "ParameterError: T1 contributions must be > 0, got 0.0"
+            assert row["t1_model"] == "nan"
 
     def test_chi_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -277,6 +312,25 @@ class TestReadoutCommands:
         assert len(rows) == 7  # tau_list from the bundled config
         assert (tmp_path / "readout" / "report_shots0.csv").exists()
         assert (tmp_path / "readout" / "report_shots1.csv").exists()
+
+    @pytest.mark.parametrize("export, calls", [(False, 0), (True, 2)])
+    def test_base_shots_simulated_only_when_used(self, tmp_path, monkeypatch,
+                                                 capsys, export, calls):
+        # with readout_sim.tau_list set the base shot sets are not fitted,
+        # so they are simulated only to be exported
+        simulate = quantromon.cli.simulate_shots
+        recorded = []
+
+        def counting(p, state, n_shots, seed):
+            recorded.append((state, n_shots, seed))
+            return simulate(p, state, n_shots, seed)
+
+        monkeypatch.setattr(quantromon.cli, "simulate_shots", counting)
+        argv = ["readout-sim", "--config", SAMPLE_C, "--shots", "2000", "--seed", "3"]
+        if export:
+            argv += ["--out", str(tmp_path / "report.csv")]
+        assert run(argv) == 0
+        assert recorded == [(0, 2000, 3), (1, 2000, 3)][:calls]
 
     def test_fit_round_trip_matches_sim_report(self, tmp_path):
         cfg = json.loads(Path(SAMPLE_C).read_text())

@@ -10,8 +10,9 @@ from quantromon.errors import ParameterError
 from quantromon.params import (
     CODATA2018,
     CircuitParams,
+    ModeEnergies,
     derive_energies,
-    validate,
+    regime_warnings,
 )
 
 TABLE = CircuitParams(l_j=8.2e-9, c_j=56.88e-15, l_r=0.546e-9, c_r=781.8e-15,
@@ -98,40 +99,62 @@ def test_extreme_element_energy_rejected_by_name(field, value):
     bad = dataclasses.replace(TABLE, **{field: value})
     with pytest.raises(ParameterError, match=f"^{field} = "):
         derive_energies(bad)
-    report = validate(bad)
-    assert not report.ok
-    assert report.violations[0].startswith(f"{field} = ")
 
 
 def test_out_of_range_b_and_dj_rejected():
-    with pytest.raises(ParameterError, match="b"):
+    with pytest.raises(ParameterError, match=r"b out of \[0, 1\]"):
         derive_energies(dataclasses.replace(TABLE, b=1.2))
     with pytest.raises(ParameterError, match="d_j"):
         derive_energies(dataclasses.replace(TABLE, d_j=1.0))
 
 
-def test_validate_table_params_clean():
-    report = validate(TABLE)
-    assert report.ok
-    assert report.violations == ()
-    assert report.warnings == ()
-
-
 def test_validate_reports_b_violation():
-    report = validate(dataclasses.replace(TABLE, b=1.2))
-    assert not report.ok
-    assert any("b out of [0, 1]" in v for v in report.violations)
+    for b in (1.2, -0.1):
+        with pytest.raises(ParameterError) as info:
+            derive_energies(dataclasses.replace(TABLE, b=b))
+        assert "b out of [0, 1]" in str(info.value)
 
 
-def test_validate_regime_warning():
+def test_nan_element_rejected_by_name():
+    with pytest.raises(ParameterError, match="l_j"):
+        derive_energies(dataclasses.replace(TABLE, l_j=math.nan))
+
+
+def test_regime_warnings_table_device_clean():
+    assert regime_warnings(derive_energies(TABLE)) == ()
+
+
+def test_regime_warnings_soft_inductor():
     # pick l_r so that e_lr = 0.5 * e_j
     en = derive_energies(TABLE)
     l_r = TABLE.l_r * en.e_lr / (0.5 * en.e_j)
-    report = validate(dataclasses.replace(TABLE, l_r=l_r))
-    assert report.ok
-    assert any("perturbative" in w for w in report.warnings)
+    (message,) = regime_warnings(derive_energies(dataclasses.replace(TABLE, l_r=l_r)))
+    assert "perturbative" in message
+    assert "e_lr/e_j = 0.5)" in message
 
 
-def test_validate_handles_nan():
-    report = validate(dataclasses.replace(TABLE, l_j=math.nan))
-    assert not report.ok
+def _scales(e_lr_over_e_j: float, b: float) -> ModeEnergies:
+    en = derive_energies(TABLE)
+    return ModeEnergies.from_scales(e_j=en.e_j, e_lr=e_lr_over_e_j * en.e_j,
+                                    e_cq=en.e_cq, e_cr=en.e_cr, b=b, d_j=0.0)
+
+
+def test_regime_warnings_ratio_exactly_one():
+    en = _scales(1.0, TABLE.b)
+    assert en.e_lr / en.e_j == 1.0
+    (message,) = regime_warnings(en)
+    assert message == ("E_LR >> E_J regime violated (e_lr/e_j = 1); "
+                       "perturbative formulas unreliable")
+
+
+def test_regime_warnings_b_one():
+    assert regime_warnings(_scales(15.0, 1.0)) == (
+        "b = 1: constraint reduction assumes 0 < b < 1; "
+        "values taken from the b -> 1 limit",
+    )
+
+
+def test_regime_warnings_both_in_order():
+    stiff, b_limit = regime_warnings(_scales(0.41, 1.0))
+    assert stiff.startswith("E_LR >> E_J regime violated (e_lr/e_j = 0.41)")
+    assert b_limit.startswith("b = 1: ")

@@ -22,9 +22,9 @@ from pathlib import Path
 from .analytic import dressed_spectrum
 from .coherence import CoherenceConfig
 from .errors import ConfigError, NumericalError, ParameterError
-from .flux import FluxConfig, FluxMode, junction_energies_from_circuit, sweep
+from .flux import FluxConfig, FluxMode, junction_energies, sweep
 from .numeric import Truncation, numeric_spectrum
-from .params import CircuitParams, derive_energies, regime_warnings
+from .params import CircuitParams, ModeEnergies, derive_energies, regime_warnings
 from .readout import (
     ReadoutParams,
     error_vs_integration,
@@ -54,7 +54,8 @@ class SimOptions:
     """``readout_sim`` settings; ``--shots``/``--seed`` replace the first two.
 
     ``n_shots`` is at most :data:`MAX_SHOTS`, about 0.75 GiB at the peak of
-    one :func:`~quantromon.readout.simulate_shots` call.
+    one :func:`~quantromon.readout.simulate_shots` call; every ``tau_list``
+    entry is finite and > 0.
     """
 
     n_shots: int = 20000
@@ -69,11 +70,15 @@ class SimOptions:
         if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ConfigError(
                 f"readout_sim.seed must be an integer in [0, 2**64), got {self.seed!r}")
+        for tau in self.tau_list:
+            if not 0.0 < tau < math.inf:
+                raise ConfigError(
+                    f"readout_sim.tau_list entries must be finite and > 0, got {tau!r}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    circuit: CircuitParams | None = None
+    energies: ModeEnergies | None = None
     flux: FluxConfig | None = None
     coherence: CoherenceConfig | None = None
     readout: ReadoutParams | None = None
@@ -144,7 +149,7 @@ def _parse_numbers(name: str, cls, section: dict):
                   for f in fields if f.name in section})
 
 
-def _parse_flux(section: dict, circuit: CircuitParams | None) -> FluxConfig:
+def _parse_flux(section: dict, energies: ModeEnergies | None) -> FluxConfig:
     mode_raw = section.get("mode", "fixed")
     try:
         mode = FluxMode(mode_raw)
@@ -155,12 +160,12 @@ def _parse_flux(section: dict, circuit: CircuitParams | None) -> FluxConfig:
     e_j1 = _require_number("flux", "e_j1_zero", section.get("e_j1_zero"), allow_none=True)
     e_j2 = _require_number("flux", "e_j2_zero", section.get("e_j2_zero"), allow_none=True)
     if e_j1 is None or e_j2 is None:
-        if circuit is None:
+        if energies is None:
             raise ConfigError(
                 "flux.e_j1_zero/e_j2_zero are null and no circuit section is "
                 "present to derive them from"
             )
-        derived = junction_energies_from_circuit(circuit)
+        derived = junction_energies(energies)
         e_j1 = derived[0] if e_j1 is None else e_j1
         e_j2 = derived[1] if e_j2 is None else e_j2
     n = section.get("n", 0)
@@ -198,15 +203,14 @@ def load_config(path) -> RunConfig:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     data = normalize_config(raw)
-    circuit = None
+    energies = None
     if "circuit" in data:
-        circuit = _parse_numbers("circuit", CircuitParams, data["circuit"])
-        # the one range check of the circuit, for every command; it also
-        # rejects an element whose derived energy is not finite and > 0
-        derive_energies(circuit)
+        # the one range check and energy derivation of the circuit, for every
+        # command; it also rejects an element whose energy is not finite and > 0
+        energies = derive_energies(_parse_numbers("circuit", CircuitParams, data["circuit"]))
     return RunConfig(
-        circuit=circuit,
-        flux=_parse_flux(data["flux"], circuit) if "flux" in data else None,
+        energies=energies,
+        flux=_parse_flux(data["flux"], energies) if "flux" in data else None,
         coherence=(_parse_numbers("coherence", CoherenceConfig, data["coherence"])
                    if "coherence" in data else None),
         readout=(_parse_numbers("readout", ReadoutParams, data["readout"])
@@ -216,10 +220,9 @@ def load_config(path) -> RunConfig:
     )
 
 
-def _need(cfg: RunConfig, attr: str, command: str):
-    value = getattr(cfg, attr)
+def _need(value, section: str, command: str):
     if value is None:
-        raise ConfigError(f"command {command!r} requires a {attr!r} config section")
+        raise ConfigError(f"command {command!r} requires a {section!r} config section")
     return value
 
 
@@ -269,7 +272,7 @@ def _emit(rows: list[dict], out: str | None, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_energies(cfg: RunConfig, args) -> list[dict]:
-    en = derive_energies(_need(cfg, "circuit", "energies"))
+    en = _need(cfg.energies, "circuit", "energies")
     return [{**dataclasses.asdict(en), "warnings": " | ".join(regime_warnings(en))}]
 
 
@@ -284,8 +287,7 @@ def _parse_trunc(spec: str | None) -> Truncation:
 
 
 def _cmd_spectrum(cfg: RunConfig, args) -> list[dict]:
-    circuit = _need(cfg, "circuit", "spectrum")
-    en = derive_energies(circuit)
+    en = _need(cfg.energies, "circuit", "spectrum")
     ana = dressed_spectrum(en)
     num = numeric_spectrum(en, _parse_trunc(args.trunc))
     rows = []
@@ -310,16 +312,16 @@ _SWEEP_COLUMNS = {
 
 def _cmd_sweep(cfg: RunConfig, args) -> list[dict]:
     """chi-sweep and t1-model: two column views of one flux sweep."""
-    circuit = _need(cfg, "circuit", args.command)
-    flux_cfg = _need(cfg, "flux", args.command)
-    coherence = _need(cfg, "coherence", args.command)
+    en = _need(cfg.energies, "circuit", args.command)
+    flux_cfg = _need(cfg.flux, "flux", args.command)
+    coherence = _need(cfg.coherence, "coherence", args.command)
     if not cfg.n_list:
         raise ConfigError(f"command {args.command!r} requires sweep.n_list")
     # the circuit and coherence sections were range-checked when the config
     # was loaded, so a row carries only a failure of its own flux point
     columns = _SWEEP_COLUMNS[args.command]
     return [{c: getattr(row, c) for c in columns}
-            for row in sweep(circuit, flux_cfg, list(cfg.n_list), coherence)]
+            for row in sweep(en, flux_cfg, list(cfg.n_list), coherence)]
 
 
 def _fit_row(shots0, shots1) -> dict:
@@ -333,7 +335,7 @@ def _cmd_readout_sim(cfg: RunConfig, args) -> list[dict]:
     """Simulated shots (written next to --out) plus either the single-point
     fidelity report or, when readout_sim.tau_list is set, the per-tau error
     table."""
-    p = _need(cfg, "readout", "readout-sim")
+    p = _need(cfg.readout, "readout", "readout-sim")
     flags = {"n_shots": args.shots, "seed": args.seed}
     sim = dataclasses.replace(cfg.sim, **{k: v for k, v in flags.items() if v is not None})
     n_shots, seed = sim.n_shots, sim.seed
@@ -341,20 +343,22 @@ def _cmd_readout_sim(cfg: RunConfig, args) -> list[dict]:
     if args.out is not None or not sim.tau_list:
         shots0 = simulate_shots(p, 0, n_shots, seed)
         shots1 = simulate_shots(p, 1, n_shots, seed)
-    if args.out is not None:
-        out_dir = Path(args.out).parent
-        out_dir.mkdir(parents=True, exist_ok=True)
-        stem = Path(args.out).stem
-        export_shots_csv(shots0, out_dir / f"{stem}_shots0.csv")
-        export_shots_csv(shots1, out_dir / f"{stem}_shots1.csv")
-    if sim.tau_list:
-        rows = []
-        for point in error_vs_integration(p, list(sim.tau_list), n_shots, seed):
-            row = {"n_shots": n_shots, "seed": seed}
-            row.update(dataclasses.asdict(point))
-            rows.append(row)
-        return rows
-    return [{"n_shots": n_shots, "seed": seed, "tau": p.tau, **_fit_row(shots0, shots1)}]
+        if args.out is not None:
+            out_dir = Path(args.out).parent
+            out_dir.mkdir(parents=True, exist_ok=True)
+            stem = Path(args.out).stem
+            export_shots_csv(shots0, out_dir / f"{stem}_shots0.csv")
+            export_shots_csv(shots1, out_dir / f"{stem}_shots1.csv")
+        if not sim.tau_list:
+            return [{"n_shots": n_shots, "seed": seed, "tau": p.tau,
+                     **_fit_row(shots0, shots1)}]
+        del shots0, shots1  # exported; the per-tau table simulates its own
+    rows = []
+    for point in error_vs_integration(p, list(sim.tau_list), n_shots, seed):
+        row = {"n_shots": n_shots, "seed": seed}
+        row.update(dataclasses.asdict(point))
+        rows.append(row)
+    return rows
 
 
 def _cmd_readout_fit(cfg: RunConfig, args) -> list[dict]:
@@ -367,7 +371,7 @@ def _cmd_readout_fit(cfg: RunConfig, args) -> list[dict]:
 
 
 def _cmd_phase(cfg: RunConfig, args) -> list[dict]:
-    p = _need(cfg, "readout", "phase")
+    p = _need(cfg.readout, "readout", "phase")
     sep = phase_separation(p.two_chi, p.kappa_ext, p.kappa_int)
     return [{"two_chi": p.two_chi, "kappa_ext": p.kappa_ext,
              "kappa_int": p.kappa_int, "separation_deg": sep}]

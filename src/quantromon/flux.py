@@ -6,6 +6,11 @@ unchanged, and a single SQUID, where E_Jsigma = E_J1 + E_J2*cos(n*pi*a) and
 the asymmetry itself tunes with flux. ``a`` is the SQUID-to-qubit-loop area
 ratio and ``n`` the integer number of flux quanta in the qubit loop;
 fractional flux bias is rejected rather than extrapolated.
+
+The pipeline works on mode energies, not circuit elements: every function
+takes the circuit's zero-flux :class:`~quantromon.params.ModeEnergies`
+(from :func:`~quantromon.params.derive_energies`), and tuning replaces only
+its ``e_j`` by ``E_Jsigma/2`` and its ``d_j`` by the tuned asymmetry.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 from .analytic import SpectrumResult, dressed_spectrum
 from .coherence import CoherenceConfig, CoherenceReport, coherence_report
 from .errors import NumericalError, ParameterError, UnphysicalOperatingPointError
-from .params import CircuitParams, ModeEnergies, derive_energies
+from .params import ModeEnergies
 
 __all__ = [
     "FluxMode",
@@ -26,7 +31,7 @@ __all__ = [
     "SweepRow",
     "FluxPointResult",
     "tuned_junctions",
-    "junction_energies_from_circuit",
+    "junction_energies",
     "energies_at_flux",
     "evaluate_flux_point",
     "sweep",
@@ -46,7 +51,9 @@ class FluxConfig:
     """Zero-flux junction energies (Hz) plus the flux operating point.
 
     Both energies must be finite and >= 0, with a positive sum
-    (``e_j2_zero = 0`` models a single junction).
+    (``e_j2_zero = 0`` models a single junction). ``n`` must be an integer;
+    the config's ``flux.n`` is checked but no command reads it, since the
+    sweeps take their biases from ``sweep.n_list``.
     """
 
     mode: FluxMode
@@ -99,16 +106,15 @@ def _split(e_jsigma: float, d_j: float) -> tuple[float, float]:
     return (1.0 + d_j) / 2.0 * e_jsigma, (1.0 - d_j) / 2.0 * e_jsigma
 
 
-def junction_energies_from_circuit(params: CircuitParams) -> tuple[float, float]:
-    """Split the circuit's zero-flux E_Jsigma = 2*E_J per its asymmetry d_j."""
-    return _split(derive_energies(params).e_jq, params.d_j)
+def junction_energies(en: ModeEnergies) -> tuple[float, float]:
+    """Split the zero-flux E_Jsigma = e_jq of ``en`` per its asymmetry d_j."""
+    return _split(en.e_jq, en.d_j)
 
 
-def energies_at_flux(params: CircuitParams, e_jsigma: float, d_j: float) -> ModeEnergies:
-    """Mode energies with the junction energy replaced by its tuned value."""
-    base = derive_energies(params)
-    return ModeEnergies.from_scales(e_j=e_jsigma / 2.0, e_lr=base.e_lr, e_cq=base.e_cq,
-                                    e_cr=base.e_cr, b=base.b, d_j=d_j)
+def energies_at_flux(en: ModeEnergies, e_jsigma: float, d_j: float) -> ModeEnergies:
+    """``en`` with the junction energy and asymmetry replaced by their tuned values."""
+    return ModeEnergies.from_scales(e_j=e_jsigma / 2.0, e_lr=en.e_lr, e_cq=en.e_cq,
+                                    e_cr=en.e_cr, b=en.b, d_j=d_j)
 
 
 @dataclass(frozen=True)
@@ -138,12 +144,11 @@ class SweepRow:
     error: str | None = None
 
 
-def evaluate_flux_point(params: CircuitParams, cfg: FluxConfig, n: int,
+def evaluate_flux_point(en: ModeEnergies, cfg: FluxConfig, n: int,
                         coherence: CoherenceConfig) -> FluxPointResult:
     """Tuned junctions -> energies -> dressed spectrum -> coherence budget."""
     e_jsigma, d_j = tuned_junctions(replace(cfg, n=n))
-    en = energies_at_flux(params, e_jsigma, d_j)
-    spec = dressed_spectrum(en)
+    spec = dressed_spectrum(energies_at_flux(en, e_jsigma, d_j))
     report = coherence_report(
         omega_q_t=spec.omega_q_t,
         delta=spec.delta,
@@ -156,7 +161,7 @@ def evaluate_flux_point(params: CircuitParams, cfg: FluxConfig, n: int,
                            spectrum=spec, coherence=report)
 
 
-def sweep(params: CircuitParams, cfg: FluxConfig, n_list: list[int],
+def sweep(en: ModeEnergies, cfg: FluxConfig, n_list: list[int],
           coherence: CoherenceConfig) -> list[SweepRow]:
     """Evaluate the full pipeline at each flux bias.
 
@@ -167,7 +172,7 @@ def sweep(params: CircuitParams, cfg: FluxConfig, n_list: list[int],
     rows: list[SweepRow] = []
     for n in n_list:
         try:
-            point = evaluate_flux_point(params, cfg, n, coherence)
+            point = evaluate_flux_point(en, cfg, n, coherence)
         except (NumericalError, ParameterError) as exc:
             rows.append(SweepRow(n=n, error=f"{type(exc).__name__}: {exc}"))
             continue
@@ -183,24 +188,24 @@ def sweep(params: CircuitParams, cfg: FluxConfig, n_list: list[int],
     return rows
 
 
-def _qubit_frequency(params: CircuitParams, e_jsigma: float) -> float:
+def _qubit_frequency(en: ModeEnergies, e_jsigma: float) -> float:
     # the searches probe regimes where the closed form would warn; only the
     # monotone map matters here, and omega_q_t does not depend on d_j
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return dressed_spectrum(energies_at_flux(params, e_jsigma, 0.0)).omega_q_t
+        return dressed_spectrum(energies_at_flux(en, e_jsigma, 0.0)).omega_q_t
 
 
-def _solve_e_jsigma(params: CircuitParams, f_q_zero: float) -> float:
+def _solve_e_jsigma(en: ModeEnergies, f_q_zero: float) -> float:
     """The E_Jsigma in [1e6, 1e13] Hz whose qubit frequency is ``f_q_zero``."""
     from scipy.optimize import brentq  # deferred: importing flux loads no scipy
 
     lo, hi = 1e6, 1e13
-    f_lo, f_hi = _qubit_frequency(params, lo), _qubit_frequency(params, hi)
+    f_lo, f_hi = _qubit_frequency(en, lo), _qubit_frequency(en, hi)
     if not (f_lo <= f_q_zero <= f_hi):
         raise ParameterError(f"f_q_zero = {f_q_zero!r} Hz is outside the reachable "
                              f"range [{f_lo!r}, {f_hi!r}] Hz")
-    return brentq(lambda e_jsigma: _qubit_frequency(params, e_jsigma) - f_q_zero, lo, hi)
+    return brentq(lambda e_jsigma: _qubit_frequency(en, e_jsigma) - f_q_zero, lo, hi)
 
 
 _A_STEP = 1e-4  # area-ratio grid step of the fitters' scans
@@ -229,7 +234,7 @@ def _scan_area(mode: FluxMode, e_j1: float, e_j2: float, anchor_n: int, cost) ->
     return best_a
 
 
-def fit_one_squid(params: CircuitParams, f_q_zero: float, d_j_zero: float,
+def fit_one_squid(en: ModeEnergies, f_q_zero: float, d_j_zero: float,
                   anchor_n: int, d_j_anchor: float) -> FluxConfig:
     """Reconstruct a one-SQUID flux configuration from measured observables.
 
@@ -246,15 +251,14 @@ def fit_one_squid(params: CircuitParams, f_q_zero: float, d_j_zero: float,
     """
     if not (abs(d_j_zero) < 1.0):
         raise ParameterError(f"d_j_zero out of (-1, 1): {d_j_zero!r}")
-    e_j1, e_j2 = _split(_solve_e_jsigma(params, f_q_zero), d_j_zero)
+    e_j1, e_j2 = _split(_solve_e_jsigma(en, f_q_zero), d_j_zero)
     a = _scan_area(FluxMode.ONE_SQUID, e_j1, e_j2, anchor_n,
                    lambda e_jsigma, d_j: abs(d_j - d_j_anchor))
     return FluxConfig(mode=FluxMode.ONE_SQUID, e_j1_zero=e_j1, e_j2_zero=e_j2,
                       area_ratio_a=a, n=0)
 
 
-def fit_both_squids_area(params: CircuitParams, anchor_n: int,
-                         f_q_anchor: float) -> float:
+def fit_both_squids_area(en: ModeEnergies, anchor_n: int, f_q_anchor: float) -> float:
     """Effective area ratio matching the qubit frequency at one flux anchor.
 
     The scan (step 1e-4) is restricted to the first cosine branch (area
@@ -262,7 +266,6 @@ def fit_both_squids_area(params: CircuitParams, anchor_n: int,
     monotone, as the measured one is. ``anchor_n`` outside [1, 5000] raises
     :class:`ParameterError`.
     """
-    e_j1, e_j2 = junction_energies_from_circuit(params)
+    e_j1, e_j2 = junction_energies(en)
     return _scan_area(FluxMode.BOTH_SQUIDS, e_j1, e_j2, anchor_n,
-                      lambda e_jsigma, d_j: abs(_qubit_frequency(params, e_jsigma)
-                                                - f_q_anchor))
+                      lambda e_jsigma, d_j: abs(_qubit_frequency(en, e_jsigma) - f_q_anchor))

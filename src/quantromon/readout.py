@@ -22,6 +22,7 @@ from . import rng
 from .errors import (
     DegenerateMixtureError,
     FitConvergenceError,
+    NumericalError,
     ParameterError,
     ThresholdError,
 )
@@ -139,8 +140,13 @@ class ShotSet:
     params: ReadoutParams
 
     def __post_init__(self):
-        if self.prepared_state not in (0, 1):
-            raise ParameterError(f"prepared_state must be 0 or 1, got {self.prepared_state!r}")
+        _check_state("prepared_state", self.prepared_state)
+
+
+def _check_state(name: str, value) -> None:
+    """A prepared qubit state is the integer 0 or 1; a bool or float is not."""
+    if type(value) is not int or value not in (0, 1):
+        raise ParameterError(f"{name} must be 0 or 1, got {value!r}")
 
 
 def _noise_sigma(p: ReadoutParams) -> float:
@@ -158,8 +164,7 @@ def simulate_shots(p: ReadoutParams, prepared: int, n_shots: int, seed: int) -> 
     decay at t < tau record the uniform-weight mixture
     ``(t*m1 + (tau - t)*m0)/tau``.
     """
-    if prepared not in (0, 1):
-        raise ParameterError(f"prepared must be 0 or 1, got {prepared!r}")
+    _check_state("prepared", prepared)
     if n_shots < 1:
         raise ParameterError(f"n_shots must be >= 1, got {n_shots!r}")
     from scipy.special import ndtri  # deferred: importing readout loads no scipy
@@ -334,7 +339,9 @@ def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet) -> GaussianMixtureFit:
     both dominant weights start at 0.95. Convergence: relative parameter step
     below 1e-8 or residual stagnation; hitting the cap of 2000 evaluations
     raises :class:`FitConvergenceError`, an indistinguishable pair of shot
-    sets raises :class:`DegenerateMixtureError`.
+    sets raises :class:`DegenerateMixtureError`, and shots whose start lies
+    outside the bounds (overflowed or constant values) raise
+    :class:`NumericalError`.
     """
     from scipy.optimize import least_squares  # deferred: importing readout loads no scipy
 
@@ -347,11 +354,6 @@ def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet) -> GaussianMixtureFit:
             f"{x0v.size + x1v.size} shots cannot constrain a six-parameter mixture"
         )
     pooled = np.concatenate([x0v, x1v])
-    edges = _fd_bin_edges(pooled)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    hist0 = np.histogram(x0v, bins=edges, density=True)[0]
-    hist1 = np.histogram(x1v, bins=edges, density=True)[0]
-
     mu0_init, mu1_init = np.percentile(pooled, [25.0, 75.0])
     med = np.median(pooled)
     lo_side = pooled[pooled <= med]
@@ -360,6 +362,19 @@ def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet) -> GaussianMixtureFit:
     s0_init = float(np.std(lo_side)) or scale
     s1_init = float(np.std(hi_side)) or scale
     p_init = np.array([mu0_init, mu1_init, s0_init, s1_init, 0.95, 0.95])
+    lower = [-np.inf, -np.inf, 1e-12 * scale, 1e-12 * scale, 0.0, 0.0]
+    upper = [np.inf, np.inf, np.inf, np.inf, 1.0, 1.0]
+    # overflowed shots give a start that is not finite, and (near-)constant
+    # ones start a width below its floor
+    if not np.all(np.isfinite(p_init) & (lower <= p_init)):
+        raise NumericalError(
+            f"mixture fit cannot start: the shots put the initial parameters "
+            f"{p_init.tolist()} outside the bounds {lower}")
+
+    edges = _fd_bin_edges(pooled)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    hist0 = np.histogram(x0v, bins=edges, density=True)[0]
+    hist1 = np.histogram(x1v, bins=edges, density=True)[0]
 
     def residuals(p):
         mu0, mu1, s0, s1, a0, a1 = p
@@ -369,8 +384,6 @@ def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet) -> GaussianMixtureFit:
         model1 = (1.0 - a1) * g0 + a1 * g1
         return np.concatenate([model0 - hist0, model1 - hist1])
 
-    lower = [-np.inf, -np.inf, 1e-12 * scale, 1e-12 * scale, 0.0, 0.0]
-    upper = [np.inf, np.inf, np.inf, np.inf, 1.0, 1.0]
     result = least_squares(residuals, p_init, bounds=(lower, upper),
                            xtol=1e-8, ftol=1e-12, gtol=None, max_nfev=_MAX_NFEV)
     if result.status == 0:

@@ -20,7 +20,7 @@ from quantromon.flux import (
     FluxConfig,
     FluxMode,
     evaluate_flux_point,
-    junction_energies_from_circuit,
+    junction_energies,
     sweep,
 )
 from quantromon.numeric import Truncation, numeric_spectrum
@@ -43,7 +43,6 @@ TABLE = CircuitParams(l_j=8.2e-9, c_j=56.88e-15, l_r=0.546e-9, c_r=781.8e-15,
 EN = derive_energies(TABLE)
 EN_ASYM = derive_energies(dataclasses.replace(TABLE, d_j=0.045))
 
-SAMPLE_A = dataclasses.replace(TABLE, d_j=0.045)
 COHERENCE_A = CoherenceConfig(q_diel=1.1e6, kappa=1.28e6)
 
 SAMPLE_C = ReadoutParams(omega_r=7.4e9, two_chi=1.37e6, kappa_ext=0.90e6,
@@ -65,7 +64,7 @@ def criterion(label: str):
 
 
 def _sample_a_flux() -> FluxConfig:
-    e_j1, e_j2 = junction_energies_from_circuit(SAMPLE_A)
+    e_j1, e_j2 = junction_energies(EN_ASYM)
     return FluxConfig(mode=FluxMode.BOTH_SQUIDS, e_j1_zero=e_j1,
                       e_j2_zero=e_j2, area_ratio_a=0.0423, n=0)
 
@@ -130,7 +129,7 @@ def test_c04_exact_zero_properties():
 
 def test_c05_flux_sweep_trend():
     with criterion("criterion 5 (flux sweep trend)"):
-        rows = sweep(SAMPLE_A, _sample_a_flux(), list(range(10)), COHERENCE_A)
+        rows = sweep(EN_ASYM, _sample_a_flux(), list(range(10)), COHERENCE_A)
         assert all(r.error is None for r in rows)
         shifts = [r.two_chi_total for r in rows]
         assert all(hi > lo for hi, lo in zip(shifts, shifts[1:]))
@@ -144,7 +143,7 @@ def test_c06_purcell_protection():
     with criterion("criterion 6 (Purcell comparison)"):
         checked = 0
         for n in range(10):
-            point = evaluate_flux_point(SAMPLE_A, _sample_a_flux(), n, COHERENCE_A)
+            point = evaluate_flux_point(EN_ASYM, _sample_a_flux(), n, COHERENCE_A)
             if abs(point.spectrum.delta) < 1e9:
                 continue
             checked += 1

@@ -1,4 +1,5 @@
 import csv
+import gc
 import importlib.resources
 import json
 import math
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -37,7 +39,26 @@ class TestConfigParsing:
     def test_bundled_configs_load(self):
         for path in (SAMPLE_A, SAMPLE_B, SAMPLE_C, REFERENCE):
             cfg = load_config(path)
-            assert cfg.circuit is not None
+            assert cfg.energies is not None
+
+    @pytest.mark.parametrize("command", ["energies", "spectrum", "chi-sweep", "t1-model"])
+    @pytest.mark.parametrize("path", [REFERENCE, SAMPLE_A, SAMPLE_B, SAMPLE_C],
+                             ids=lambda path: Path(path).stem)
+    def test_energies_derived_once_per_command(self, monkeypatch, capsys, path, command):
+        # load_config derives the circuit's energies; the commands and the
+        # flux pipeline take them from there, at every flux point
+        derive = quantromon.params.derive_energies
+        calls = []
+
+        def counting(params):
+            calls.append(params)
+            return derive(params)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("quantromon") and getattr(module, "derive_energies", None) is derive:
+                monkeypatch.setattr(module, "derive_energies", counting)
+        run([command, "--config", path])
+        assert len(calls) == 1
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
@@ -332,6 +353,47 @@ class TestReadoutCommands:
         assert run(argv) == 0
         assert recorded == [(0, 2000, 3), (1, 2000, 3)][:calls]
 
+    def test_base_shot_sets_freed_before_table(self, tmp_path, monkeypatch):
+        # with --out and readout_sim.tau_list the two base sets are only
+        # exported; they must not stay alive while the per-tau table runs
+        simulate = quantromon.cli.simulate_shots
+        table = quantromon.cli.error_vs_integration
+        refs = []
+
+        def recording(*args):
+            shots = simulate(*args)
+            refs.append(weakref.ref(shots))
+            return shots
+
+        def checking(*args):
+            gc.collect()
+            assert len(refs) == 2 and all(ref() is None for ref in refs)
+            return table(*args)
+
+        monkeypatch.setattr(quantromon.cli, "simulate_shots", recording)
+        monkeypatch.setattr(quantromon.cli, "error_vs_integration", checking)
+        assert run(["readout-sim", "--config", SAMPLE_C, "--shots", "2000",
+                    "--out", str(tmp_path / "report.csv")]) == 0
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("readout", "kappa_ext", 1e308),
+        ("readout", "nbar", 1e308),
+        ("readout", "noise_scale", 0),
+        ("readout", "noise_scale", 1e308),
+        ("readout_sim", "tau_list", 1e308),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on overflowed shots
+    def test_unstartable_fit_exits_2(self, tmp_path, capsys, section, key, value):
+        cfg = json.loads(Path(SAMPLE_C).read_text())
+        if key == "tau_list":
+            cfg[section][key][3] = value
+        else:
+            cfg[section][key] = value
+        path = _write_config(tmp_path, cfg)
+        assert run(["readout-sim", "--config", path, "--shots", "2000"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: mixture fit cannot start")
+
     def test_fit_round_trip_matches_sim_report(self, tmp_path):
         cfg = json.loads(Path(SAMPLE_C).read_text())
         del cfg["readout_sim"]["tau_list"]  # single-point report
@@ -356,8 +418,8 @@ class TestReadoutCommands:
 
 class TestSimOptions:
     """--shots/--seed and readout_sim pass one check: 1 <= n_shots <=
-    MAX_SHOTS and 0 <= seed < 2**64. No test here simulates more than 100
-    shots."""
+    MAX_SHOTS, 0 <= seed < 2**64 and every tau_list entry finite and > 0.
+    No test here simulates more than 100 shots."""
 
     def test_negative_seed_flag_exits_1(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -397,6 +459,18 @@ class TestSimOptions:
         path = _write_config(tmp_path, cfg)
         assert run(["readout-sim", "--config", path, "--shots", "100"]) == 1
         assert "readout_sim.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", [0, -1, math.nan, math.inf])
+    def test_bad_tau_exits_1_before_any_file(self, tmp_path, capsys, tau):
+        cfg = json.loads(Path(SAMPLE_C).read_text())
+        cfg["readout_sim"]["tau_list"][2] = tau
+        path = _write_config(tmp_path, cfg)
+        out = tmp_path / "out" / "report.csv"
+        assert run(["readout-sim", "--config", path, "--out", str(out),
+                    "--shots", "100"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: readout_sim.tau_list entries must be finite and > 0, got {float(tau)!r}\n")
+        assert not out.parent.exists()
 
     def test_largest_seed_accepted(self, tmp_path, capsys):
         assert run(["readout-sim", "--config", SAMPLE_C, "--shots", "100",

@@ -11,8 +11,8 @@ from quantromon.coherence import (
     transmon_equivalent_g,
 )
 from quantromon.errors import ParameterError, UnphysicalRegimeError
-from quantromon.flux import FluxConfig, FluxMode, evaluate_flux_point, junction_energies_from_circuit
-from quantromon.params import CircuitParams
+from quantromon.flux import FluxConfig, FluxMode, evaluate_flux_point, junction_energies
+from quantromon.params import CircuitParams, derive_energies
 
 TWO_PI = 2 * math.pi
 
@@ -102,32 +102,32 @@ class TestTransmonEquivalent:
 
 
 class TestReport:
-    TABLE = CircuitParams(l_j=8.2e-9, c_j=56.88e-15, l_r=0.546e-9,
-                          c_r=781.8e-15, b=0.405, d_j=0.045)
+    EN = derive_energies(CircuitParams(l_j=8.2e-9, c_j=56.88e-15, l_r=0.546e-9,
+                                       c_r=781.8e-15, b=0.405, d_j=0.045))
     COH = CoherenceConfig(q_diel=1.1e6, kappa=1.28e6)
 
     def _cfg(self):
-        e_j1, e_j2 = junction_energies_from_circuit(self.TABLE)
+        e_j1, e_j2 = junction_energies(self.EN)
         return FluxConfig(mode=FluxMode.BOTH_SQUIDS, e_j1_zero=e_j1,
                           e_j2_zero=e_j2, area_ratio_a=0.0423, n=0)
 
     def test_rate_sum_identity(self):
-        point = evaluate_flux_point(self.TABLE, self._cfg(), 3, self.COH)
+        point = evaluate_flux_point(self.EN, self._cfg(), 3, self.COH)
         rep = point.coherence
         assert 1 / rep.t1_model == pytest.approx(
             1 / rep.t1_diel + 1 / rep.t1_asymm, rel=1e-12)
         assert rep.t1_diel > 0 and rep.t1_asymm > 0
 
     def test_purcell_matters_only_at_smallest_detuning(self):
-        p0 = evaluate_flux_point(self.TABLE, self._cfg(), 0, self.COH).coherence
-        p5 = evaluate_flux_point(self.TABLE, self._cfg(), 5, self.COH).coherence
+        p0 = evaluate_flux_point(self.EN, self._cfg(), 0, self.COH).coherence
+        p5 = evaluate_flux_point(self.EN, self._cfg(), 5, self.COH).coherence
         assert p0.t1_asymm / p0.t1_diel < 10  # comparable at zero flux
         assert p5.t1_asymm / p5.t1_diel > 50  # negligible at large detuning
 
     def test_protection_ratio_grows_with_detuning(self):
         ratios = []
         for n in range(5, 10):
-            rep = evaluate_flux_point(self.TABLE, self._cfg(), n, self.COH).coherence
+            rep = evaluate_flux_point(self.EN, self._cfg(), n, self.COH).coherence
             ratios.append(rep.t1_asymm / rep.t1_transmon_purcell)
         assert all(r >= 10 for r in ratios)
 

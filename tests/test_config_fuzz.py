@@ -35,6 +35,7 @@ COMMANDS = {
     "chi-sweep": ["chi-sweep"],
     "t1-model": ["t1-model"],
     "phase": ["phase"],
+    "readout-sim": ["readout-sim", "--shots", "2000"],
 }
 PREFIXES = {1: "error: ", 2: "numerical failure: "}
 

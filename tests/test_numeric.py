@@ -230,11 +230,11 @@ class TestObservables:
         lo, hi = 1e9, 1e12
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if dressed_spectrum(energies_at_flux(TABLE, mid, 0.0)).delta < 0:
+            if dressed_spectrum(energies_at_flux(EN, mid, 0.0)).delta < 0:
                 lo = mid
             else:
                 hi = mid
-        en_res = energies_at_flux(TABLE, 0.5 * (lo + hi), 0.3)
+        en_res = energies_at_flux(EN, 0.5 * (lo + hi), 0.3)
         with pytest.raises(AmbiguousLabelingError):
             numeric_spectrum(en_res, Truncation(12, 12))
 

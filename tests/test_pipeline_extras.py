@@ -11,7 +11,7 @@ import pytest
 from quantromon.cli import run
 from quantromon.coherence import CoherenceConfig
 from quantromon.flux import FluxConfig, FluxMode, evaluate_flux_point, sweep
-from quantromon.params import CircuitParams
+from quantromon.params import CircuitParams, derive_energies
 from quantromon.readout import (
     ReadoutParams,
     fidelity_report,
@@ -25,6 +25,7 @@ from quantromon.readout import (
 
 TABLE = CircuitParams(l_j=8.2e-9, c_j=56.88e-15, l_r=0.546e-9, c_r=781.8e-15,
                       b=0.405, d_j=0.045)
+EN = derive_energies(TABLE)
 COH = CoherenceConfig(q_diel=1.1e6, kappa=1.28e6)
 SAMPLE_C = ReadoutParams(omega_r=7.4e9, two_chi=1.37e6, kappa_ext=0.90e6,
                          kappa_int=0.38e6, nbar=30.0, tau=1.8e-6, t1=50e-6)
@@ -33,14 +34,14 @@ SAMPLE_C = ReadoutParams(omega_r=7.4e9, two_chi=1.37e6, kappa_ext=0.90e6,
 class TestFixedModePipeline:
     def test_fixed_bias_ignores_flux_quanta(self):
         cfg = FluxConfig(mode=FluxMode.FIXED, e_j1_zero=20.8e9, e_j2_zero=19.1e9)
-        a = evaluate_flux_point(TABLE, cfg, 0, COH)
-        b = evaluate_flux_point(TABLE, cfg, 7, COH)
+        a = evaluate_flux_point(EN, cfg, 0, COH)
+        b = evaluate_flux_point(EN, cfg, 7, COH)
         assert a.spectrum == b.spectrum
         assert a.e_jsigma == 20.8e9 + 19.1e9
 
     def test_fixed_sweep_rows_identical(self):
         cfg = FluxConfig(mode=FluxMode.FIXED, e_j1_zero=20.8e9, e_j2_zero=19.1e9)
-        rows = sweep(TABLE, cfg, [0, 3, -2], COH)
+        rows = sweep(EN, cfg, [0, 3, -2], COH)
         assert rows[0].two_chi_total == rows[1].two_chi_total == rows[2].two_chi_total
 
 

@@ -13,6 +13,7 @@ from scipy.special import ndtr, ndtri
 
 from quantromon.errors import (
     DegenerateMixtureError,
+    NumericalError,
     ParameterError,
     ThresholdError,
 )
@@ -176,6 +177,14 @@ class TestSimulateShots:
         with pytest.raises(ParameterError):
             simulate_shots(SAMPLE_C, 0, 0, 0)
 
+    @pytest.mark.parametrize("state", [True, 1.0, 2])
+    def test_prepared_state_must_be_integer_0_or_1(self, state):
+        # True would write "prepared_state=True", which the CSV import rejects
+        with pytest.raises(ParameterError, match=r"prepared must be 0 or 1"):
+            simulate_shots(SAMPLE_C, state, 100, 0)
+        with pytest.raises(ParameterError, match=r"prepared_state must be 0 or 1"):
+            _as_shotset([0.5], prepared=state)
+
     @pytest.mark.parametrize("seed", [2**64, -1])
     def test_seed_out_of_range_rejected(self, seed):
         # masking would alias these to the shots of seed 0 and 2**64 - 1
@@ -324,6 +333,17 @@ class TestFit:
     def test_too_few_shots_degenerate(self):
         with pytest.raises(DegenerateMixtureError):
             fit_double_gaussian(_as_shotset([0.1]), _as_shotset([1.2], prepared=1))
+
+    @pytest.mark.parametrize("values0, values1", [
+        ([1.5] * 10, [1.5] * 10),                # constant: no width to start from
+        ([1e-151, -1e-151] * 5, [2e-151] * 10),  # spread below the width floor
+        ([1e154, -1e154] * 5, [1e154] * 10),     # spread overflows
+        ([math.inf, 0.0] * 5, [1.0] * 10),       # overflowed shot
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on overflowed input
+    def test_unstartable_fit_is_numerical_error(self, values0, values1):
+        with pytest.raises(NumericalError, match="mixture fit cannot start"):
+            fit_double_gaussian(_as_shotset(values0), _as_shotset(values1, prepared=1))
 
     def test_device_like_decay_weights(self):
         s0 = simulate_shots(SAMPLE_C, 0, 50000, 4)

@@ -93,7 +93,9 @@ def _keys(cls) -> set[str]:
 _SECTIONS = {
     "description": None,
     "circuit": _keys(CircuitParams),
-    "flux": _keys(FluxConfig),
+    # flux.n is still accepted and checked for compatibility with older
+    # configs; no command reads it, since sweeps take sweep.n_list
+    "flux": _keys(FluxConfig) | {"n"},
     "coherence": _keys(CoherenceConfig),
     "readout": _keys(ReadoutParams),
     "sweep": {"n_list"},
@@ -175,7 +177,6 @@ def _parse_flux(section: dict, energies: ModeEnergies | None) -> FluxConfig:
         mode=mode, e_j1_zero=e_j1, e_j2_zero=e_j2,
         area_ratio_a=_require_number("flux", "area_ratio_a",
                                      section.get("area_ratio_a", 0.0)),
-        n=n,
     )
 
 

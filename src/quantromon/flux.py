@@ -4,13 +4,15 @@ Two tunable layouts are modeled: both junctions replaced by (identical)
 SQUIDs, so the summed energy scales by |cos(n*pi*a)| with the asymmetry
 unchanged, and a single SQUID, where E_Jsigma = E_J1 + E_J2*cos(n*pi*a) and
 the asymmetry itself tunes with flux. ``a`` is the SQUID-to-qubit-loop area
-ratio and ``n`` the integer number of flux quanta in the qubit loop;
-fractional flux bias is rejected rather than extrapolated.
+ratio and ``n`` the integer number of flux quanta in the qubit loop, an
+argument of :func:`tuned_junctions`; fractional flux bias is rejected
+rather than extrapolated.
 
 The pipeline works on mode energies, not circuit elements: every function
 takes the circuit's zero-flux :class:`~quantromon.params.ModeEnergies`
 (from :func:`~quantromon.params.derive_energies`), and tuning replaces only
-its ``e_j`` by ``E_Jsigma/2`` and its ``d_j`` by the tuned asymmetry.
+its ``e_j`` by ``E_Jsigma/2`` and its ``d_j`` by the tuned asymmetry. A
+flux point's one record is its :class:`SweepRow`.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
-from .analytic import SpectrumResult, dressed_spectrum
-from .coherence import CoherenceConfig, CoherenceReport, coherence_report
+from .analytic import dressed_spectrum
+from .coherence import CoherenceConfig, coherence_report
 from .errors import NumericalError, ParameterError, UnphysicalOperatingPointError
 from .params import ModeEnergies
 
@@ -29,7 +31,6 @@ __all__ = [
     "FluxMode",
     "FluxConfig",
     "SweepRow",
-    "FluxPointResult",
     "tuned_junctions",
     "junction_energies",
     "energies_at_flux",
@@ -48,19 +49,17 @@ class FluxMode(enum.Enum):
 
 @dataclass(frozen=True)
 class FluxConfig:
-    """Zero-flux junction energies (Hz) plus the flux operating point.
+    """Zero-flux junction energies (Hz), tuning layout and SQUID area ratio.
 
     Both energies must be finite and >= 0, with a positive sum
-    (``e_j2_zero = 0`` models a single junction). ``n`` must be an integer;
-    the config's ``flux.n`` is checked but no command reads it, since the
-    sweeps take their biases from ``sweep.n_list``.
+    (``e_j2_zero = 0`` models a single junction). The flux bias is not part
+    of it: :func:`tuned_junctions` takes ``n`` as an argument.
     """
 
     mode: FluxMode
     e_j1_zero: float
     e_j2_zero: float
     area_ratio_a: float = 0.0
-    n: int = 0
 
     def __post_init__(self):
         for key in ("e_j1_zero", "e_j2_zero"):
@@ -74,20 +73,20 @@ class FluxConfig:
                 f"area_ratio_a must lie in (0, 1) for tunable modes, "
                 f"got {self.area_ratio_a!r}"
             )
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ParameterError(f"flux bias n must be an integer, got {self.n!r}")
 
 
-def tuned_junctions(cfg: FluxConfig) -> tuple[float, float]:
+def tuned_junctions(cfg: FluxConfig, n: int) -> tuple[float, float]:
     """Summed junction energy E_Jsigma (Hz) and asymmetry d_j at flux bias n."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParameterError(f"flux bias n must be an integer, got {n!r}")
     e_j1, e_j2 = cfg.e_j1_zero, cfg.e_j2_zero
-    phase = cfg.n * math.pi * cfg.area_ratio_a
+    phase = n * math.pi * cfg.area_ratio_a
     if cfg.mode is FluxMode.ONE_SQUID:
         e_j2 *= math.cos(phase)
     e_jsigma = e_j1 + e_j2
     if e_jsigma <= 0.0:
         raise UnphysicalOperatingPointError(
-            f"E_Jsigma = {e_jsigma:.4g} Hz <= 0 at n = {cfg.n}: "
+            f"E_Jsigma = {e_jsigma:.4g} Hz <= 0 at n = {n}: "
             "SQUID tuned through zero"
         )
     d_j = (e_j1 - e_j2) / e_jsigma
@@ -96,7 +95,7 @@ def tuned_junctions(cfg: FluxConfig) -> tuple[float, float]:
         e_jsigma *= abs(math.cos(phase))
         if e_jsigma <= 0.0:
             raise UnphysicalOperatingPointError(
-                f"E_Jsigma = 0 at n = {cfg.n}: SQUIDs biased at half flux quantum"
+                f"E_Jsigma = 0 at n = {n}: SQUIDs biased at half flux quantum"
             )
     return e_jsigma, d_j
 
@@ -118,15 +117,6 @@ def energies_at_flux(en: ModeEnergies, e_jsigma: float, d_j: float) -> ModeEnerg
 
 
 @dataclass(frozen=True)
-class FluxPointResult:
-    n: int
-    e_jsigma: float
-    d_j: float
-    spectrum: SpectrumResult
-    coherence: CoherenceReport
-
-
-@dataclass(frozen=True)
 class SweepRow:
     """One flux operating point of the sweep: the tuned junctions, the dressed
     spectrum and the whole coherence budget; ``error`` is set for failed rows."""
@@ -145,9 +135,10 @@ class SweepRow:
 
 
 def evaluate_flux_point(en: ModeEnergies, cfg: FluxConfig, n: int,
-                        coherence: CoherenceConfig) -> FluxPointResult:
-    """Tuned junctions -> energies -> dressed spectrum -> coherence budget."""
-    e_jsigma, d_j = tuned_junctions(replace(cfg, n=n))
+                        coherence: CoherenceConfig) -> SweepRow:
+    """Tuned junctions -> energies -> dressed spectrum -> coherence budget,
+    as the :class:`SweepRow` of bias ``n``."""
+    e_jsigma, d_j = tuned_junctions(cfg, n)
     spec = dressed_spectrum(energies_at_flux(en, e_jsigma, d_j))
     report = coherence_report(
         omega_q_t=spec.omega_q_t,
@@ -157,8 +148,8 @@ def evaluate_flux_point(en: ModeEnergies, cfg: FluxConfig, n: int,
         alpha_q=spec.alpha_q,
         cfg=coherence,
     )
-    return FluxPointResult(n=n, e_jsigma=e_jsigma, d_j=d_j,
-                           spectrum=spec, coherence=report)
+    return SweepRow(n=n, e_jsigma=e_jsigma, d_j=d_j, omega_q_t=spec.omega_q_t,
+                    delta=spec.delta, two_chi_total=spec.two_chi_total, **asdict(report))
 
 
 def sweep(en: ModeEnergies, cfg: FluxConfig, n_list: list[int],
@@ -172,19 +163,9 @@ def sweep(en: ModeEnergies, cfg: FluxConfig, n_list: list[int],
     rows: list[SweepRow] = []
     for n in n_list:
         try:
-            point = evaluate_flux_point(en, cfg, n, coherence)
+            rows.append(evaluate_flux_point(en, cfg, n, coherence))
         except (NumericalError, ParameterError) as exc:
             rows.append(SweepRow(n=n, error=f"{type(exc).__name__}: {exc}"))
-            continue
-        rows.append(SweepRow(
-            n=n,
-            e_jsigma=point.e_jsigma,
-            d_j=point.d_j,
-            omega_q_t=point.spectrum.omega_q_t,
-            delta=point.spectrum.delta,
-            two_chi_total=point.spectrum.two_chi_total,
-            **asdict(point.coherence),
-        ))
     return rows
 
 
@@ -223,7 +204,7 @@ def _scan_area(mode: FluxMode, e_j1: float, e_j2: float, anchor_n: int, cost) ->
     best_a, best_cost = None, math.inf
     for a in (k * _A_STEP for k in range(1, int(a_max / _A_STEP) + 1)):
         try:
-            tuned = tuned_junctions(FluxConfig(mode, e_j1, e_j2, a, anchor_n))
+            tuned = tuned_junctions(FluxConfig(mode, e_j1, e_j2, a), anchor_n)
         except UnphysicalOperatingPointError:
             continue
         c = cost(*tuned)
@@ -255,7 +236,7 @@ def fit_one_squid(en: ModeEnergies, f_q_zero: float, d_j_zero: float,
     a = _scan_area(FluxMode.ONE_SQUID, e_j1, e_j2, anchor_n,
                    lambda e_jsigma, d_j: abs(d_j - d_j_anchor))
     return FluxConfig(mode=FluxMode.ONE_SQUID, e_j1_zero=e_j1, e_j2_zero=e_j2,
-                      area_ratio_a=a, n=0)
+                      area_ratio_a=a)
 
 
 def fit_both_squids_area(en: ModeEnergies, anchor_n: int, f_q_anchor: float) -> float:

@@ -172,7 +172,6 @@ def simulate_shots(p: ReadoutParams, prepared: int, n_shots: int, seed: int) -> 
     m0, m1 = pointer_means(p)
     sigma = _noise_sigma(p)
     u = rng.uniforms(seed, prepared, np.arange(n_shots, dtype=np.uint64))
-    noise = ndtri(u[:, 0]) * sigma
 
     if prepared == 1:
         excited = np.ones(n_shots, dtype=bool)
@@ -180,11 +179,16 @@ def simulate_shots(p: ReadoutParams, prepared: int, n_shots: int, seed: int) -> 
         excited = u[:, 2] < p.thermal_pop
 
     base = np.full(n_shots, m0)
-    if np.any(excited):
-        t_decay = -p.t1 * np.log(u[:, 1][excited])
-        weight = np.minimum(t_decay / p.tau, 1.0)
-        base[excited] = weight * m1 + (1.0 - weight) * m0
-    values = base + noise
+    # a huge t1 overflows the decay time to inf, which is no decay (weight 1);
+    # a huge noise_scale overflows shots to +-inf, which the fit's start check
+    # reports
+    with np.errstate(over="ignore"):
+        noise = ndtri(u[:, 0]) * sigma
+        if np.any(excited):
+            t_decay = -p.t1 * np.log(u[:, 1][excited])
+            weight = np.minimum(t_decay / p.tau, 1.0)
+            base[excited] = weight * m1 + (1.0 - weight) * m0
+        values = base + noise
     return ShotSet(prepared_state=prepared, values=values, seed=seed, params=p)
 
 
@@ -330,6 +334,12 @@ def _fd_bin_edges(pooled: np.ndarray) -> np.ndarray:
 _MAX_NFEV = 2000  # evaluation cap of the mixture fit
 
 
+def _spread(side: np.ndarray) -> float:
+    """Standard deviation of one side of the pooled shots about their median;
+    NaN when the side is empty (all shots equal, or a NaN median)."""
+    return float(np.std(side)) if side.size else math.nan
+
+
 def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet) -> GaussianMixtureFit:
     """Simultaneous least-squares fit of both state histograms.
 
@@ -354,18 +364,18 @@ def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet) -> GaussianMixtureFit:
             f"{x0v.size + x1v.size} shots cannot constrain a six-parameter mixture"
         )
     pooled = np.concatenate([x0v, x1v])
-    mu0_init, mu1_init = np.percentile(pooled, [25.0, 75.0])
-    med = np.median(pooled)
-    lo_side = pooled[pooled <= med]
-    hi_side = pooled[pooled > med]
-    scale = max(float(np.std(pooled)), 1e-12)
-    s0_init = float(np.std(lo_side)) or scale
-    s1_init = float(np.std(hi_side)) or scale
+    # overflowed shots (+-inf, or a spread that overflows) give a start that
+    # is not finite, and (near-)constant ones start a width below its floor;
+    # the check below reports either, so numpy need not warn on the way
+    with np.errstate(all="ignore"):
+        mu0_init, mu1_init = np.percentile(pooled, [25.0, 75.0])
+        med = np.median(pooled)
+        scale = max(float(np.std(pooled)), 1e-12)
+        s0_init = _spread(pooled[pooled <= med]) or scale
+        s1_init = _spread(pooled[pooled > med]) or scale
     p_init = np.array([mu0_init, mu1_init, s0_init, s1_init, 0.95, 0.95])
     lower = [-np.inf, -np.inf, 1e-12 * scale, 1e-12 * scale, 0.0, 0.0]
     upper = [np.inf, np.inf, np.inf, np.inf, 1.0, 1.0]
-    # overflowed shots give a start that is not finite, and (near-)constant
-    # ones start a width below its floor
     if not np.all(np.isfinite(p_init) & (lower <= p_init)):
         raise NumericalError(
             f"mixture fit cannot start: the shots put the initial parameters "

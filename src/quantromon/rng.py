@@ -37,14 +37,17 @@ def philox4x64(counter: np.ndarray, key: tuple[int, int]) -> np.ndarray:
         and must not pass ``2**64 - 1``.
     key : (int, int)
         The two 64-bit key words, the seed and the stream, each an integer
-        in ``[0, 2**64)``; anything else raises :class:`ParameterError`.
+        in ``[0, 2**64)``; anything else, a ``bool`` included, raises
+        :class:`ParameterError`.
 
     Returns
     -------
     array of uint64, shape (n, 4)
     """
     for name, word in zip(("seed", "stream"), key):
-        if not (isinstance(word, (int, np.integer)) and 0 <= word <= _MASK64):
+        # bool is an int, but True would be written as a seed of "True"
+        if (isinstance(word, bool) or not isinstance(word, (int, np.integer))
+                or not 0 <= word <= _MASK64):
             raise ParameterError(f"{name} must be an integer in [0, 2**64), got {word!r}")
     c = np.asarray(counter, dtype=np.uint64)
     n = c.size

@@ -232,6 +232,17 @@ class TestSweepCommands:
         assert captured.out == ""
         assert "e_j2_zero" in captured.err
 
+    @pytest.mark.parametrize("n", [1.5, "x", True])
+    def test_non_integer_flux_n_exits_1(self, tmp_path, capsys, n):
+        # no command reads flux.n, but configs carrying it are still checked
+        cfg = json.loads(Path(SAMPLE_A).read_text())
+        cfg["flux"]["n"] = n
+        path = _write_config(tmp_path, cfg)
+        assert run(["chi-sweep", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: flux.n must be an integer, got {n!r}\n"
+
     @pytest.mark.parametrize("command", ["chi-sweep", "t1-model"])
     def test_programming_error_writes_no_rows(self, tmp_path, monkeypatch, command):
         def broken(*args):
@@ -382,7 +393,6 @@ class TestReadoutCommands:
         ("readout", "noise_scale", 1e308),
         ("readout_sim", "tau_list", 1e308),
     ])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on overflowed shots
     def test_unstartable_fit_exits_2(self, tmp_path, capsys, section, key, value):
         cfg = json.loads(Path(SAMPLE_C).read_text())
         if key == "tau_list":

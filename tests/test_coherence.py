@@ -109,25 +109,24 @@ class TestReport:
     def _cfg(self):
         e_j1, e_j2 = junction_energies(self.EN)
         return FluxConfig(mode=FluxMode.BOTH_SQUIDS, e_j1_zero=e_j1,
-                          e_j2_zero=e_j2, area_ratio_a=0.0423, n=0)
+                          e_j2_zero=e_j2, area_ratio_a=0.0423)
 
     def test_rate_sum_identity(self):
-        point = evaluate_flux_point(self.EN, self._cfg(), 3, self.COH)
-        rep = point.coherence
+        rep = evaluate_flux_point(self.EN, self._cfg(), 3, self.COH)
         assert 1 / rep.t1_model == pytest.approx(
             1 / rep.t1_diel + 1 / rep.t1_asymm, rel=1e-12)
         assert rep.t1_diel > 0 and rep.t1_asymm > 0
 
     def test_purcell_matters_only_at_smallest_detuning(self):
-        p0 = evaluate_flux_point(self.EN, self._cfg(), 0, self.COH).coherence
-        p5 = evaluate_flux_point(self.EN, self._cfg(), 5, self.COH).coherence
+        p0 = evaluate_flux_point(self.EN, self._cfg(), 0, self.COH)
+        p5 = evaluate_flux_point(self.EN, self._cfg(), 5, self.COH)
         assert p0.t1_asymm / p0.t1_diel < 10  # comparable at zero flux
         assert p5.t1_asymm / p5.t1_diel > 50  # negligible at large detuning
 
     def test_protection_ratio_grows_with_detuning(self):
         ratios = []
         for n in range(5, 10):
-            rep = evaluate_flux_point(self.EN, self._cfg(), n, self.COH).coherence
+            rep = evaluate_flux_point(self.EN, self._cfg(), n, self.COH)
             ratios.append(rep.t1_asymm / rep.t1_transmon_purcell)
         assert all(r >= 10 for r in ratios)
 

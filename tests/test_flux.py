@@ -31,28 +31,28 @@ B_EJ2 = 13792345561.105001
 B_AREA = 0.0625
 
 
-def both_squids(n=0, a=0.068, e_j1=20e9, e_j2=20e9):
+def both_squids(a=0.068, e_j1=20e9, e_j2=20e9):
     return FluxConfig(mode=FluxMode.BOTH_SQUIDS, e_j1_zero=e_j1, e_j2_zero=e_j2,
-                      area_ratio_a=a, n=n)
+                      area_ratio_a=a)
 
 
 class TestTunedJunctions:
     def test_zero_flux_identity(self):
         cfg = FluxConfig(mode=FluxMode.ONE_SQUID, e_j1_zero=7e9, e_j2_zero=14e9,
-                         area_ratio_a=0.06, n=0)
-        e_jsigma, d_j = tuned_junctions(cfg)
+                         area_ratio_a=0.06)
+        e_jsigma, d_j = tuned_junctions(cfg, 0)
         assert e_jsigma == 21e9
         assert d_j == (7e9 - 14e9) / 21e9
 
     def test_both_squids_preserves_asymmetry(self):
         cfg = FluxConfig(mode=FluxMode.BOTH_SQUIDS, e_j1_zero=20.9e9,
-                         e_j2_zero=19.1e9, area_ratio_a=0.05, n=4)
-        e_jsigma, d_j = tuned_junctions(cfg)
+                         e_j2_zero=19.1e9, area_ratio_a=0.05)
+        e_jsigma, d_j = tuned_junctions(cfg, 4)
         assert d_j == (20.9e9 - 19.1e9) / 40e9
         assert e_jsigma == 40e9 * abs(math.cos(4 * math.pi * 0.05))
 
     def test_nominal_area_nine_quanta_scaling(self):
-        e_jsigma, _ = tuned_junctions(both_squids(n=9, a=0.068))
+        e_jsigma, _ = tuned_junctions(both_squids(a=0.068), 9)
         scale = e_jsigma / 40e9
         assert scale == pytest.approx(abs(math.cos(9 * math.pi * 0.068)), rel=1e-12)
         assert scale == pytest.approx(0.345, abs=0.005)
@@ -60,28 +60,29 @@ class TestTunedJunctions:
     def test_cosine_periodicity(self):
         # with a = 0.25 the tuning pattern repeats every 8 flux quanta
         for n in range(-3, 4):
-            ejs_a, dj_a = tuned_junctions(both_squids(n=n, a=0.25))
-            ejs_b, dj_b = tuned_junctions(both_squids(n=n + 8, a=0.25))
+            ejs_a, dj_a = tuned_junctions(both_squids(a=0.25), n)
+            ejs_b, dj_b = tuned_junctions(both_squids(a=0.25), n + 8)
             # abs term covers the half-flux points where |cos| is float noise
             assert ejs_a == pytest.approx(ejs_b, rel=1e-12, abs=1e-3)
             assert dj_a == dj_b
 
     def test_one_squid_without_squid_reduces_to_fixed(self):
         cfg = FluxConfig(mode=FluxMode.ONE_SQUID, e_j1_zero=21e9, e_j2_zero=0.0,
-                         area_ratio_a=0.06, n=7)
+                         area_ratio_a=0.06)
         fixed = FluxConfig(mode=FluxMode.FIXED, e_j1_zero=21e9, e_j2_zero=0.0)
-        assert tuned_junctions(cfg) == tuned_junctions(fixed)
+        assert tuned_junctions(cfg, 7) == tuned_junctions(fixed, 0)
 
     def test_squid_through_zero_rejected(self):
         cfg = FluxConfig(mode=FluxMode.ONE_SQUID, e_j1_zero=1e9, e_j2_zero=20e9,
-                         area_ratio_a=0.2, n=5)  # cos(pi) = -1
+                         area_ratio_a=0.2)
         with pytest.raises(UnphysicalOperatingPointError):
-            tuned_junctions(cfg)
+            tuned_junctions(cfg, 5)  # cos(pi) = -1
 
     def test_fractional_flux_rejected(self):
-        with pytest.raises(ParameterError, match="integer"):
-            FluxConfig(mode=FluxMode.BOTH_SQUIDS, e_j1_zero=20e9, e_j2_zero=20e9,
-                       area_ratio_a=0.05, n=1.5)
+        # bool is an int subclass, but True is no flux bias either
+        for n in (1.5, True):
+            with pytest.raises(ParameterError, match="flux bias n must be an integer"):
+                tuned_junctions(both_squids(a=0.05), n)
 
     @pytest.mark.parametrize("e_j1, e_j2, key", [
         (20e9, -1e9, "e_j2_zero"),
@@ -96,7 +97,7 @@ class TestTunedJunctions:
     def test_area_ratio_bounds(self):
         with pytest.raises(ParameterError, match="area_ratio_a"):
             FluxConfig(mode=FluxMode.BOTH_SQUIDS, e_j1_zero=20e9, e_j2_zero=20e9,
-                       area_ratio_a=1.2, n=0)
+                       area_ratio_a=1.2)
 
 
 class TestJunctionSplit:
@@ -117,12 +118,12 @@ class TestFits:
         assert cfg.area_ratio_a == pytest.approx(B_AREA, abs=1e-12)
         # zero flux: frequency and asymmetry as requested
         point0 = evaluate_flux_point(en, cfg, 0, COH)
-        assert point0.spectrum.omega_q_t == pytest.approx(5.205e9, rel=1e-9)
+        assert point0.omega_q_t == pytest.approx(5.205e9, rel=1e-9)
         assert point0.d_j == pytest.approx(-0.30, rel=1e-12)
         # anchor point: small negative asymmetry, frequency near the measured one
         point5 = evaluate_flux_point(en, cfg, 5, COH)
         assert point5.d_j == pytest.approx(-0.0156, abs=5e-4)
-        assert point5.spectrum.omega_q_t == pytest.approx(4.288e9, rel=0.025)
+        assert point5.omega_q_t == pytest.approx(4.288e9, rel=0.025)
 
     def test_fit_both_squids_area(self):
         a = fit_both_squids_area(EN, anchor_n=9, f_q_anchor=4.281e9)
@@ -130,18 +131,18 @@ class TestFits:
         cfg = FluxConfig(mode=FluxMode.BOTH_SQUIDS,
                          e_j1_zero=junction_energies(EN)[0],
                          e_j2_zero=junction_energies(EN)[1],
-                         area_ratio_a=a, n=9)
+                         area_ratio_a=a)
         point = evaluate_flux_point(EN, cfg, 9, COH)
-        assert point.spectrum.omega_q_t == pytest.approx(4.281e9, rel=2e-3)
+        assert point.omega_q_t == pytest.approx(4.281e9, rel=2e-3)
 
     def test_nominal_area_misses_anchor_by_three_percent(self):
         # with the designed 6.8% ratio the identical-SQUID model lands ~3% low
         # at nine flux quanta; the fitted effective ratio absorbs that
         e_j1, e_j2 = junction_energies(EN)
         cfg = FluxConfig(mode=FluxMode.BOTH_SQUIDS, e_j1_zero=e_j1,
-                         e_j2_zero=e_j2, area_ratio_a=0.068, n=9)
+                         e_j2_zero=e_j2, area_ratio_a=0.068)
         point = evaluate_flux_point(EN, cfg, 9, COH)
-        assert point.spectrum.omega_q_t == pytest.approx(4.281e9, rel=0.035)
+        assert point.omega_q_t == pytest.approx(4.281e9, rel=0.035)
 
 
 
@@ -196,8 +197,8 @@ class TestFitRoundTrip:
         n, area = anchor_and_area
         e_j1, e_j2 = junction_energies(EN)
         cfg = FluxConfig(mode=FluxMode.BOTH_SQUIDS, e_j1_zero=e_j1,
-                         e_j2_zero=e_j2, area_ratio_a=area, n=0)
-        f_q = evaluate_flux_point(EN, cfg, n, COH).spectrum.omega_q_t
+                         e_j2_zero=e_j2, area_ratio_a=area)
+        f_q = evaluate_flux_point(EN, cfg, n, COH).omega_q_t
         assert fit_both_squids_area(EN, anchor_n=n, f_q_anchor=f_q) == area
 
     @settings(max_examples=25, deadline=None)
@@ -207,10 +208,10 @@ class TestFitRoundTrip:
         en = derive_energies(dataclasses.replace(TABLE, d_j=d_j))
         e_j1, e_j2 = junction_energies(en)
         cfg = FluxConfig(mode=FluxMode.ONE_SQUID, e_j1_zero=e_j1,
-                         e_j2_zero=e_j2, area_ratio_a=area, n=0)
+                         e_j2_zero=e_j2, area_ratio_a=area)
         point0 = evaluate_flux_point(en, cfg, 0, COH)
         anchor = evaluate_flux_point(en, cfg, n, COH)
-        fit = fit_one_squid(en, f_q_zero=point0.spectrum.omega_q_t,
+        fit = fit_one_squid(en, f_q_zero=point0.omega_q_t,
                             d_j_zero=point0.d_j, anchor_n=n, d_j_anchor=anchor.d_j)
         assert fit.area_ratio_a == area
         assert fit.e_j1_zero == pytest.approx(e_j1, rel=1e-9)
@@ -220,7 +221,7 @@ class TestFitRoundTrip:
 def _sample_a_cfg():
     e_j1, e_j2 = junction_energies(EN)
     return FluxConfig(mode=FluxMode.BOTH_SQUIDS, e_j1_zero=e_j1, e_j2_zero=e_j2,
-                      area_ratio_a=0.0423, n=0)
+                      area_ratio_a=0.0423)
 
 
 class TestSweep:
@@ -229,10 +230,7 @@ class TestSweep:
 
     def test_single_point_matches_direct_evaluation(self):
         rows = sweep(EN, _sample_a_cfg(), [0], COH)
-        point = evaluate_flux_point(EN, _sample_a_cfg(), 0, COH)
-        assert rows[0].omega_q_t == point.spectrum.omega_q_t
-        assert rows[0].two_chi_total == point.spectrum.two_chi_total
-        assert rows[0].t1_model == point.coherence.t1_model
+        assert rows[0] == evaluate_flux_point(EN, _sample_a_cfg(), 0, COH)
         assert rows[0].error is None
 
     def test_deterministic(self):
@@ -242,7 +240,7 @@ class TestSweep:
 
     def test_failed_rows_marked_and_sweep_continues(self):
         cfg = FluxConfig(mode=FluxMode.ONE_SQUID, e_j1_zero=1e9, e_j2_zero=20e9,
-                         area_ratio_a=0.2, n=0)
+                         area_ratio_a=0.2)
         rows = sweep(EN, cfg, [0, 5, 0], COH)  # n=5 tunes through zero
         assert rows[0].error is None
         assert rows[1].error is not None and "Unphysical" in rows[1].error

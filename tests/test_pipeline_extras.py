@@ -8,9 +8,17 @@ import math
 import numpy as np
 import pytest
 
+from quantromon.analytic import dressed_spectrum
 from quantromon.cli import run
 from quantromon.coherence import CoherenceConfig
-from quantromon.flux import FluxConfig, FluxMode, evaluate_flux_point, sweep
+from quantromon.flux import (
+    FluxConfig,
+    FluxMode,
+    energies_at_flux,
+    evaluate_flux_point,
+    sweep,
+    tuned_junctions,
+)
 from quantromon.params import CircuitParams, derive_energies
 from quantromon.readout import (
     ReadoutParams,
@@ -34,10 +42,10 @@ SAMPLE_C = ReadoutParams(omega_r=7.4e9, two_chi=1.37e6, kappa_ext=0.90e6,
 class TestFixedModePipeline:
     def test_fixed_bias_ignores_flux_quanta(self):
         cfg = FluxConfig(mode=FluxMode.FIXED, e_j1_zero=20.8e9, e_j2_zero=19.1e9)
-        a = evaluate_flux_point(EN, cfg, 0, COH)
-        b = evaluate_flux_point(EN, cfg, 7, COH)
-        assert a.spectrum == b.spectrum
-        assert a.e_jsigma == 20.8e9 + 19.1e9
+        a, b = (dressed_spectrum(energies_at_flux(EN, *tuned_junctions(cfg, n)))
+                for n in (0, 7))
+        assert a == b
+        assert evaluate_flux_point(EN, cfg, 0, COH).e_jsigma == 20.8e9 + 19.1e9
 
     def test_fixed_sweep_rows_identical(self):
         cfg = FluxConfig(mode=FluxMode.FIXED, e_j1_zero=20.8e9, e_j2_zero=19.1e9)

@@ -340,7 +340,6 @@ class TestFit:
         ([1e154, -1e154] * 5, [1e154] * 10),     # spread overflows
         ([math.inf, 0.0] * 5, [1.0] * 10),       # overflowed shot
     ])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on overflowed input
     def test_unstartable_fit_is_numerical_error(self, values0, values1):
         with pytest.raises(NumericalError, match="mixture fit cannot start"):
             fit_double_gaussian(_as_shotset(values0), _as_shotset(values1, prepared=1))

@@ -117,6 +117,7 @@ def test_non_consecutive_indices_rejected(indices):
 
 @pytest.mark.parametrize("seed, stream, name", [
     (2**64, 0, "seed"), (-1, 0, "seed"), (1.0, 0, "seed"), (0, 2**64, "stream"),
+    (True, 0, "seed"), (0, False, "stream"),
 ])
 def test_key_words_outside_64_bits_rejected(seed, stream, name):
     with pytest.raises(ParameterError, match=f"{name} must be an integer"):

@@ -242,7 +242,7 @@ def _cell(value) -> str:
 
 
 def _json_safe(value):
-    if isinstance(value, float) and math.isnan(value):
+    if isinstance(value, float) and not math.isfinite(value):  # JSON has no nan or inf
         return None
     return value
 
@@ -250,7 +250,7 @@ def _json_safe(value):
 def _emit(rows: list[dict], out: str | None, fmt: str) -> None:
     if fmt == "json":
         payload = [{k: _json_safe(v) for k, v in row.items()} for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         writer_rows = [list(rows[0].keys())] + [
             [_cell(v) for v in row.values()] for row in rows

@@ -139,7 +139,7 @@ def _sector_entries(terms: list, sectors: list[np.ndarray], trunc: Truncation) -
             for s, idx in enumerate(sectors)]
 
 
-def build_hamiltonian(en: ModeEnergies, trunc: Truncation, include_quartics: bool = True
+def build_hamiltonian(en: ModeEnergies, trunc: Truncation
                       ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The truncated quartic Hamiltonian (Hz) as its parity blocks.
 
@@ -161,9 +161,6 @@ def build_hamiltonian(en: ModeEnergies, trunc: Truncation, include_quartics: boo
     returned, each in one more array: the scale is ``max(h.max(), -h.min())``
     (not finite when an entry is not), the asymmetry the largest entry of
     ``h - h.T``; the array then holds ``0.5*(h + h.T)`` and is returned.
-
-    ``include_quartics=False`` keeps only the quadratic and transverse parts
-    (harmonic limit, used by tests).
     """
     n_q, n_r, e_jsigma = trunc.n_q, trunc.n_r, en.e_jq
     sectors = parity_sectors(trunc, per_mode=en.d_j == 0.0)
@@ -173,13 +170,11 @@ def build_hamiltonian(en: ModeEnergies, trunc: Truncation, include_quartics: boo
         x2_q, x2_r = x_q @ x_q, x_r @ x_r
         h_q = 4.0 * en.e_cq * n2_q + (en.e_jq / 2.0) * x2_q
         h_r = 4.0 * en.e_cr * n2_r + (en.e_jr / 2.0) * x2_r
-        if include_quartics:
-            h_q = h_q - (e_jsigma / 24.0) * (x2_q @ x2_q)
-            h_r = h_r - (en.b**4 / 384.0) * e_jsigma * (x2_r @ x2_r)
+        h_q = h_q - (e_jsigma / 24.0) * (x2_q @ x2_q)
+        h_r = h_r - (en.b**4 / 384.0) * e_jsigma * (x2_r @ x2_r)
         # (a, b, c): the term c*kron(a, b), in the order the terms are summed
-        terms = [(h_q, np.eye(n_r), 1.0), (np.eye(n_q), h_r, 1.0)]
-        if include_quartics:
-            terms.append((x2_q, x2_r, -(en.b**2 / 16.0) * e_jsigma))
+        terms = [(h_q, np.eye(n_r), 1.0), (np.eye(n_q), h_r, 1.0),
+                 (x2_q, x2_r, -(en.b**2 / 16.0) * e_jsigma)]
         if en.d_j != 0.0:
             terms.append((x_q, x_r, -(en.d_j * (en.b / 2.0) * e_jsigma)))
         entries = _sector_entries(terms, sectors, trunc)
@@ -215,8 +210,7 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def label_states(w: np.ndarray, v: np.ndarray, trunc: Truncation,
-                 basis: np.ndarray | None = None
+def label_states(w: np.ndarray, v: np.ndarray, trunc: Truncation, basis: np.ndarray
                  ) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
     """Assign each required (m_q, m_r) label to a dressed eigenstate.
 
@@ -229,11 +223,11 @@ def label_states(w: np.ndarray, v: np.ndarray, trunc: Truncation,
     :class:`AmbiguousLabelingError`.
 
     ``basis`` holds the flat product-basis index ``m_q*n_r + m_r`` of each
-    row of ``v`` (default: the full basis, in order); only the required
-    labels inside it are assigned. Returns the dressed energies (Hz) and the
-    overlaps, each keyed by label.
+    row of ``v``: a parity sector's indices, or ``np.arange(trunc.dim)``
+    for the full matrix. Only the required labels inside it are assigned.
+    Returns the dressed energies (Hz) and the overlaps, each keyed by label.
     """
-    basis = np.arange(trunc.dim) if basis is None else np.asarray(basis)
+    basis = np.asarray(basis)
     energies: dict[tuple[int, int], float] = {}
     overlaps: dict[tuple[int, int], float] = {}
     owner: dict[int, tuple[int, int]] = {}
@@ -309,9 +303,8 @@ def parity_sectors(trunc: Truncation, per_mode: bool) -> list[np.ndarray]:
     return [np.flatnonzero(sector == s) for s in range(4 if per_mode else 2)]
 
 
-def numeric_spectrum(en: ModeEnergies, trunc: Truncation | None = None) -> SpectrumResult:
+def numeric_spectrum(en: ModeEnergies, trunc: Truncation = Truncation()) -> SpectrumResult:
     """Build every parity block, diagonalize and label one at a time, then extract."""
-    trunc = trunc or Truncation()
     blocks = build_hamiltonian(en, trunc)  # every block is checked before the first solve
     energies: dict[tuple[int, int], float] = {}
     while blocks:

@@ -158,9 +158,9 @@ def _noise_sigma(p: ReadoutParams) -> float:
 def simulate_shots(p: ReadoutParams, prepared: int, n_shots: int, seed: int) -> ShotSet:
     """Generate a deterministic ShotSet.
 
-    Shot i draws its randoms from the counter-based stream keyed by
-    ``(seed, prepared)`` at counter i, so any evaluation order (or a
-    concurrent split over index ranges) is bit-identical. Excited shots that
+    Shot i draws its randoms from the stream ``(seed, prepared)`` at counter
+    i: one batch of counters 0 to n_shots - 1, so any evaluation order (or a
+    concurrent split over counter ranges) is bit-identical. Excited shots that
     decay at t < tau record the uniform-weight mixture
     ``(t*m1 + (tau - t)*m0)/tau``.
     """
@@ -171,7 +171,7 @@ def simulate_shots(p: ReadoutParams, prepared: int, n_shots: int, seed: int) -> 
 
     m0, m1 = pointer_means(p)
     sigma = _noise_sigma(p)
-    u = rng.uniforms(seed, prepared, np.arange(n_shots, dtype=np.uint64))
+    u = rng.uniforms(seed, prepared, 0, n_shots)
 
     if prepared == 1:
         excited = np.ones(n_shots, dtype=bool)

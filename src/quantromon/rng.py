@@ -1,15 +1,16 @@
 """Counter-based random streams (Philox-4x64, 10 rounds).
 
-Every draw is a pure function of ``(seed, stream, index)``: the generator is
-stateless, so serial loops, vectorized batches, and concurrent workers all
-produce bit-identical values for the same indices. One counter block yields
-four 64-bit words, i.e. up to four independent uniforms per index.
+Every draw is a pure function of ``(seed, stream, counter)``: the generator
+is stateless, so a batch is a range of counters, ``count`` of them from
+``start``, and serial loops, vectorized batches and concurrent workers all
+produce bit-identical values for the same counters. One counter block yields
+four 64-bit words, i.e. up to four independent uniforms per counter.
 
 The blocks come from numpy's C implementation, :class:`numpy.random.Philox`
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), keyed
-by ``(seed, stream)`` and started at the first requested counter. The bits
-are those of Philox-4x64-10 for counters ``(index, 0, 0, 0)``, the same as
-the pure-numpy rounds this module used to compute; known-answer digests in
+by ``(seed, stream)`` and started at ``start``. The bits are those of
+Philox-4x64-10 for counters ``(c, 0, 0, 0)``, the same as the pure-numpy
+rounds this module used to compute; known-answer digests in
 ``tests/test_rng.py`` pin them.
 """
 
@@ -26,15 +27,15 @@ _SHIFT11 = np.uint64(11)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
 
-def philox4x64(counter: np.ndarray, key: tuple[int, int]) -> np.ndarray:
-    """Philox-4x64-10 output blocks for counters ``(c, 0, 0, 0)``.
+def philox4x64(start: int, count: int, key: tuple[int, int]) -> np.ndarray:
+    """Philox-4x64-10 output blocks for counters ``(c, 0, 0, 0)``,
+    ``c = start, ..., start + count - 1``.
 
     Parameters
     ----------
-    counter : array of uint64, shape (n,)
-        First counter word per block; the remaining three words are zero.
-        The counters must be consecutive, ``c0, c0 + 1, ..., c0 + n - 1``,
-        and must not pass ``2**64 - 1``.
+    start, count : int
+        The first counter and the number of blocks; the counters must not
+        pass ``2**64 - 1``.
     key : (int, int)
         The two 64-bit key words, the seed and the stream, each an integer
         in ``[0, 2**64)``; anything else, a ``bool`` included, raises
@@ -42,34 +43,28 @@ def philox4x64(counter: np.ndarray, key: tuple[int, int]) -> np.ndarray:
 
     Returns
     -------
-    array of uint64, shape (n, 4)
+    array of uint64, shape (count, 4)
     """
     for name, word in zip(("seed", "stream"), key):
         # bool is an int, but True would be written as a seed of "True"
         if (isinstance(word, bool) or not isinstance(word, (int, np.integer))
                 or not 0 <= word <= _MASK64):
             raise ParameterError(f"{name} must be an integer in [0, 2**64), got {word!r}")
-    c = np.asarray(counter, dtype=np.uint64)
-    n = c.size
-    if c.ndim != 1:
-        raise ParameterError(f"counter must be one-dimensional, got shape {c.shape}")
-    if n == 0:
-        return np.empty((0, 4), dtype=np.uint64)
-    start = int(c[0])
-    if start + n - 1 > _MASK64 or np.any(np.diff(c) != 1):
+    if start < 0 or count < 0 or start + count - 1 > _MASK64:
         raise ParameterError(
-            "counter must be a consecutive run of indices within [0, 2**64), "
-            "as from np.arange(start, start + count)"
-        )
+            f"counters start={start!r}, count={count!r} must lie within [0, 2**64)")
     # A fresh Philox has an empty buffer, so it steps its 256-bit counter
     # before each block: starting one below ``start`` (wrapping at 2**256)
     # makes the first block the one for counter ``start``.
     bg = np.random.Philox(counter=(start - 1) % 2**256,
                           key=np.array(key, dtype=np.uint64))
-    return bg.random_raw(4 * n).reshape(n, 4)
+    return bg.random_raw(4 * count).reshape(count, 4)
 
 
-def _to_unit_interval(words: np.ndarray) -> np.ndarray:
+def uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    """Four uniforms in (0, 1) per counter ``start, ..., start + count - 1``,
+    shape (count, 4)."""
+    words = philox4x64(start, count, (seed, stream))
     # 53-bit mantissa, offset by half an ulp so the result lies in (0, 1);
     # in place, so a batch holds one word array and one float array at most
     words >>= _SHIFT11
@@ -77,13 +72,3 @@ def _to_unit_interval(words: np.ndarray) -> np.ndarray:
     u += 0.5
     u *= _INV53
     return u
-
-
-def uniforms(seed: int, stream: int, indices: np.ndarray) -> np.ndarray:
-    """Four uniforms in (0, 1) per index, shape (len(indices), 4).
-
-    ``indices`` must be consecutive (``np.arange(start, stop)``); anything
-    else raises :class:`ParameterError`.
-    """
-    return _to_unit_interval(philox4x64(indices, (seed, stream)))
-

@@ -189,7 +189,7 @@ def test_c10_mixture_fit_recovery():
         a0_true, a1_true = 0.97, 0.94
 
         def make(seed_stream, weight, mu_a, sig_a, mu_b, sig_b, prepared):
-            u = rng.uniforms(77, seed_stream, np.arange(n))
+            u = rng.uniforms(77, seed_stream, 0, n)
             z = ndtri(u[:, 0])
             values = np.where(u[:, 1] < weight, mu_a + sig_a * z, mu_b + sig_b * z)
             return ShotSet(prepared_state=prepared, values=values, seed=77,

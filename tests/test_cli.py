@@ -289,6 +289,29 @@ class TestSweepCommands:
             assert row["error"] == "ParameterError: T1 contributions must be > 0, got 0.0"
             assert row["t1_model"] == "nan"
 
+    @pytest.mark.parametrize("edit, column", [
+        ({"circuit": {"d_j": 0.0}, "flux": {"mode": "fixed"}}, "t1_asymm"),
+        ({"coherence": {"q_diel": math.inf}}, "t1_diel"),
+    ])
+    def test_infinite_lifetime_is_strict_json_null(self, tmp_path, edit, column):
+        # RFC 8259 has no Infinity: JSON writes null, CSV keeps inf
+        cfg = json.loads(Path(SAMPLE_A).read_text())
+        for section, values in edit.items():
+            cfg[section].update(values)
+        path = _write_config(tmp_path, cfg)
+        out = tmp_path / "t1.json"
+        assert run(["t1-model", "--config", path, "--format", "json", "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        rows = json.loads(out.read_text(), parse_constant=reject)
+        assert len(rows) == 10
+        assert all(row[column] is None and row["t1_model"] > 0.0 for row in rows)
+        csv_out = tmp_path / "t1.csv"
+        assert run(["t1-model", "--config", path, "--out", str(csv_out)]) == 0
+        assert all(row[column] == "inf" for row in _read_csv(csv_out))
+
     def test_chi_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(["chi-sweep", "--config", SAMPLE_A, "--out", str(out)]) == 0

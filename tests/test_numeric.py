@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from quantromon import numeric
 from quantromon.analytic import bare_modes, dressed_spectrum
-from quantromon.errors import AmbiguousLabelingError, EigensolveError, ParameterError
+from quantromon.errors import (AmbiguousLabelingError, EigensolveError, NumericalError,
+                               ParameterError)
 from quantromon.flux import energies_at_flux
 from quantromon.numeric import (
     REQUIRED_LABELS,
@@ -73,11 +74,11 @@ class TestEigensolve:
             assert np.linalg.norm(m @ v[:, k] - w[k] * v[:, k]) <= 1e-8 * norm
 
 
-def _full(en, trunc, include_quartics=True):
+def _full(en, trunc):
     """The ``dim x dim`` matrix with the blocks of ``build_hamiltonian``
     scattered into place and zeros between them."""
     h = np.zeros((trunc.dim, trunc.dim))
-    for idx, block in build_hamiltonian(en, trunc, include_quartics):
+    for idx, block in build_hamiltonian(en, trunc):
         h[np.ix_(idx, idx)] = block
     return h
 
@@ -91,9 +92,9 @@ class TestBuildHamiltonian:
     def test_harmonic_limit_energies_exact(self):
         # quartics off: labeled transition energies are m_q*w_q + m_r*w_r
         trunc = Truncation(10, 10)
-        h = _full(EN, trunc, include_quartics=False)
+        h = _oracle(EN, trunc, include_quartics=False)
         w, v = eigensolve(h)
-        energies, _ = label_states(w, v, trunc)
+        energies, _ = label_states(w, v, trunc, np.arange(trunc.dim))
         modes = bare_modes(EN)
         e0 = energies[(0, 0)]
         for (mq, mr), energy in energies.items():
@@ -111,7 +112,7 @@ class TestBuildHamiltonian:
                         if iq != jq and ir != jr:
                             assert h[iq * 8 + ir, jq * 8 + jr] == 0.0
         w, v = eigensolve(h)
-        _, overlaps = label_states(w, v, trunc)
+        _, overlaps = label_states(w, v, trunc, np.arange(trunc.dim))
         # the cross-mode factorization is exact; the qubit's own quartic
         # still dresses its Fock states (about 3e-3 at m_q = 2)
         for overlap in overlaps.values():
@@ -119,10 +120,10 @@ class TestBuildHamiltonian:
 
     def test_harmonic_uncoupled_overlaps_exactly_one(self):
         trunc = Truncation(10, 10)
-        h = _full(derive_energies(dataclasses.replace(TABLE, b=0.0)), trunc,
-                  include_quartics=False)
+        h = _oracle(derive_energies(dataclasses.replace(TABLE, b=0.0)), trunc,
+                    include_quartics=False)
         w, v = eigensolve(h)
-        _, overlaps = label_states(w, v, trunc)
+        _, overlaps = label_states(w, v, trunc, np.arange(trunc.dim))
         for overlap in overlaps.values():
             assert overlap >= 1.0 - 1e-12
 
@@ -192,9 +193,9 @@ class TestObservables:
 
     def test_harmonic_uncoupled_limit_zero_chi_and_alpha(self):
         trunc = Truncation(10, 10)
-        h = _full(EN, trunc, include_quartics=False)
+        h = _oracle(EN, trunc, include_quartics=False)
         w, v = eigensolve(h)
-        energies, _ = label_states(w, v, trunc)
+        energies, _ = label_states(w, v, trunc, np.arange(trunc.dim))
         obs = extract_observables(energies, EN)
         assert abs(obs.alpha_q) < 1.0
         assert abs(obs.two_chi) < 1.0
@@ -208,7 +209,7 @@ class TestObservables:
         trunc = Truncation(12, 12)
         h = _full(EN, trunc)
         w, v = eigensolve(h)
-        _, overlaps = label_states(w, v, trunc)
+        _, overlaps = label_states(w, v, trunc, np.arange(trunc.dim))
         assert set(overlaps) == set(REQUIRED_LABELS)
         assert all(ov > 0.9 for ov in overlaps.values())
 
@@ -278,7 +279,7 @@ class TestLabelStates:
         c = math.sqrt(0.5)
         v[np.ix_(rows, rows)] = [[c, -c], [c, c]]
         with pytest.raises(AmbiguousLabelingError, match=r"\(0, 0\) and \(1, 0\)"):
-            label_states(np.arange(trunc.dim, dtype=float), v, trunc)
+            label_states(np.arange(trunc.dim, dtype=float), v, trunc, np.arange(trunc.dim))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(4, 6), st.integers(4, 6), st.booleans(), st.integers(0, 3),
@@ -352,10 +353,30 @@ class TestParitySectors:
         en = _scaled(factors, 0.0 if symmetric else d_j)
         trunc = Truncation(n, n)
         w, v = eigensolve(_full(en, trunc))
-        full = extract_observables(label_states(w, v, trunc)[0], en)
+        full = extract_observables(label_states(w, v, trunc, np.arange(trunc.dim))[0], en)
         blocked = numeric_spectrum(en, trunc)
         for name in _OBSERVABLES:
             assert getattr(blocked, name) == pytest.approx(getattr(full, name), rel=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_DISPERSIVE, _ASYMMETRY, st.integers(6, 20), st.integers(6, 20))
+    def test_asymmetry_sign_flip_is_exact(self, factors, d_j, n_q, n_r):
+        # each block at -d_j is D H D of the block at d_j, D = diag((-1)**m_q),
+        # and rounding is symmetric under sign: the spectrum is bit-identical
+        # and only g_asymm changes sign
+        def spectrum(sign):
+            try:
+                return numeric_spectrum(_scaled(factors, sign * d_j), Truncation(n_q, n_r))
+            except (NumericalError, ParameterError) as exc:
+                return type(exc)
+
+        plus, minus = spectrum(1.0), spectrum(-1.0)
+        if isinstance(plus, type) or isinstance(minus, type):
+            assert minus is plus
+            return
+        for name in ("omega_q_t", "omega_r_t", "alpha_q", "two_chi", "two_chi_total"):
+            assert getattr(minus, name) == getattr(plus, name)
+        assert minus.g_asymm == -plus.g_asymm
 
     def test_labels_only_rows_of_given_basis(self):
         trunc = Truncation(8, 8)
@@ -389,20 +410,20 @@ def _oracle(en, trunc, include_quartics=True):
 class TestBlockAssembly:
     @pytest.mark.parametrize("symmetric", [True, False])
     @settings(max_examples=25, deadline=None)
-    @given(_AROUND_TABLE, _ASYMMETRY, st.integers(4, 15), st.integers(4, 15), st.booleans())
+    @given(_AROUND_TABLE, _ASYMMETRY, st.integers(4, 15), st.integers(4, 15))
     # odd and even n_r: at odd n_r the two sectors of a joint block keep
     # different numbers of resonator levels
-    @example(factors=(1.0,) * 5, d_j=0.05, n_q=14, n_r=15, quartics=True)
-    @example(factors=(1.0,) * 5, d_j=-0.05, n_q=15, n_r=14, quartics=True)
-    def test_blocks_equal_oracle_submatrix(self, symmetric, factors, d_j, n_q, n_r, quartics):
+    @example(factors=(1.0,) * 5, d_j=0.05, n_q=14, n_r=15)
+    @example(factors=(1.0,) * 5, d_j=-0.05, n_q=15, n_r=14)
+    def test_blocks_equal_oracle_submatrix(self, symmetric, factors, d_j, n_q, n_r):
         # every returned block, on the sectors numeric_spectrum solves, and
         # the blocks put together: the same bits as the oracle, and the same
         # eigenvalues
         en = _scaled(factors, 0.0 if symmetric else d_j)
         trunc = Truncation(n_q, n_r)
-        full = _oracle(en, trunc, quartics)
-        assert np.array_equal(_full(en, trunc, quartics), full)
-        blocks = build_hamiltonian(en, trunc, include_quartics=quartics)
+        full = _oracle(en, trunc)
+        assert np.array_equal(_full(en, trunc), full)
+        blocks = build_hamiltonian(en, trunc)
         sectors = parity_sectors(trunc, per_mode=symmetric)
         assert [idx.tolist() for idx, _ in blocks] == [idx.tolist() for idx in sectors]
         for idx, block in blocks:

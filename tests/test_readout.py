@@ -39,11 +39,11 @@ SAMPLE_C = ReadoutParams(omega_r=7.4e9, two_chi=1.37e6, kappa_ext=0.90e6,
 
 
 def _gaussian_shots(seed, stream, n, mu, sigma):
-    return mu + sigma * ndtri(rng.uniforms(seed, stream, np.arange(n))[:, 0])
+    return mu + sigma * ndtri(rng.uniforms(seed, stream, 0, n)[:, 0])
 
 
 def _mixture_shots(seed, stream, n, weight, mu_a, sigma_a, mu_b, sigma_b):
-    u = rng.uniforms(seed, stream, np.arange(n))
+    u = rng.uniforms(seed, stream, 0, n)
     z = ndtri(u[:, 0])
     pick_a = u[:, 1] < weight
     return np.where(pick_a, mu_a + sigma_a * z, mu_b + sigma_b * z)

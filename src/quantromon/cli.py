@@ -15,6 +15,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,19 +24,11 @@ from .analytic import dressed_spectrum
 from .coherence import CoherenceConfig
 from .errors import ConfigError, NumericalError, ParameterError
 from .flux import FluxConfig, FluxMode, junction_energies, sweep
-from .numeric import Truncation, numeric_spectrum
-from .params import CircuitParams, ModeEnergies, derive_energies, regime_warnings
-from .readout import (
-    ReadoutParams,
-    error_vs_integration,
-    export_shots_csv,
-    fidelity_report,
-    fit_double_gaussian,
-    import_shots_csv,
-    phase_separation,
-    simulate_shots,
-    threshold,
-)
+from .params import (CircuitParams, ModeEnergies, ReadoutParams, derive_energies,
+                     regime_warnings)
+
+# numeric and readout load numpy; each command that runs them imports them
+# itself, so energies, chi-sweep and t1-model start without numpy
 
 __all__ = ["main", "run", "load_config", "normalize_config", "RunConfig"]
 
@@ -277,7 +270,9 @@ def _cmd_energies(cfg: RunConfig, args) -> list[dict]:
     return [{**dataclasses.asdict(en), "warnings": " | ".join(regime_warnings(en))}]
 
 
-def _parse_trunc(spec: str | None) -> Truncation:
+def _parse_trunc(spec: str | None):
+    from .numeric import Truncation
+
     if spec is None:
         return Truncation()
     try:
@@ -288,6 +283,8 @@ def _parse_trunc(spec: str | None) -> Truncation:
 
 
 def _cmd_spectrum(cfg: RunConfig, args) -> list[dict]:
+    from .numeric import numeric_spectrum
+
     en = _need(cfg.energies, "circuit", "spectrum")
     ana = dressed_spectrum(en)
     num = numeric_spectrum(en, _parse_trunc(args.trunc))
@@ -327,6 +324,8 @@ def _cmd_sweep(cfg: RunConfig, args) -> list[dict]:
 
 def _fit_row(shots0, shots1) -> dict:
     """The mixture fit and the fidelity report of two shot sets, as one row."""
+    from .readout import fidelity_report, fit_double_gaussian, threshold
+
     fit = fit_double_gaussian(shots0, shots1)
     report = fidelity_report(shots0, shots1, fit, threshold(fit))
     return {**dataclasses.asdict(fit), **dataclasses.asdict(report)}
@@ -336,6 +335,8 @@ def _cmd_readout_sim(cfg: RunConfig, args) -> list[dict]:
     """Simulated shots (written next to --out) plus either the single-point
     fidelity report or, when readout_sim.tau_list is set, the per-tau error
     table."""
+    from .readout import error_vs_integration, export_shots_csv, simulate_shots
+
     p = _need(cfg.readout, "readout", "readout-sim")
     flags = {"n_shots": args.shots, "seed": args.seed}
     sim = dataclasses.replace(cfg.sim, **{k: v for k, v in flags.items() if v is not None})
@@ -363,6 +364,8 @@ def _cmd_readout_sim(cfg: RunConfig, args) -> list[dict]:
 
 
 def _cmd_readout_fit(cfg: RunConfig, args) -> list[dict]:
+    from .readout import import_shots_csv
+
     if args.shots0 is None or args.shots1 is None:
         raise ConfigError("command 'readout-fit' requires --shots0 and --shots1")
     for path in (args.shots0, args.shots1):
@@ -372,6 +375,8 @@ def _cmd_readout_fit(cfg: RunConfig, args) -> list[dict]:
 
 
 def _cmd_phase(cfg: RunConfig, args) -> list[dict]:
+    from .readout import phase_separation
+
     p = _need(cfg.readout, "readout", "phase")
     sep = phase_separation(p.two_chi, p.kappa_ext, p.kappa_int)
     return [{"two_chi": p.two_chi, "kappa_ext": p.kappa_ext,
@@ -414,6 +419,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return 0 if exc.code == 0 else 1
     try:
+        if args.out is not None and Path(args.out).is_dir():
+            raise ConfigError(f"--out names a directory, not a file: {args.out}")
         if args.command == "readout-fit" and args.config is None:
             cfg = RunConfig()
         else:
@@ -432,6 +439,9 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # numpy is not loaded yet, so this default reaches its BLAS: one thread
+    # keeps the small eigensolves of a spectrum from stalling on a busy core
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run(sys.argv[1:]))
 
 

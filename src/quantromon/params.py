@@ -1,4 +1,5 @@
-"""Circuit parameters and the energy scales derived from them.
+"""Circuit parameters, the energy scales derived from them, and the readout
+operating point.
 
 Unit conventions used throughout the package:
 
@@ -12,7 +13,7 @@ Unit conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ParameterError
 
@@ -21,6 +22,7 @@ __all__ = [
     "CODATA2018",
     "CircuitParams",
     "ModeEnergies",
+    "ReadoutParams",
     "derive_energies",
     "regime_warnings",
 ]
@@ -169,3 +171,45 @@ def regime_warnings(en: ModeEnergies) -> tuple[str, ...]:
             "values taken from the b -> 1 limit"
         )
     return tuple(messages)
+
+
+@dataclass(frozen=True)
+class ReadoutParams:
+    """Readout operating point.
+
+    ``omega_r`` is the resonator frequency with the qubit in state 0; state 1
+    pulls it down by ``two_chi``. ``readout_freq`` defaults to the midpoint of
+    the two pulled frequencies. ``noise_scale`` is the calibrated
+    SNR-per-sqrt(tau) factor described in the :mod:`quantromon.readout`
+    docstring; ``thermal_pop`` is the probability that a nominally-ground
+    shot starts excited. Every value must be finite; only ``readout_freq`` may be None.
+    """
+
+    omega_r: float
+    two_chi: float
+    kappa_ext: float
+    kappa_int: float
+    nbar: float
+    tau: float
+    t1: float
+    readout_freq: float | None = None
+    noise_scale: float = 2.05
+    thermal_pop: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value is None and f.name == "readout_freq" or math.isfinite(value)):
+                raise ParameterError(f"{f.name} must be finite, got {value!r}")
+        if self.kappa_ext < 0.0 or self.kappa_int < 0.0:
+            raise ParameterError("kappa_ext and kappa_int must be >= 0")
+        if self.kappa_ext + self.kappa_int <= 0.0:
+            raise ParameterError("kappa_ext + kappa_int must be > 0")
+        if not (self.tau > 0.0):
+            raise ParameterError(f"tau must be > 0, got {self.tau!r}")
+        if not (self.nbar > 0.0):
+            raise ParameterError(f"nbar must be > 0, got {self.nbar!r}")
+        if not (self.t1 > 0.0):
+            raise ParameterError(f"t1 must be > 0, got {self.t1!r}")
+        if not (0.0 <= self.thermal_pop < 1.0):
+            raise ParameterError(f"thermal_pop must lie in [0, 1), got {self.thermal_pop!r}")

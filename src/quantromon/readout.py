@@ -26,9 +26,9 @@ from .errors import (
     ParameterError,
     ThresholdError,
 )
+from .params import ReadoutParams
 
 __all__ = [
-    "ReadoutParams",
     "ShotSet",
     "GaussianMixtureFit",
     "FidelityReport",
@@ -44,47 +44,6 @@ __all__ = [
     "fidelity_report",
     "error_vs_integration",
 ]
-
-@dataclass(frozen=True)
-class ReadoutParams:
-    """Readout operating point.
-
-    ``omega_r`` is the resonator frequency with the qubit in state 0; state 1
-    pulls it down by ``two_chi``. ``readout_freq`` defaults to the midpoint of
-    the two pulled frequencies. ``noise_scale`` is the calibrated
-    SNR-per-sqrt(tau) factor described in the module docstring;
-    ``thermal_pop`` is the probability that a nominally-ground shot starts
-    excited. Every value must be finite; only ``readout_freq`` may be None.
-    """
-
-    omega_r: float
-    two_chi: float
-    kappa_ext: float
-    kappa_int: float
-    nbar: float
-    tau: float
-    t1: float
-    readout_freq: float | None = None
-    noise_scale: float = 2.05
-    thermal_pop: float = 0.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (value is None and f.name == "readout_freq" or math.isfinite(value)):
-                raise ParameterError(f"{f.name} must be finite, got {value!r}")
-        if self.kappa_ext < 0.0 or self.kappa_int < 0.0:
-            raise ParameterError("kappa_ext and kappa_int must be >= 0")
-        if self.kappa_ext + self.kappa_int <= 0.0:
-            raise ParameterError("kappa_ext + kappa_int must be > 0")
-        if not (self.tau > 0.0):
-            raise ParameterError(f"tau must be > 0, got {self.tau!r}")
-        if not (self.nbar > 0.0):
-            raise ParameterError(f"nbar must be > 0, got {self.nbar!r}")
-        if not (self.t1 > 0.0):
-            raise ParameterError(f"t1 must be > 0, got {self.t1!r}")
-        if not (0.0 <= self.thermal_pop < 1.0):
-            raise ParameterError(f"thermal_pop must lie in [0, 1), got {self.thermal_pop!r}")
 
 
 def reflection_coefficient(omega: float, omega_r_pulled: float,
@@ -261,22 +220,26 @@ def import_shots_csv(path) -> ShotSet:
     come first; from the first number on, the file holds one number per line
     (blank lines and ``#`` comments are skipped). Any line ending is
     accepted. A value that is not a number raises :class:`ParameterError`
-    naming its line.
+    naming its line, and a file that does not decode as text one naming the
+    file.
     """
     header: dict[str, str] = {}
     values = np.empty(0)
-    with open(path, "r", newline="") as f:
-        line_start = f.tell()
-        for lineno, line in enumerate(iter(f.readline, ""), start=1):
-            text = line.strip()
-            if text.startswith("#"):
-                key, _, val = text.lstrip("# ").partition("=")
-                header[key.strip()] = val.strip()
-            elif text and text != "value":
-                f.seek(line_start)
-                values = _read_values(f, path, lineno)
-                break
+    try:
+        with open(path, "r", newline="") as f:
             line_start = f.tell()
+            for lineno, line in enumerate(iter(f.readline, ""), start=1):
+                text = line.strip()
+                if text.startswith("#"):
+                    key, _, val = text.lstrip("# ").partition("=")
+                    header[key.strip()] = val.strip()
+                elif text and text != "value":
+                    f.seek(line_start)
+                    values = _read_values(f, path, lineno)
+                    break
+                line_start = f.tell()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"malformed shot CSV {path}: {exc}") from None
     try:
         kwargs = {}
         for param in fields(ReadoutParams):

@@ -24,10 +24,9 @@ from quantromon.flux import (
     sweep,
 )
 from quantromon.numeric import Truncation, numeric_spectrum
-from quantromon.params import CircuitParams, derive_energies
+from quantromon.params import CircuitParams, ReadoutParams, derive_energies
 from quantromon.readout import (
     GaussianMixtureFit,
-    ReadoutParams,
     ShotSet,
     error_vs_integration,
     fidelity_report,

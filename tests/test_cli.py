@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import quantromon
+from quantromon import numeric, readout
 from quantromon.cli import MAX_SHOTS, load_config, normalize_config, run
 from quantromon.errors import ConfigError
 
@@ -113,7 +114,7 @@ class TestExitCodes:
         def unreachable(*args):
             raise AssertionError("numeric_spectrum was called")
 
-        monkeypatch.setattr("quantromon.cli.numeric_spectrum", unreachable)
+        monkeypatch.setattr(numeric, "numeric_spectrum", unreachable)
         assert run(["spectrum", "--config", REFERENCE, "--trunc", "1000x1000"]) == 1
         err = capsys.readouterr().err
         assert "truncation" in err and "(1000, 1000)" in err
@@ -135,6 +136,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{shots1}, line 20:" in err
         assert "'abc'" in err
+
+    @pytest.mark.parametrize("line", [1, 1500])
+    def test_undecodable_shot_file_exits_1_naming_it(self, tmp_path, capsys, line):
+        # a byte that is not UTF-8 in the header (line 1, read line by line)
+        # or past the first 8 KiB of values (line 1500, read by np.loadtxt)
+        out = tmp_path / "rep.csv"
+        assert run(["readout-sim", "--config", SAMPLE_C, "--out", str(out),
+                    "--shots", "2000", "--seed", "3"]) == 0
+        shots1 = tmp_path / "rep_shots1.csv"
+        lines = shots1.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        shots1.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert run(["readout-fit", "--shots0", str(tmp_path / "rep_shots0.csv"),
+                    "--shots1", str(shots1)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: malformed shot CSV {shots1}: 'utf-8' codec")
+
+    @pytest.mark.parametrize("argv", [["energies", "--config", SAMPLE_A],
+                                      ["readout-sim", "--config", SAMPLE_C, "--shots", "100"]],
+                             ids=["energies", "readout-sim"])
+    def test_out_naming_a_directory_exits_1_before_writing(self, tmp_path, monkeypatch,
+                                                           capsys, argv):
+        # readout-sim would write its shot files next to --out, as
+        # <parent>/<name>_shots0.csv, before the report failed to open
+        def unreachable(*args):
+            raise AssertionError("simulate_shots was called")
+
+        monkeypatch.setattr(readout, "simulate_shots", unreachable)
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        assert run([*argv, "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out names a directory, not a file: {out_dir}\n")
+        assert list(tmp_path.iterdir()) == [out_dir]
+        assert list(out_dir.iterdir()) == []
 
     def test_undecodable_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -170,7 +208,7 @@ class TestExitCodes:
         def broken(*args):
             raise ValueError("operands could not be broadcast together")
 
-        monkeypatch.setattr("quantromon.cli.numeric_spectrum", broken)
+        monkeypatch.setattr(numeric, "numeric_spectrum", broken)
         with pytest.raises(ValueError, match="broadcast"):
             run(["spectrum", "--config", REFERENCE])
 
@@ -372,26 +410,34 @@ class TestReadoutCommands:
     def test_base_shots_simulated_only_when_used(self, tmp_path, monkeypatch,
                                                  capsys, export, calls):
         # with readout_sim.tau_list set the base shot sets are not fitted,
-        # so they are simulated only to be exported
-        simulate = quantromon.cli.simulate_shots
+        # so they are simulated only to be exported; the per-tau table
+        # simulates its own sets through the same function, so only the
+        # calls made before the table starts count
+        simulate = readout.simulate_shots
+        table = readout.error_vs_integration
         recorded = []
 
         def counting(p, state, n_shots, seed):
             recorded.append((state, n_shots, seed))
             return simulate(p, state, n_shots, seed)
 
-        monkeypatch.setattr(quantromon.cli, "simulate_shots", counting)
+        def marking(*args):
+            recorded.append("table")
+            return table(*args)
+
+        monkeypatch.setattr(readout, "simulate_shots", counting)
+        monkeypatch.setattr(readout, "error_vs_integration", marking)
         argv = ["readout-sim", "--config", SAMPLE_C, "--shots", "2000", "--seed", "3"]
         if export:
             argv += ["--out", str(tmp_path / "report.csv")]
         assert run(argv) == 0
-        assert recorded == [(0, 2000, 3), (1, 2000, 3)][:calls]
+        assert recorded[:recorded.index("table")] == [(0, 2000, 3), (1, 2000, 3)][:calls]
 
     def test_base_shot_sets_freed_before_table(self, tmp_path, monkeypatch):
         # with --out and readout_sim.tau_list the two base sets are only
         # exported; they must not stay alive while the per-tau table runs
-        simulate = quantromon.cli.simulate_shots
-        table = quantromon.cli.error_vs_integration
+        simulate = readout.simulate_shots
+        table = readout.error_vs_integration
         refs = []
 
         def recording(*args):
@@ -399,15 +445,19 @@ class TestReadoutCommands:
             refs.append(weakref.ref(shots))
             return shots
 
+        checked = []
+
         def checking(*args):
             gc.collect()
             assert len(refs) == 2 and all(ref() is None for ref in refs)
+            checked.append(True)
             return table(*args)
 
-        monkeypatch.setattr(quantromon.cli, "simulate_shots", recording)
-        monkeypatch.setattr(quantromon.cli, "error_vs_integration", checking)
+        monkeypatch.setattr(readout, "simulate_shots", recording)
+        monkeypatch.setattr(readout, "error_vs_integration", checking)
         assert run(["readout-sim", "--config", SAMPLE_C, "--shots", "2000",
                     "--out", str(tmp_path / "report.csv")]) == 0
+        assert checked == [True]
 
     @pytest.mark.parametrize("section, key, value", [
         ("readout", "kappa_ext", 1e308),
@@ -511,38 +561,84 @@ class TestSimOptions:
         assert str(2**64 - 1) in capsys.readouterr().out
 
 
+def _subprocess_env(**blas) -> dict:
+    """The test's environment with ``src`` on the path and the BLAS thread
+    variable replaced by ``blas`` (absent when ``blas`` is empty)."""
+    src = str(Path(quantromon.__file__).parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": path, **blas}
+
+
 class TestImports:
-    # every bundled config each command runs on; none of them reads shots
-    NON_READOUT_RUNS = (
+    # every bundled config each command runs on; none of them reads shots.
+    # The closed-form commands run first, since they load no numpy either
+    CLOSED_FORM_RUNS = (
         [["energies", "--config", c] for c in (REFERENCE, SAMPLE_A, SAMPLE_B, SAMPLE_C)]
-        + [["spectrum", "--config", c] for c in (REFERENCE, SAMPLE_A, SAMPLE_B, SAMPLE_C)]
         + [[cmd, "--config", c] for cmd in ("chi-sweep", "t1-model")
            for c in (SAMPLE_A, SAMPLE_B)]
+    )
+    NUMPY_RUNS = (
+        [["spectrum", "--config", c] for c in (REFERENCE, SAMPLE_A, SAMPLE_B, SAMPLE_C)]
         + [["phase", "--config", SAMPLE_C]]
     )
     SCRIPT = textwrap.dedent("""
         import contextlib, io, json, sys
         import quantromon
         from quantromon.cli import run
+
+        def loaded(package):
+            return sorted(m for m in sys.modules
+                          if m == package or m.startswith(package + "."))
+
+        def run_all(runs):
+            for argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    exits.append(run(argv))
+
         exits = []
-        for argv in json.loads(sys.argv[1]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                exits.append(run(argv))
-        scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-        print(json.dumps({"exits": exits, "scipy": scipy}))
+        run_all(json.loads(sys.argv[1]))
+        numpy = loaded("numpy")
+        run_all(json.loads(sys.argv[2]))
+        print(json.dumps({"exits": exits, "numpy": numpy, "scipy": loaded("scipy")}))
     """)
 
     def test_non_readout_commands_load_no_scipy(self):
-        # a fresh interpreter, so no other test's import of scipy counts
-        src = str(Path(quantromon.__file__).parent.parent)
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        # a fresh interpreter, so no other test's import of numpy or scipy
+        # counts; "numpy" is what the package import and the closed-form
+        # commands loaded
         done = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(self.NON_READOUT_RUNS)],
-            env=env, capture_output=True, text=True, check=True)
+            [sys.executable, "-c", self.SCRIPT, json.dumps(self.CLOSED_FORM_RUNS),
+             json.dumps(self.NUMPY_RUNS)],
+            env=_subprocess_env(OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, check=True)
         result = json.loads(done.stdout)
-        assert result["exits"] == [0] * len(self.NON_READOUT_RUNS)
+        assert result["exits"] == [0] * (len(self.CLOSED_FORM_RUNS) + len(self.NUMPY_RUNS))
+        assert result["numpy"] == []
         assert result["scipy"] == []
+
+    BLAS_SCRIPT = textwrap.dedent("""
+        import json, os, sys
+        import quantromon.cli
+
+        def probe(argv):
+            print(json.dumps({"blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                              "numpy": "numpy" in sys.modules}))
+            return 0
+
+        quantromon.cli.run = probe
+        quantromon.cli.main()
+    """)
+
+    @pytest.mark.parametrize("user, seen", [(None, "1"), ("2", "2")])
+    def test_main_defaults_blas_threads_before_numpy(self, user, seen):
+        # main sets one BLAS thread unless the user chose a count, and numpy
+        # is not loaded yet, so its BLAS starts with that count
+        blas = {} if user is None else {"OPENBLAS_NUM_THREADS": user}
+        done = subprocess.run([sys.executable, "-c", self.BLAS_SCRIPT],
+                              env=_subprocess_env(**blas),
+                              capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == {"blas": seen, "numpy": False}
 
 
 class TestColdPath:
@@ -560,11 +656,9 @@ class TestColdPath:
 
     def test_spectrum_loads_no_numpy_ma(self):
         # reference_device has d_j = 0 (four parity blocks), sample_b d_j != 0 (two)
-        src = str(Path(quantromon.__file__).parent.parent)
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
         done = subprocess.run([sys.executable, "-c", self.SCRIPT, REFERENCE, SAMPLE_B],
-                              env=env, capture_output=True, text=True, check=True)
+                              env=_subprocess_env(OPENBLAS_NUM_THREADS="1"),
+                              capture_output=True, text=True, check=True)
         assert json.loads(done.stdout) == {"exits": [0, 0], "numpy_ma": False}
 
 

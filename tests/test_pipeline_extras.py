@@ -19,9 +19,8 @@ from quantromon.flux import (
     sweep,
     tuned_junctions,
 )
-from quantromon.params import CircuitParams, derive_energies
+from quantromon.params import CircuitParams, ReadoutParams, derive_energies
 from quantromon.readout import (
-    ReadoutParams,
     fidelity_report,
     fit_double_gaussian,
     import_shots_csv,

@@ -17,9 +17,9 @@ from quantromon.errors import (
     ParameterError,
     ThresholdError,
 )
+from quantromon.params import ReadoutParams
 from quantromon.readout import (
     GaussianMixtureFit,
-    ReadoutParams,
     ShotSet,
     error_vs_integration,
     export_shots_csv,

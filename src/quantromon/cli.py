@@ -419,7 +419,9 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return 0 if exc.code == 0 else 1
     try:
-        if args.out is not None and Path(args.out).is_dir():
+        # a trailing separator names a directory even when none exists yet
+        if args.out is not None and (args.out.endswith((os.sep, os.altsep or os.sep))
+                                     or Path(args.out).is_dir()):
             raise ConfigError(f"--out names a directory, not a file: {args.out}")
         if args.command == "readout-fit" and args.config is None:
             cfg = RunConfig()

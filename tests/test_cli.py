@@ -154,6 +154,10 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: malformed shot CSV {shots1}: 'utf-8' codec")
+        # the line and the byte offset in the file, not in the decoder's chunk
+        offset = shots1.read_bytes().index(b"\xff")
+        assert captured.err.endswith(
+            f"byte 0xff on line {line}, at file offset {offset}: invalid start byte\n")
 
     @pytest.mark.parametrize("argv", [["energies", "--config", SAMPLE_A],
                                       ["readout-sim", "--config", SAMPLE_C, "--shots", "100"]],
@@ -173,6 +177,23 @@ class TestExitCodes:
             f"error: --out names a directory, not a file: {out_dir}\n")
         assert list(tmp_path.iterdir()) == [out_dir]
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["energies", "--config", SAMPLE_A],
+                                      ["readout-sim", "--config", SAMPLE_C, "--shots", "100"]],
+                             ids=["energies", "readout-sim"])
+    def test_out_ending_in_a_separator_exits_1_before_writing(self, tmp_path, monkeypatch,
+                                                              capsys, argv):
+        # Path drops the trailing slash, so "results/" named a file "results"
+        # (and readout-sim wrote results_shots0.csv beside it)
+        def unreachable(*args):
+            raise AssertionError("simulate_shots was called")
+
+        monkeypatch.setattr(readout, "simulate_shots", unreachable)
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "--out", "results" + os.sep]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out names a directory, not a file: results{os.sep}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_undecodable_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
+import json
 import math
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +37,7 @@ from quantromon.readout import (
     threshold,
 )
 from quantromon import rng
+from test_cli import _subprocess_env
 
 SAMPLE_C = ReadoutParams(omega_r=7.4e9, two_chi=1.37e6, kappa_ext=0.90e6,
                          kappa_int=0.38e6, nbar=30.0, tau=1.8e-6, t1=50e-6)
@@ -450,6 +455,210 @@ class TestErrorVsIntegration:
         assert len(rows) == 1
         assert rows[0].degenerate
         assert math.isnan(rows[0].eps_id)
+
+
+class TestForkedShotCsv:
+    """Large shot files are written and read by two processes on a
+    single-threaded process: the bytes, values and messages must be those of
+    the serial code. One fresh interpreter with BLAS on one thread runs every
+    case, so the real thread guard decides whether to fork."""
+
+    SCRIPT = textwrap.dedent("""
+        import json, math, os, signal, sys, warnings
+        import numpy as np
+        from quantromon import readout
+        from quantromon.errors import ParameterError
+        from quantromon.params import ReadoutParams
+        from quantromon.readout import ShotSet, export_shots_csv, import_shots_csv
+
+        warnings.simplefilter("error")
+        tmp = sys.argv[1]
+        params = ReadoutParams(**json.loads(sys.argv[2]))
+        parent = os.getpid()
+        forks = []
+        real_fork, real_can_fork = os.fork, readout._can_fork
+        real_lines, real_parse = readout._lines, readout._parse_lines
+        min_values, min_bytes = readout._FORK_MIN_VALUES, readout._FORK_MIN_BYTES
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        os.fork = counting_fork
+
+        def call(fn, *args, fork=True):
+            # (result or ParameterError text, forks made) of fn(*args)
+            readout._can_fork = real_can_fork if fork else (lambda: False)
+            before = len(forks)
+            try:
+                out = fn(*args)
+            except ParameterError as exc:
+                out = "error: " + str(exc)
+            finally:
+                readout._can_fork = real_can_fork
+            return out, len(forks) - before
+
+        def export(values, name):
+            path = os.path.join(tmp, name)
+            export_shots_csv(ShotSet(0, np.asarray(values, dtype=float), 1, params), path)
+            with open(path, "rb") as f:
+                return f.read()
+
+        def values_of(out):
+            return out if isinstance(out, str) else out.values.tobytes().hex()
+
+        def compare(case, data):
+            path = os.path.join(tmp, "in.csv")
+            with open(path, "wb") as f:
+                f.write(data)
+            forked, n_forks = call(lambda: values_of(import_shots_csv(path)))
+            serial, _ = call(lambda: values_of(import_shots_csv(path)), fork=False)
+            return {"case": case, "forks": n_forks, "same": forked == serial,
+                    "message": serial if serial.startswith("error") else None}
+
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310,
+                   2.2250738585072014e-308, 1.7976931348623157e308]
+        result = {"export": [], "import": [], "failed_child": [], "bad_value": []}
+
+        for n in (min_values - 1, min_values, min_values + 1, 2 * min_values + 1):
+            values = np.random.default_rng(n).standard_normal(n)
+            for at in (0, n // 2 - 5, n - len(special)):
+                values[at:at + len(special)] = special
+            forked, n_forks = call(export, values, "forked.csv")
+            serial, _ = call(export, values, "serial.csv", fork=False)
+            loop = "".join(repr(v) + "\\n" for v in values.tolist()).encode()
+            result["export"].append({"n": n, "forks": n_forks, "same": forked == serial,
+                                     "loop": forked.endswith(b"value\\n" + loop)})
+
+        header = export([], "header.csv").decode()
+        lines = [repr(v) for v in np.random.default_rng(7).standard_normal(40).tolist()]
+        readout._FORK_MIN_BYTES = 0
+        for newline in ("\\n", "\\r\\n"):
+            for name, feature in [("comment", ["# note"]), ("blank", ["", ""]),
+                                  ("mixed", ["", "  # a  ", "", "#b"])]:
+                for at in range(14, 27):
+                    body = "\\n".join(lines[:at] + feature + lines[at:]) + "\\n"
+                    text = (header + body).replace("\\n", newline)
+                    result["import"].append(
+                        compare(f"{name} {newline!r} {at}", text.encode()))
+        for case, body in [("comments after the middle", lines + ["# c"] * 80),
+                           ("cr-only", lines)]:
+            text = header + "\\n".join(body) + "\\n"
+            if case == "cr-only":
+                text = text.replace("\\n", "\\r")
+            result["import"].append(compare(case, text.encode()))
+
+        def failing(real, how):
+            def part(*args):
+                if os.getpid() != parent:
+                    if how == "raise":
+                        raise RuntimeError("the child fails")
+                    if how == "signal":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    os._exit({"exit 0, nothing sent": 0, "exit 3": 3}[how])
+                return real(*args)
+            return part
+
+        readout._FORK_MIN_VALUES = 1
+        values = np.random.default_rng(9).standard_normal(3001)
+        serial_text, _ = call(export, values, "serial.csv", fork=False)
+        for how in ("raise", "signal", "exit 0, nothing sent", "exit 3"):
+            readout._lines = failing(real_lines, how)
+            forked_text, n_forks = call(export, values, "forked.csv")
+            readout._lines = real_lines
+            result["failed_child"].append({"case": "export " + how, "forks": n_forks,
+                                           "same": forked_text == serial_text})
+            readout._parse_lines = failing(real_parse, how)
+            record = compare("import " + how, serial_text)
+            readout._parse_lines = real_parse
+            result["failed_child"].append(record)
+
+        # 800 lines, so the bad ones lie past the 8 KiB that the header read decodes
+        # a process that ignores SIGCHLD has its children reaped for it, so
+        # their status is unknown and the work is redone here
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        forked_text, n_forks = call(export, values, "forked.csv")
+        record = compare("import, SIGCHLD ignored", serial_text)
+        signal.signal(signal.SIGCHLD, previous)
+        result["failed_child"].append({"case": "export, SIGCHLD ignored", "forks": n_forks,
+                                       "same": forked_text == serial_text})
+        result["failed_child"].append(record)
+
+        good = [f"{v!r}\\n" for v in values.tolist()[:800]]
+        first = header.count("\\n") + 1  # line number of the first value
+        for case, at, bad in [("abc", 600, "abc\\n"), ("two columns", 650, "1.0 2.0\\n"),
+                              ("underscore", 700, "1_0\\n"),
+                              ("not utf-8", 750, "\\udcff1.5\\n")]:
+            body = good[:at] + [bad] + good[at + 1:]
+            data = (header + "".join(body)).encode("utf-8", "surrogateescape")
+            record = compare(case, data)
+            record.update(line=first + at, offset=data.find(b"\\xff"))
+            result["bad_value"].append(record)
+        result["bad_value"].append(compare(
+            "all two columns", (header + "1.0 2.0\\n" * 800).encode()))
+
+        readout._FORK_MIN_BYTES = min_bytes
+        for size in (min_bytes - 1, min_bytes):
+            pad = size - 4 * (size // 4)
+            body = "0.5\\n" * (size // 4 - 1) + "#" + "x" * (pad + 2) + "\\n"
+            result["import"].append(compare(f"{size} bytes", (header + body).encode()))
+
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            result["children_left"] = True
+        except ChildProcessError:
+            result["children_left"] = False
+        result["min_bytes"] = min_bytes
+        print(json.dumps(result))
+    """)
+
+    @pytest.fixture(scope="class")
+    def result(self, tmp_path_factory):
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", self.SCRIPT,
+             str(tmp_path_factory.mktemp("forked")),
+             json.dumps(dataclasses.asdict(SAMPLE_C))],
+            env=_subprocess_env(OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        # neither a child nor the parent printed a warning or a traceback
+        assert done.stderr == ""
+        return json.loads(done.stdout)
+
+    def test_export_bytes_match_serial_around_threshold(self, result):
+        # nan, +-inf, -0.0 and subnormals at both ends and beside the middle
+        assert [r["forks"] for r in result["export"]] == [0, 1, 1, 1]
+        assert all(r["same"] and r["loop"] for r in result["export"]), result["export"]
+
+    def test_import_matches_serial_wherever_the_middle_falls(self, result):
+        cases = {r["case"]: r for r in result["import"]}
+        assert all(r["same"] for r in result["import"]), result["import"]
+        # the second half of the comments case holds no value, so it falls back
+        assert all(r["forks"] == 1 for case, r in cases.items()
+                   if case not in ("cr-only", f"{result['min_bytes'] - 1} bytes"))
+        # no LF after the middle: nothing to split at
+        assert cases["cr-only"]["forks"] == 0
+        assert cases[f"{result['min_bytes'] - 1} bytes"]["forks"] == 0
+
+    def test_failed_child_gives_serial_bytes_and_values(self, result):
+        assert len(result["failed_child"]) == 10
+        assert all(r["forks"] == 1 and r["same"] for r in result["failed_child"]), \
+            result["failed_child"]
+
+    def test_bad_value_in_second_half_gives_serial_message(self, result):
+        cases = {r["case"]: r for r in result["bad_value"]}
+        assert all(r["forks"] == 1 and r["same"] and r["message"] for r in cases.values())
+        abc = cases["abc"]
+        assert f", line {abc['line']}: 'abc' is not a number" in abc["message"]
+        assert f", line {cases['two columns']['line']}: '1.0 2.0'" in \
+            cases["two columns"]["message"]
+        undecodable = cases["not utf-8"]
+        assert (f"byte 0xff on line {undecodable['line']}, at file offset "
+                f"{undecodable['offset']}: invalid start byte") in undecodable["message"]
+        assert "found 2 columns" in cases["all two columns"]["message"]
+
+    def test_no_child_left_running(self, result):
+        assert result["children_left"] is False
 
 
 class TestReadoutParamsValidation:

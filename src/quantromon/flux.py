@@ -227,11 +227,13 @@ def fit_one_squid(en: ModeEnergies, f_q_zero: float, d_j_zero: float,
     restricted to the first cosine branch (area ratios up to
     ``0.5/anchor_n``); aliased larger-area solutions reproduce the anchor but
     not the monotone tuning between the endpoints. An unreachable
-    ``f_q_zero``, ``d_j_zero`` outside (-1, 1) or ``anchor_n`` outside
-    [1, 5000] raises :class:`ParameterError`.
+    ``f_q_zero``, ``d_j_zero`` outside (-1, 1), a non-finite ``d_j_anchor``
+    or ``anchor_n`` outside [1, 5000] raises :class:`ParameterError`.
     """
     if not (abs(d_j_zero) < 1.0):
         raise ParameterError(f"d_j_zero out of (-1, 1): {d_j_zero!r}")
+    if not math.isfinite(d_j_anchor):
+        raise ParameterError(f"d_j_anchor must be finite, got {d_j_anchor!r}")
     e_j1, e_j2 = _split(_solve_e_jsigma(en, f_q_zero), d_j_zero)
     a = _scan_area(FluxMode.ONE_SQUID, e_j1, e_j2, anchor_n,
                    lambda e_jsigma, d_j: abs(d_j - d_j_anchor))
@@ -244,9 +246,11 @@ def fit_both_squids_area(en: ModeEnergies, anchor_n: int, f_q_anchor: float) -> 
 
     The scan (step 1e-4) is restricted to the first cosine branch (area
     ratios up to ``0.5/anchor_n``) so the resulting 0..anchor_n sweep is
-    monotone, as the measured one is. ``anchor_n`` outside [1, 5000] raises
-    :class:`ParameterError`.
+    monotone, as the measured one is. A non-finite ``f_q_anchor`` or
+    ``anchor_n`` outside [1, 5000] raises :class:`ParameterError`.
     """
+    if not math.isfinite(f_q_anchor):
+        raise ParameterError(f"f_q_anchor must be finite, got {f_q_anchor!r}")
     e_j1, e_j2 = junction_energies(en)
     return _scan_area(FluxMode.BOTH_SQUIDS, e_j1, e_j2, anchor_n,
                       lambda e_jsigma, d_j: abs(_qubit_frequency(en, e_jsigma) - f_q_anchor))

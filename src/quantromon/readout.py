@@ -298,8 +298,8 @@ def _shape_and_values(a: np.ndarray) -> bytes:
 def _parse_halves(path, start: int, size: int) -> np.ndarray:
     """:func:`_parse_lines` from byte ``start`` of a file of ``size`` bytes,
     with the lines after its middle parsed by a forked child. It raises a
-    ``ValueError`` (or a warning turned into an error) wherever either half
-    fails, but does not name the fault as the serial parse does."""
+    ``ValueError`` (or a warning turned into an error) if either half or the
+    child fails, but does not name the fault as the serial parse does."""
     with open(path, "rb") as f:
         f.seek((start + size) // 2)
         cut = f.tell() + f.read(4096).index(b"\n") + 1  # a line boundary
@@ -309,16 +309,14 @@ def _parse_halves(path, start: int, size: int) -> np.ndarray:
     finally:
         data = _collect(child)
     if data is None:
-        second = _parse_lines(path, cut)
-    else:
-        rows, cols = np.frombuffer(data, dtype=np.int64, count=2)
-        second = np.frombuffer(data, dtype=np.float64, offset=16).reshape(rows, cols)
-    if second.shape[1] != first.shape[1]:
-        raise ValueError("the two halves differ in columns")
+        raise ValueError("the second half was not parsed")
+    rows, cols = np.frombuffer(data, dtype=np.int64, count=2)
+    second = np.frombuffer(data, dtype=np.float64, offset=16).reshape(rows, cols)
     # grow the first half's own array in place, as np.loadtxt grows its
     # result: a new array for both halves could leave glibc's heap untrimmed
     # after a large import, which raised readout-stream's peak RSS by 8%.
-    # first is a fresh array that no view shares, so refcheck may be off
+    # first is a fresh array that no view shares, so refcheck may be off;
+    # halves that differ in columns fail to broadcast or leave two columns
     rows_first = len(first)
     first.resize((rows_first + len(second), first.shape[1]), refcheck=False)
     first[rows_first:] = second
@@ -345,48 +343,37 @@ def _read_values(path, first_line: int, start: int, size: int) -> np.ndarray:
             return values[:, 0]
     try:
         values = _parse_lines(path, start)
-    except UnicodeDecodeError:
-        raise  # not a bad value: import_shots_csv names the byte
-    except ValueError as exc:
-        raise _bad_value_error(path, first_line, exc) from None
+    except ValueError as exc:  # a UnicodeDecodeError included
+        raise _fault_error(path, first_line, exc) from None
     if values.shape[1] != 1:
         raise ParameterError(f"malformed shot CSV {path}: expected one value per "
                              f"line, found {values.shape[1]} columns")
     return values[:, 0]
 
 
-def _bad_value_error(path, first_line: int, exc: ValueError) -> ParameterError:
-    """Name the first line at or after ``first_line`` that is not one number."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        for lineno, line in enumerate(f, start=1):
-            text = line.split("#", 1)[0].strip()
-            if lineno < first_line or not text:
-                continue
+def _fault_error(path, first_line: float, exc: ValueError) -> ParameterError:
+    """Name the first fault of a shot CSV in file order: a byte that is not
+    UTF-8, or a line from ``first_line`` on (``math.inf``: none) that is not
+    one number; else ``exc``. Lines end at LF, CR or CRLF, as in text mode."""
+    with open(path, "rb") as f:
+        data = f.read()
+    offset = 0  # bytes before the current line
+    for lineno, line in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            text = line.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError as err:
+            return ParameterError(
+                f"malformed shot CSV {path}: 'utf-8' codec can't decode byte "
+                f"0x{line[err.start]:02x} on line {lineno}, at file offset "
+                f"{offset + err.start}: {err.reason}")
+        if lineno >= first_line and text:
             try:
                 float(text)
             except ValueError:
                 return ParameterError(
-                    f"malformed shot CSV {path}, line {lineno}: {text!r} is not a number"
-                )
-    return ParameterError(f"malformed shot CSV values in {path}: {exc}")
-
-
-def _undecodable_error(path) -> ParameterError:
-    """Name the line and the file offset of the first byte of the file that
-    does not decode as UTF-8."""
-    with open(path, "rb") as f:
-        data = f.read()
-    offset = 0
-    for lineno, line in enumerate(data.splitlines(keepends=True), start=1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return ParameterError(
-                f"malformed shot CSV {path}: 'utf-8' codec can't decode byte "
-                f"0x{line[exc.start]:02x} on line {lineno}, at file offset "
-                f"{offset + exc.start}: {exc.reason}")
+                    f"malformed shot CSV {path}, line {lineno}: {text!r} is not a number")
         offset += len(line)
-    return ParameterError(f"malformed shot CSV {path}: not UTF-8 text")
+    return ParameterError(f"malformed shot CSV values in {path}: {exc}")
 
 
 def import_shots_csv(path) -> ShotSet:
@@ -396,9 +383,9 @@ def import_shots_csv(path) -> ShotSet:
     ``# key=value`` header lines, blank lines and one ``value`` column title
     come first; from the first number on, the file holds one number per line
     (blank lines and ``#`` comments are skipped). Any line ending is
-    accepted. A value that is not a number raises :class:`ParameterError`
-    naming its line, and a file that is not UTF-8 one naming the line and
-    the file offset of the first byte that does not decode. In a
+    accepted. The first fault among the value lines, in file order, raises
+    :class:`ParameterError`: a value that is not a number names its line, a
+    byte that is not UTF-8 its line and file offset. In a
     single-threaded process on Linux, a forked child parses half of a large
     file's lines; the values and messages are the same.
     """
@@ -416,8 +403,8 @@ def import_shots_csv(path) -> ShotSet:
                     values = _read_values(path, lineno, offset, os.fstat(f.fileno()).st_size)
                     break
                 offset += len(line.encode("utf-8"))
-    except UnicodeDecodeError:
-        raise _undecodable_error(path) from None
+    except UnicodeDecodeError as exc:  # in the header read: only a byte is named
+        raise _fault_error(path, math.inf, exc) from None
     try:
         kwargs = {}
         for param in fields(ReadoutParams):
@@ -462,8 +449,6 @@ def _fd_bin_edges(pooled: np.ndarray, q25: float, q75: float) -> np.ndarray:
     """Freedman-Diaconis bin edges over the pooled data (shared by both
     states), from its quartiles ``q25`` and ``q75``."""
     lo, hi = float(np.min(pooled)), float(np.max(pooled))
-    if hi <= lo:
-        hi = lo + 1.0
     width = 2.0 * (q75 - q25) * pooled.size ** (-1.0 / 3.0)
     if width <= 0.0:
         n_bins = 10

@@ -195,6 +195,34 @@ class TestExitCodes:
             f"error: --out names a directory, not a file: results{os.sep}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, config, message", [
+        ("energies", [1], "config root must be a JSON object"),
+        ("energies", {"circuit": [1]}, "section 'circuit' must be a JSON object"),
+        ("energies", {"circuit": {"l_j": 8.2e-9}},
+         "circuit section missing keys: ['b', 'c_j', 'c_r', 'l_r']"),
+        ("chi-sweep", {"flux": {"e_j1_zero": None, "e_j2_zero": None}},
+         "flux.e_j1_zero/e_j2_zero are null and no circuit section is present "
+         "to derive them from"),
+        ("readout-sim", {"readout_sim": {"tau_list": 1e-6}},
+         "readout_sim.tau_list must be a list of numbers"),
+        ("chi-sweep", {k: v for k, v in json.loads(Path(SAMPLE_A).read_text()).items()
+                       if k != "sweep"},
+         "command 'chi-sweep' requires sweep.n_list"),
+        ("readout-fit", None, "command 'readout-fit' requires --shots0 and --shots1"),
+    ], ids=["array-root", "array-section", "missing-keys", "null-flux-energies",
+            "scalar-tau-list", "no-sweep", "one-shot-file"])
+    def test_config_error_exits_1_with_one_line(self, tmp_path, capsys, command,
+                                                config, message):
+        argv = [command]
+        if config is None:
+            argv += ["--shots0", "x.csv"]
+        else:
+            argv += ["--config", _write_config(tmp_path, config)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_undecodable_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_bytes(b"\xff\xfe{")
@@ -497,6 +525,44 @@ class TestReadoutCommands:
         assert run(["readout-sim", "--config", path, "--shots", "2000"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: mixture fit cannot start")
+
+    def test_zero_external_linewidth_exits_1(self, tmp_path, capsys):
+        cfg = json.loads(Path(SAMPLE_C).read_text())
+        cfg["readout"]["kappa_ext"] = 0.0
+        path = _write_config(tmp_path, cfg)
+        assert run(["readout-sim", "--config", path, "--shots", "100"]) == 1
+        assert capsys.readouterr().err == "error: shot simulation requires kappa_ext > 0\n"
+
+    def test_shot_file_without_values_exits_1(self, tmp_path, capsys):
+        assert run(["readout-sim", "--config", SAMPLE_C, "--shots", "100",
+                    "--out", str(tmp_path / "rep.csv")]) == 0
+        shots1 = tmp_path / "rep_shots1.csv"
+        text = shots1.read_text()
+        shots1.write_text(text[:text.index("value\n") + len("value\n")])
+        capsys.readouterr()
+        assert run(["readout-fit", "--shots0", str(tmp_path / "rep_shots0.csv"),
+                    "--shots1", str(shots1)]) == 1
+        assert capsys.readouterr().err == "error: both shot sets must be nonempty\n"
+
+    def test_swapped_shot_files_give_mirrored_report(self, tmp_path):
+        # the fit starts component 0 on the lower quartile, which the swapped
+        # state-0 shots do not hold, so it ends with a0 < 0.5 and relabels
+        assert run(["readout-sim", "--config", SAMPLE_C, "--shots", "4000",
+                    "--seed", "3", "--out", str(tmp_path / "rep.csv")]) == 0
+        files = [str(tmp_path / f"rep_shots{state}.csv") for state in (0, 1)]
+        rows = []
+        for name, (shots0, shots1) in (("fit.csv", files), ("swapped.csv", files[::-1])):
+            assert run(["readout-fit", "--shots0", shots0, "--shots1", shots1,
+                        "--out", str(tmp_path / name)]) == 0
+            rows.append({k: float(v) for k, v in _read_csv(tmp_path / name)[0].items()})
+        fit, swapped = rows
+        pairs = [("mu0", "mu1"), ("sigma0", "sigma1"), ("a0", "a1"), ("p01", "p10"),
+                 ("eps_01", "eps_10")]
+        for a, b in pairs:
+            assert swapped[a] == pytest.approx(fit[b], rel=1e-6)
+            assert swapped[b] == pytest.approx(fit[a], rel=1e-6)
+        for key in ("fidelity", "threshold", "eps_id"):
+            assert swapped[key] == pytest.approx(fit[key], rel=1e-6)
 
     def test_fit_round_trip_matches_sim_report(self, tmp_path):
         cfg = json.loads(Path(SAMPLE_C).read_text())

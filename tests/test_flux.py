@@ -167,6 +167,16 @@ class TestFitFailures:
             fit_one_squid(EN, f_q_zero=5.205e9, d_j_zero=d_j_zero, anchor_n=5,
                           d_j_anchor=-0.015)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_anchor_named(self, value):
+        # every cost would be NaN or inf, so no grid point would win and the
+        # scan would report an unphysical operating point for a bad input
+        with pytest.raises(ParameterError, match="f_q_anchor must be finite"):
+            fit_both_squids_area(EN, anchor_n=9, f_q_anchor=value)
+        with pytest.raises(ParameterError, match="d_j_anchor must be finite"):
+            fit_one_squid(EN, f_q_zero=5.205e9, d_j_zero=-0.3, anchor_n=5,
+                          d_j_anchor=value)
+
     def test_anchor_beyond_grid_rejected(self):
         # above 5000 the grid k * 1e-4 up to 0.5/anchor_n holds no point
         with pytest.raises(ParameterError, match=r"anchor_n must be an integer in \[1, 5000\]"):

@@ -307,6 +307,32 @@ class TestShotCsvRoundTrip:
         assert f"line {bad_line}:" in str(info.value)
         assert "'abc'" in str(info.value)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("first", ["value", "byte"])
+    def test_earlier_of_two_faults_named(self, tmp_path, newline, first):
+        # both faults lie past the 8 KiB that the header read decodes, so
+        # np.loadtxt meets them; its decoder reads ahead of the parse, so the
+        # fault it raises on can be the later one
+        path = tmp_path / "two.csv"
+        export_shots_csv(simulate_shots(SAMPLE_C, 0, 3000, 3), path)
+        lines = path.read_bytes().splitlines()
+        at = lines.index(b"value") + 1490  # index of the earlier fault's line
+        faults = {"value": b"abc", "byte": b"\xff1.5"}
+        lines[at] = faults[first]
+        lines[at + 10] = faults["byte" if first == "value" else "value"]
+        data = newline.encode().join(lines) + newline.encode()
+        path.write_bytes(data)
+        with pytest.raises(ParameterError) as info:
+            import_shots_csv(path)
+        if first == "value":
+            assert str(info.value) == (
+                f"malformed shot CSV {path}, line {at + 1}: 'abc' is not a number")
+        else:
+            offset = data.index(faults["byte"])
+            assert str(info.value) == (
+                f"malformed shot CSV {path}: 'utf-8' codec can't decode byte 0xff on "
+                f"line {at + 1}, at file offset {offset}: invalid start byte")
+
 
 class TestFit:
     def test_recovers_pure_gaussians(self):

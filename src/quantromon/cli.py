@@ -37,8 +37,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# cap on readout_sim.n_shots: simulate_shots peaks near 77 MiB per 1M shots
-# of the excited state (tracemalloc, sample_c.json)
+# cap on readout_sim.n_shots: a readout-sim peaks in the mixture fit, near
+# 46 MiB per 1M shots (both shot sets, their pooled copy and a temporary;
+# tracemalloc, sample_c.json); simulate_shots holds 8 bytes a shot and one
+# chunk of randoms
 MAX_SHOTS = 10**7
 
 
@@ -46,9 +48,9 @@ MAX_SHOTS = 10**7
 class SimOptions:
     """``readout_sim`` settings; ``--shots``/``--seed`` replace the first two.
 
-    ``n_shots`` is at most :data:`MAX_SHOTS`, about 0.75 GiB at the peak of
-    one :func:`~quantromon.readout.simulate_shots` call; every ``tau_list``
-    entry is finite and > 0.
+    ``n_shots`` is at most :data:`MAX_SHOTS`, about 0.45 GiB at the peak of
+    a run, in :func:`~quantromon.readout.fit_double_gaussian`; every
+    ``tau_list`` entry is finite and > 0.
     """
 
     n_shots: int = 20000
@@ -193,7 +195,7 @@ def load_config(path) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     data = normalize_config(raw)
@@ -257,7 +259,7 @@ def _emit(rows: list[dict], out: str | None, fmt: str) -> None:
     else:
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as f:
+        with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
 
 

@@ -117,40 +117,45 @@ def _noise_sigma(p: ReadoutParams) -> float:
     return p.noise_scale / math.sqrt(p.kappa_ext * p.tau)
 
 
+# Counters drawn per step of simulate_shots: 2 MiB of uniforms, which fits a
+# 4 MiB L2 and bounds what a call holds beside its values
+_SHOT_CHUNK = 65536
+
+
 def simulate_shots(p: ReadoutParams, prepared: int, n_shots: int, seed: int) -> ShotSet:
     """Generate a deterministic ShotSet.
 
     Shot i draws its randoms from the stream ``(seed, prepared)`` at counter
-    i: one batch of counters 0 to n_shots - 1, so any evaluation order (or a
-    concurrent split over counter ranges) is bit-identical. Excited shots that
-    decay at t < tau record the uniform-weight mixture
-    ``(t*m1 + (tau - t)*m0)/tau``.
+    i, so any evaluation order (or a concurrent split over counter ranges) is
+    bit-identical; the counters are drawn :data:`_SHOT_CHUNK` at a time, so a
+    call holds the values and one chunk. Excited shots that decay at t < tau
+    record the uniform-weight mixture ``(t*m1 + (tau - t)*m0)/tau``.
     """
     _check_state("prepared", prepared)
-    if n_shots < 1:
-        raise ParameterError(f"n_shots must be >= 1, got {n_shots!r}")
+    if not 1 <= n_shots <= 2**64:  # shot i is counter i of a 64-bit counter
+        raise ParameterError(f"n_shots must lie in [1, 2**64], got {n_shots!r}")
     from scipy.special import ndtri  # deferred: importing readout loads no scipy
 
     m0, m1 = pointer_means(p)
     sigma = _noise_sigma(p)
-    u = rng.uniforms(seed, prepared, 0, n_shots)
-
-    if prepared == 1:
-        excited = np.ones(n_shots, dtype=bool)
-    else:
-        excited = u[:, 2] < p.thermal_pop
-
-    base = np.full(n_shots, m0)
+    values = np.empty(n_shots)
     # a huge t1 overflows the decay time to inf, which is no decay (weight 1);
     # a huge noise_scale overflows shots to +-inf, which the fit's start check
     # reports
     with np.errstate(over="ignore"):
-        noise = ndtri(u[:, 0]) * sigma
-        if np.any(excited):
-            t_decay = -p.t1 * np.log(u[:, 1][excited])
-            weight = np.minimum(t_decay / p.tau, 1.0)
-            base[excited] = weight * m1 + (1.0 - weight) * m0
-        values = base + noise
+        for start in range(0, n_shots, _SHOT_CHUNK):
+            stop = min(start + _SHOT_CHUNK, n_shots)
+            u = rng.uniforms(seed, prepared, start, stop - start)
+            if prepared == 1:
+                excited = np.ones(stop - start, dtype=bool)
+            else:
+                excited = u[:, 2] < p.thermal_pop
+            base = np.full(stop - start, m0)
+            if np.any(excited):
+                t_decay = -p.t1 * np.log(u[:, 1][excited])
+                weight = np.minimum(t_decay / p.tau, 1.0)
+                base[excited] = weight * m1 + (1.0 - weight) * m0
+            np.add(base, ndtri(u[:, 0]) * sigma, out=values[start:stop])
     return ShotSet(prepared_state=prepared, values=values, seed=seed, params=p)
 
 
@@ -323,9 +328,9 @@ def _parse_halves(path, start: int, size: int) -> np.ndarray:
     return first
 
 
-def _read_values(path, first_line: int, start: int, size: int) -> np.ndarray:
+def _read_values(path, start: int, size: int) -> np.ndarray:
     """Parse the value lines of a shot CSV of ``size`` bytes, from byte
-    ``start``, the start of line ``first_line``, to the end.
+    ``start``, the start of its first value line, to the end.
 
     A large file on a single-threaded Linux process is parsed in two halves
     (:func:`_parse_halves`); if that fails or warns in any way, the whole
@@ -344,29 +349,39 @@ def _read_values(path, first_line: int, start: int, size: int) -> np.ndarray:
     try:
         values = _parse_lines(path, start)
     except ValueError as exc:  # a UnicodeDecodeError included
-        raise _fault_error(path, first_line, exc) from None
+        raise _fault_error(path, exc) from None
     if values.shape[1] != 1:
         raise ParameterError(f"malformed shot CSV {path}: expected one value per "
                              f"line, found {values.shape[1]} columns")
     return values[:, 0]
 
 
-def _fault_error(path, first_line: float, exc: ValueError) -> ParameterError:
+def _is_header(text: str) -> bool:
+    """Whether a stripped line of a shot CSV may come before its values: a
+    ``#`` header line, a blank line or the ``value`` title. The first line
+    that is none of these is the first value line."""
+    return not text or text.startswith("#") or text == "value"
+
+
+def _fault_error(path, exc: ValueError) -> ParameterError:
     """Name the first fault of a shot CSV in file order: a byte that is not
-    UTF-8, or a line from ``first_line`` on (``math.inf``: none) that is not
-    one number; else ``exc``. Lines end at LF, CR or CRLF, as in text mode."""
+    UTF-8, or a value line that is not one number; else ``exc``. Lines end at
+    LF, CR or CRLF, as in text mode."""
     with open(path, "rb") as f:
         data = f.read()
     offset = 0  # bytes before the current line
+    in_values = False
     for lineno, line in enumerate(data.splitlines(keepends=True), start=1):
         try:
-            text = line.decode("utf-8").split("#", 1)[0].strip()
+            text = line.decode("utf-8").strip()
         except UnicodeDecodeError as err:
             return ParameterError(
                 f"malformed shot CSV {path}: 'utf-8' codec can't decode byte "
                 f"0x{line[err.start]:02x} on line {lineno}, at file offset "
                 f"{offset + err.start}: {err.reason}")
-        if lineno >= first_line and text:
+        in_values = in_values or not _is_header(text)
+        text = text.split("#", 1)[0].strip()
+        if in_values and text:
             try:
                 float(text)
             except ValueError:
@@ -394,17 +409,17 @@ def import_shots_csv(path) -> ShotSet:
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
             offset = 0  # bytes before the current line
-            for lineno, line in enumerate(f, start=1):
+            for line in f:
                 text = line.strip()
+                if not _is_header(text):
+                    values = _read_values(path, offset, os.fstat(f.fileno()).st_size)
+                    break
                 if text.startswith("#"):
                     key, _, val = text.lstrip("# ").partition("=")
                     header[key.strip()] = val.strip()
-                elif text and text != "value":
-                    values = _read_values(path, lineno, offset, os.fstat(f.fileno()).st_size)
-                    break
                 offset += len(line.encode("utf-8"))
-    except UnicodeDecodeError as exc:  # in the header read: only a byte is named
-        raise _fault_error(path, math.inf, exc) from None
+    except UnicodeDecodeError as exc:  # in the header read, which decodes ahead
+        raise _fault_error(path, exc) from None
     try:
         kwargs = {}
         for param in fields(ReadoutParams):

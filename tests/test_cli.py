@@ -749,6 +749,22 @@ class TestColdPath:
         assert json.loads(done.stdout) == {"exits": [0, 0], "numpy_ma": False}
 
 
+class TestEncoding:
+    # configs and reports are UTF-8 whatever the locale, as shot CSVs are:
+    # no file is opened with the locale's default encoding
+    @pytest.mark.parametrize("argv", [
+        ["energies", "--config", REFERENCE],
+        ["readout-sim", "--config", SAMPLE_C, "--shots", "5000"],
+    ], ids=["energies", "readout-sim"])
+    def test_no_default_encoding(self, tmp_path, argv):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "quantromon.cli", *argv, "--out", str(tmp_path / "out.csv")],
+            env=_subprocess_env(OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+
+
 class TestDeterminism:
     def test_chi_sweep_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

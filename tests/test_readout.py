@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from quantromon.errors import (
 )
 from quantromon.params import ReadoutParams
 from quantromon.readout import (
+    _SHOT_CHUNK,
     GaussianMixtureFit,
     ShotSet,
     error_vs_integration,
@@ -181,6 +183,8 @@ class TestSimulateShots:
             simulate_shots(SAMPLE_C, 2, 100, 0)
         with pytest.raises(ParameterError):
             simulate_shots(SAMPLE_C, 0, 0, 0)
+        with pytest.raises(ParameterError, match=r"n_shots must lie in \[1, 2\*\*64\]"):
+            simulate_shots(SAMPLE_C, 0, 2**64 + 1, 0)  # past the last counter
 
     @pytest.mark.parametrize("state", [True, 1.0, 2])
     def test_prepared_state_must_be_integer_0_or_1(self, state):
@@ -195,6 +199,59 @@ class TestSimulateShots:
         # masking would alias these to the shots of seed 0 and 2**64 - 1
         with pytest.raises(ParameterError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             simulate_shots(SAMPLE_C, 0, 100, seed)
+
+
+def _one_draw_shots(p, prepared, n, seed):
+    """The shot formula of simulate_shots on one draw of all n counters."""
+    m0, m1 = pointer_means(p)
+    sigma = p.noise_scale / math.sqrt(p.kappa_ext * p.tau)
+    u = rng.uniforms(seed, prepared, 0, n)
+    excited = np.ones(n, dtype=bool) if prepared == 1 else u[:, 2] < p.thermal_pop
+    base = np.full(n, m0)
+    t_decay = -p.t1 * np.log(u[:, 1][excited])
+    weight = np.minimum(t_decay / p.tau, 1.0)
+    base[excited] = weight * m1 + (1.0 - weight) * m0
+    return base + ndtri(u[:, 0]) * sigma
+
+
+class TestShotChunks:
+    """simulate_shots draws its counters in chunks; the shots are those of
+    one draw of every counter."""
+
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5])
+    @pytest.mark.parametrize("thermal_pop", [0.0, 0.07])
+    @pytest.mark.parametrize("prepared", [0, 1])
+    @pytest.mark.parametrize("n", [_SHOT_CHUNK - 1, _SHOT_CHUNK, _SHOT_CHUNK + 1,
+                                   3 * _SHOT_CHUNK + 7])
+    def test_chunks_match_one_draw(self, n, prepared, thermal_pop, seed):
+        p = dataclasses.replace(SAMPLE_C, thermal_pop=thermal_pop)
+        values = simulate_shots(p, prepared, n, seed).values
+        assert values.tobytes() == _one_draw_shots(p, prepared, n, seed).tobytes()
+
+    # sha256 of the values of 3 chunks and 7 shots, recorded from the code
+    # that drew all counters at once
+    @pytest.mark.parametrize("prepared, digest", [
+        (0, "5efaec12864db54f425d5e0e9dc55e5d9c51985e972789d9a5558df4527dea74"),
+        (1, "0c3d35fe280fa03aa67ab4e53a16e4c7108ee37d533fdca3bec1a564c63b5757"),
+    ])
+    def test_multi_chunk_digest(self, prepared, digest):
+        p = dataclasses.replace(SAMPLE_C, thermal_pop=0.07)
+        values = simulate_shots(p, prepared, 3 * 65536 + 7, 2**63 + 5).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+    def test_simulate_peak_memory_in_chunks(self):
+        # the values (8 bytes a shot) and the temporaries of about two chunks,
+        # whatever the shot count; one draw of every counter would hold 81
+        # bytes a shot. Excited shots all decay, the most temporaries
+        n = 10**6
+        simulate_shots(SAMPLE_C, 1, 10, 0)  # scipy.special is loaded, not traced
+        tracemalloc.start()
+        try:
+            simulate_shots(SAMPLE_C, 1, n, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + 10 * 2**20, f"{peak / n:.1f} bytes per shot"
 
 
 class TestShotCsvRoundTrip:
@@ -313,25 +370,40 @@ class TestShotCsvRoundTrip:
         # both faults lie past the 8 KiB that the header read decodes, so
         # np.loadtxt meets them; its decoder reads ahead of the parse, so the
         # fault it raises on can be the later one
-        path = tmp_path / "two.csv"
-        export_shots_csv(simulate_shots(SAMPLE_C, 0, 3000, 3), path)
-        lines = path.read_bytes().splitlines()
-        at = lines.index(b"value") + 1490  # index of the earlier fault's line
-        faults = {"value": b"abc", "byte": b"\xff1.5"}
-        lines[at] = faults[first]
-        lines[at + 10] = faults["byte" if first == "value" else "value"]
-        data = newline.encode().join(lines) + newline.encode()
-        path.write_bytes(data)
-        with pytest.raises(ParameterError) as info:
-            import_shots_csv(path)
-        if first == "value":
-            assert str(info.value) == (
-                f"malformed shot CSV {path}, line {at + 1}: 'abc' is not a number")
-        else:
-            offset = data.index(faults["byte"])
-            assert str(info.value) == (
-                f"malformed shot CSV {path}: 'utf-8' codec can't decode byte 0xff on "
-                f"line {at + 1}, at file offset {offset}: invalid start byte")
+        _assert_earlier_fault_named(tmp_path / "two.csv", newline, first,
+                                    n_shots=3000, after_title=1490, gap=10)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("first", ["value", "byte"])
+    def test_earlier_of_two_faults_named_in_header_read(self, tmp_path, newline, first):
+        # a 20-value file: the header read decodes the whole file, faults
+        # included, before the first value is parsed
+        _assert_earlier_fault_named(tmp_path / "short.csv", newline, first,
+                                    n_shots=20, after_title=3, gap=3)
+
+
+def _assert_earlier_fault_named(path, newline, first, n_shots, after_title, gap):
+    """Put a bad value and a bad byte ``gap`` lines apart in a shot file,
+    ``first`` of them ``after_title`` lines after the ``value`` title, and
+    check that the import names the earlier one."""
+    export_shots_csv(simulate_shots(SAMPLE_C, 0, n_shots, 3), path)
+    lines = path.read_bytes().splitlines()
+    at = lines.index(b"value") + after_title  # index of the earlier fault's line
+    faults = {"value": b"abc", "byte": b"\xff1.5"}
+    lines[at] = faults[first]
+    lines[at + gap] = faults["byte" if first == "value" else "value"]
+    data = newline.encode().join(lines) + newline.encode()
+    path.write_bytes(data)
+    with pytest.raises(ParameterError) as info:
+        import_shots_csv(path)
+    if first == "value":
+        assert str(info.value) == (
+            f"malformed shot CSV {path}, line {at + 1}: 'abc' is not a number")
+    else:
+        offset = data.index(faults["byte"])
+        assert str(info.value) == (
+            f"malformed shot CSV {path}: 'utf-8' codec can't decode byte 0xff on "
+            f"line {at + 1}, at file offset {offset}: invalid start byte")
 
 
 class TestFit:

@@ -132,8 +132,11 @@ def simulate_shots(p: ReadoutParams, prepared: int, n_shots: int, seed: int) -> 
     record the uniform-weight mixture ``(t*m1 + (tau - t)*m0)/tau``.
     """
     _check_state("prepared", prepared)
-    if not 1 <= n_shots <= 2**64:  # shot i is counter i of a 64-bit counter
-        raise ParameterError(f"n_shots must lie in [1, 2**64], got {n_shots!r}")
+    # shot i is counter i of a 64-bit counter; a float or bool is no count
+    if (isinstance(n_shots, bool) or not isinstance(n_shots, (int, np.integer))
+            or not 1 <= n_shots <= 2**64):
+        raise ParameterError(f"n_shots must lie in [1, 2**64] and be an integer, "
+                             f"got {n_shots!r}")
     from scipy.special import ndtri  # deferred: importing readout loads no scipy
 
     m0, m1 = pointer_means(p)
@@ -173,44 +176,37 @@ _FORK_MIN_VALUES = 2 * _CSV_CHUNK
 _FORK_MIN_BYTES = 2 * 2**20
 
 
-def _format(x: float) -> str:
-    return repr(float(x))
-
-
 def _can_fork() -> bool:
-    """Whether a helper child may be forked: ``os.fork`` exists and this
-    process runs one OS thread. A child forked beside other threads (a BLAS
-    pool, say) can inherit a lock that one of them held."""
-    if not hasattr(os, "fork"):
-        return False
+    """Whether a helper child may be forked: this process runs one OS thread.
+    A child forked beside other threads (a BLAS pool, say) can inherit a lock
+    that one of them held."""
     try:
         return len(os.listdir("/proc/self/task")) == 1
     except OSError:  # no /proc: the thread count is unknown
         return False
 
 
-def _fork(work) -> tuple[int, int] | None:
-    """Start a forked child that runs ``work()`` and sends the bytes it
-    returns through a pipe; the child's pid and the pipe's read end, or None
-    when no child could be started. Hand the result to :func:`_collect` in a
-    ``finally``.
-
-    The child imports nothing and leaves the parent's files alone, and it
-    always ends with ``os._exit``: no inherited buffer is flushed twice, and
-    no exception of its own reaches a handler of the parent.
-    """
+def _beside_child(here, there):
+    """Run ``there()`` in a forked child while ``here()`` runs in this
+    process; ``(here(), the bytes there() returned)``, with None for the
+    bytes if no child started or it failed: a nonzero status, a signal, a
+    short read, or a status lost because the child was reaped elsewhere. The
+    child is read and reaped even when ``here()`` raises. It imports nothing,
+    leaves the parent's files alone and always ends with ``os._exit``: no
+    inherited buffer is flushed twice, and no exception of its own reaches a
+    handler of the parent."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        return None
+        return here(), None
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
-            data = work()
+            data = there()
             with open(write_end, "wb") as pipe:
                 pipe.write(len(data).to_bytes(8, "little"))
                 pipe.write(data)
@@ -218,31 +214,21 @@ def _fork(work) -> tuple[int, int] | None:
         finally:
             os._exit(status)
     os.close(write_end)
-    return pid, read_end
-
-
-def _collect(child: tuple[int, int] | None) -> bytes | None:
-    """Read the bytes a child of :func:`_fork` sent and reap it; None when
-    there was no child or it failed in any way: a nonzero exit status, a
-    signal, fewer bytes than it announced, or a status this process cannot
-    read because the child was reaped elsewhere."""
-    if child is None:
-        return None
-    pid, read_end = child
     try:
-        with open(read_end, "rb") as pipe:
-            head = pipe.read(8)
-            size = int.from_bytes(head, "little")
-            # one buffer of the announced size, not one grown read by read
-            data = pipe.read(size) if len(head) == 8 else b""
+        result = here()
     finally:
         try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # reaped elsewhere (SIGCHLD ignored, say): status unknown
-            status = -1
-    if status != 0 or len(head) != 8 or len(data) != size:
-        return None
-    return data
+            with open(read_end, "rb") as pipe:
+                head = pipe.read(8)
+                size = int.from_bytes(head, "little")
+                # one buffer of the announced size, not one grown read by read
+                data = pipe.read(size) if len(head) == 8 else b""
+        finally:
+            try:
+                status = os.waitpid(pid, 0)[1]
+            except ChildProcessError:  # reaped elsewhere (SIGCHLD ignored, say): status unknown
+                status = -1
+    return result, data if status == 0 and len(head) == 8 and len(data) == size else None
 
 
 def _lines(values: np.ndarray, start: int, stop: int):
@@ -258,24 +244,25 @@ def export_shots_csv(shots: ShotSet, path) -> None:
     The header holds the prepared state, the seed and every
     :class:`ReadoutParams` field in declaration order. Each value is written
     as ``repr(float(v))``, the shortest text that reads back to the same
-    double. In a single-threaded process on Linux, a forked child formats
-    the second half of a large file's lines; the bytes are the same.
+    double. In a single-threaded process on Linux, a large file's first half
+    of lines is written here while a forked child formats the second half
+    (:func:`_beside_child`); if the child fails, this process formats that
+    half too, so the bytes are always those of the serial code.
     """
     values = np.asarray(shots.values, dtype=np.float64)
     n = values.size
-    mid = n // 2 if n >= _FORK_MIN_VALUES and _can_fork() else n
+    mid = n // 2 if n >= _FORK_MIN_VALUES and _can_fork() else 0
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(f"# prepared_state={shots.prepared_state}\n")
         f.write(f"# seed={shots.seed}\n")
         for param in fields(ReadoutParams):
             value = getattr(shots.params, param.name)
-            f.write(f"# {param.name}={'' if value is None else _format(value)}\n")
+            f.write(f"# {param.name}={'' if value is None else repr(float(value))}\n")
         f.write("value\n")
-        child = _fork(lambda: "".join(_lines(values, mid, n)).encode()) if mid < n else None
-        try:
-            f.writelines(_lines(values, 0, mid))
-        finally:
-            tail = _collect(child)
+        tail = None
+        if mid:  # a forked child formats the lines from mid on
+            tail = _beside_child(lambda: f.writelines(_lines(values, 0, mid)),
+                                 lambda: "".join(_lines(values, mid, n)).encode())[1]
         if tail is None:
             f.writelines(_lines(values, mid, n))
         else:
@@ -295,65 +282,53 @@ def _parse_lines(path, start: int, stop: int | None = None) -> np.ndarray:
         return np.loadtxt(text, dtype=np.float64, ndmin=2)
 
 
-def _shape_and_values(a: np.ndarray) -> bytes:
-    """A 2-D float64 array as bytes: its shape as two int64, then its values."""
-    return np.array(a.shape, dtype=np.int64).tobytes() + a.tobytes()
-
-
-def _parse_halves(path, start: int, size: int) -> np.ndarray:
-    """:func:`_parse_lines` from byte ``start`` of a file of ``size`` bytes,
-    with the lines after its middle parsed by a forked child. It raises a
-    ``ValueError`` (or a warning turned into an error) if either half or the
-    child fails, but does not name the fault as the serial parse does."""
-    with open(path, "rb") as f:
-        f.seek((start + size) // 2)
-        cut = f.tell() + f.read(4096).index(b"\n") + 1  # a line boundary
-    child = _fork(lambda: _shape_and_values(_parse_lines(path, cut)))
-    try:
-        first = _parse_lines(path, start, cut)
-    finally:
-        data = _collect(child)
-    if data is None:
-        raise ValueError("the second half was not parsed")
-    rows, cols = np.frombuffer(data, dtype=np.int64, count=2)
-    second = np.frombuffer(data, dtype=np.float64, offset=16).reshape(rows, cols)
-    # grow the first half's own array in place, as np.loadtxt grows its
-    # result: a new array for both halves could leave glibc's heap untrimmed
-    # after a large import, which raised readout-stream's peak RSS by 8%.
-    # first is a fresh array that no view shares, so refcheck may be off;
-    # halves that differ in columns fail to broadcast or leave two columns
-    rows_first = len(first)
-    first.resize((rows_first + len(second), first.shape[1]), refcheck=False)
-    first[rows_first:] = second
-    return first
+def _one_column(path, values: np.ndarray) -> np.ndarray:
+    """``values`` from :func:`_parse_lines`, once each line is seen to hold
+    one number."""
+    if values.shape[1] != 1:
+        raise ParameterError(f"malformed shot CSV {path}: expected one value per "
+                             f"line, found {values.shape[1]} columns")
+    return values
 
 
 def _read_values(path, start: int, size: int) -> np.ndarray:
     """Parse the value lines of a shot CSV of ``size`` bytes, from byte
     ``start``, the start of its first value line, to the end.
 
-    A large file on a single-threaded Linux process is parsed in two halves
-    (:func:`_parse_halves`); if that fails or warns in any way, the whole
-    range is parsed again here, so the values, warnings and messages are
-    those of the serial parse.
+    A large file on a single-threaded Linux process is split at the line
+    boundary after its middle: this process parses the first half while a
+    forked child parses the second and sends its values as bare float64
+    bytes (:func:`_beside_child`). If a half fails, warns or holds more than
+    one column, or the child fails, the whole range is parsed again here, so
+    the values, warnings and messages are those of the serial parse.
     """
     if size - start >= _FORK_MIN_BYTES and _can_fork():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                values = _parse_halves(path, start, size)
-            except (ValueError, Warning):
-                values = None  # the serial parse below names the fault
-        if values is not None and values.shape[1] == 1:
-            return values[:, 0]
+                with open(path, "rb") as f:
+                    f.seek((start + size) // 2)
+                    cut = f.tell() + f.read(4096).index(b"\n") + 1  # a line boundary
+                first, second = _beside_child(
+                    lambda: _one_column(path, _parse_lines(path, start, cut)),
+                    lambda: _one_column(path, _parse_lines(path, cut)).tobytes())
+            except (ValueError, Warning):  # a ParameterError included
+                second = None  # the serial parse below names the fault
+        if second is not None:
+            # grow the first half's own 2-D array in place, as np.loadtxt grows
+            # its result (a new array for both halves left glibc's heap
+            # untrimmed, +8% peak RSS); no view shares it, and a view could
+            # not be resized
+            second = np.frombuffer(second, dtype=np.float64)
+            rows = len(first)
+            first.resize((rows + len(second), 1), refcheck=False)
+            first[rows:, 0] = second
+            return first[:, 0]
     try:
         values = _parse_lines(path, start)
     except ValueError as exc:  # a UnicodeDecodeError included
         raise _fault_error(path, exc) from None
-    if values.shape[1] != 1:
-        raise ParameterError(f"malformed shot CSV {path}: expected one value per "
-                             f"line, found {values.shape[1]} columns")
-    return values[:, 0]
+    return _one_column(path, values)[:, 0]
 
 
 def _is_header(text: str) -> bool:

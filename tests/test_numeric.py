@@ -43,6 +43,14 @@ class TestTruncation:
                                                      rf"\({n_q}, {n_r}\)"):
                 Truncation(n_q, n_r)
 
+    @pytest.mark.parametrize("n_q, n_r", [(12.0, 12), (12, 12.0), (True, 12)])
+    def test_non_integer_levels_rejected(self, n_q, n_r):
+        with pytest.raises(ParameterError, match=r"4 to 64 levels per mode, got "):
+            Truncation(n_q, n_r)
+
+    def test_numpy_integer_levels_accepted(self):
+        assert Truncation(np.int64(5), np.int32(7)).dim == 35
+
     def test_maximum_levels_accepted(self):
         assert Truncation(64, 64).dim == 64 * 64
 

@@ -185,6 +185,11 @@ class TestSimulateShots:
             simulate_shots(SAMPLE_C, 0, 0, 0)
         with pytest.raises(ParameterError, match=r"n_shots must lie in \[1, 2\*\*64\]"):
             simulate_shots(SAMPLE_C, 0, 2**64 + 1, 0)  # past the last counter
+        for n_shots in (1000.0, True):  # a float or bool is not a shot count
+            with pytest.raises(ParameterError, match=r"n_shots .* integer, got "):
+                simulate_shots(SAMPLE_C, 0, n_shots, 1)
+        with pytest.raises(ParameterError, match=r"n_shots .* integer, got 2\.5"):
+            error_vs_integration(SAMPLE_C, [1e-6], 2.5, 1)
 
     @pytest.mark.parametrize("state", [True, 1.0, 2])
     def test_prepared_state_must_be_integer_0_or_1(self, state):
@@ -682,12 +687,16 @@ class TestForkedShotCsv:
                                        "same": forked_text == serial_text})
         result["failed_child"].append(record)
 
-        good = [f"{v!r}\\n" for v in values.tolist()[:800]]
+        good = [f"{v!r}\\n" for v in values.tolist()]
         first = header.count("\\n") + 1  # line number of the first value
-        for case, at, bad in [("abc", 600, "abc\\n"), ("two columns", 650, "1.0 2.0\\n"),
-                              ("underscore", 700, "1_0\\n"),
-                              ("not utf-8", 750, "\\udcff1.5\\n")]:
-            body = good[:at] + [bad] + good[at + 1:]
+        for case, lines, at, bad in [
+                ("abc", 800, 600, "abc\\n"), ("two columns", 800, 650, "1.0 2.0\\n"),
+                ("underscore", 800, 700, "1_0\\n"), ("not utf-8", 800, 750, "\\udcff1.5\\n"),
+                # in the parent's half, which fails while the child still parses;
+                # with 2400 lines the byte too lies past the header read's 8 KiB
+                ("abc, first half", 2400, 600, "abc\\n"),
+                ("not utf-8, first half", 2400, 600, "\\udcff1.5\\n")]:
+            body = good[:at] + [bad] + good[at + 1:lines]
             data = (header + "".join(body)).encode("utf-8", "surrogateescape")
             record = compare(case, data)
             record.update(line=first + at, offset=data.find(b"\\xff"))
@@ -755,8 +764,54 @@ class TestForkedShotCsv:
                 f"{undecodable['offset']}: invalid start byte") in undecodable["message"]
         assert "found 2 columns" in cases["all two columns"]["message"]
 
+    def test_bad_value_in_first_half_gives_serial_message(self, result):
+        cases = {r["case"]: r for r in result["bad_value"]}
+        abc, undecodable = cases["abc, first half"], cases["not utf-8, first half"]
+        assert all(r["forks"] == 1 and r["same"] for r in (abc, undecodable))
+        assert f", line {abc['line']}: 'abc' is not a number" in abc["message"]
+        assert (f"byte 0xff on line {undecodable['line']}, at file offset "
+                f"{undecodable['offset']}: invalid start byte") in undecodable["message"]
+
     def test_no_child_left_running(self, result):
         assert result["children_left"] is False
+
+    def test_unflushed_stdout_written_once(self, tmp_path):
+        # the children of a forked export and import end without flushing
+        # the buffer they inherit, so text the caller has not flushed yet
+        # reaches stdout once
+        script = textwrap.dedent("""
+            import json, os, sys
+            import numpy as np
+            from quantromon.params import ReadoutParams
+            from quantromon.readout import ShotSet, export_shots_csv, import_shots_csv
+
+            forks = []
+            real_fork = os.fork
+
+            def counting_fork():
+                forks.append(1)
+                return real_fork()
+
+            os.fork = counting_fork
+            sys.stdout.write("marker\\n")  # stdout is a pipe: this stays buffered
+            path = os.path.join(sys.argv[1], "shots.csv")
+            values = np.random.default_rng(3).standard_normal(300000)
+            export_shots_csv(ShotSet(0, values, 1, ReadoutParams(**json.loads(sys.argv[2]))),
+                             path)
+            same = import_shots_csv(path).values.tobytes() == values.tobytes()
+            print(json.dumps({"forks": len(forks), "same": same}))
+        """)
+        # unbuffered, the marker would be written before any fork
+        env = _subprocess_env(OPENBLAS_NUM_THREADS="1")
+        env.pop("PYTHONUNBUFFERED", None)
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script, str(tmp_path),
+             json.dumps(dataclasses.asdict(SAMPLE_C))],
+            env=env,
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        assert done.stdout.count("marker") == 1, done.stdout
+        assert json.loads(done.stdout.splitlines()[-1]) == {"forks": 2, "same": True}
 
 
 class TestReadoutParamsValidation:

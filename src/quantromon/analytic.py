@@ -1,8 +1,10 @@
-"""Closed-form two-mode spectrum.
+"""Closed-form two-mode spectrum and steady-state readout reflection.
 
 Evaluates the bare mode frequencies/impedances, the renormalized (dressed)
-spectrum with its cross-Kerr dispersive shift, and the corrections induced
-by junction asymmetry. All inputs and outputs are ordinary frequencies in Hz.
+spectrum with its cross-Kerr dispersive shift, the corrections induced by
+junction asymmetry, and the resonator's reflection S11 with the phase
+separation and pointer means it gives. All inputs and outputs are ordinary
+frequencies in Hz. The module imports no numpy.
 
 Sign conventions: chi > 0 with interaction -2*chi*n_q*n_r, and the detuning
 Delta = omega_q_t - omega_r_t is signed (qubit minus resonator).
@@ -10,12 +12,13 @@ Delta = omega_q_t - omega_r_t is signed (qubit minus resonator).
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 from .errors import ParameterError, StraddlingResonanceError, UnphysicalRegimeError
-from .params import CODATA2018, ModeEnergies, regime_warnings
+from .params import CODATA2018, ModeEnergies, ReadoutParams, regime_warnings
 
 __all__ = [
     "BareModes",
@@ -24,6 +27,9 @@ __all__ = [
     "dressed_spectrum",
     "asymmetric_corrections",
     "invert_chi",
+    "reflection_coefficient",
+    "phase_separation",
+    "pointer_means",
 ]
 
 
@@ -164,3 +170,48 @@ def invert_chi(two_chi_measured: float, delta: float, alpha_q: float,
             "inverted in this detuning regime"
         )
     return two_chi_measured / factor
+
+
+def reflection_coefficient(omega: float, omega_r_pulled: float,
+                           kappa_ext: float, kappa_int: float) -> complex:
+    """One-port reflection S11 off a resonator at its pulled frequency.
+
+    S11 = (i(w - w_r) + (k_int - k_ext)/2) / (i(w - w_r) + (k_int + k_ext)/2),
+    so |S11| <= 1, with full phase wrap through resonance when over-coupled.
+    """
+    detuning = omega - omega_r_pulled
+    return ((1j * detuning + (kappa_int - kappa_ext) / 2.0)
+            / (1j * detuning + (kappa_int + kappa_ext) / 2.0))
+
+
+def phase_separation(two_chi: float, kappa_ext: float, kappa_int: float) -> float:
+    """Reflected-phase separation (degrees) between the two qubit states.
+
+    Readout is taken at the midpoint of the two pulled resonator frequencies,
+    so the detunings are +-chi. Over-coupled resonators wrap the phase through
+    +-180 deg at resonance; the separation then follows the continuous branch,
+    i.e. 360 deg minus the principal-branch gap.
+    """
+    if kappa_ext + kappa_int <= 0.0:
+        raise ParameterError("total linewidth must be > 0")
+    chi = two_chi / 2.0
+    s_plus = reflection_coefficient(chi, 0.0, kappa_ext, kappa_int)
+    # principal-branch gap, symmetric; cmath.phase is libm's atan2, which can
+    # differ from np.angle by one ulp
+    gap = 2.0 * math.degrees(cmath.phase(s_plus))
+    if kappa_ext > kappa_int:
+        return 360.0 - gap
+    return gap
+
+
+def pointer_means(p: ReadoutParams) -> tuple[float, float]:
+    """1-D pointer means (a.u.) for qubit states 0 and 1.
+
+    Complex reflection amplitudes sqrt(nbar)*S11(state), projected on the
+    line through the two means, with the origin at their midpoint.
+    """
+    f_ro = p.readout_freq if p.readout_freq is not None else p.omega_r - p.two_chi / 2.0
+    r0 = reflection_coefficient(f_ro, p.omega_r, p.kappa_ext, p.kappa_int)
+    r1 = reflection_coefficient(f_ro, p.omega_r - p.two_chi, p.kappa_ext, p.kappa_int)
+    separation = math.sqrt(p.nbar) * abs(r1 - r0)
+    return -separation / 2.0, separation / 2.0

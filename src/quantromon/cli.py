@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analytic import dressed_spectrum
+from .analytic import dressed_spectrum, phase_separation
 from .coherence import CoherenceConfig
 from .errors import ConfigError, NumericalError, ParameterError
 from .flux import FluxConfig, FluxMode, junction_energies, sweep
@@ -377,8 +377,6 @@ def _cmd_readout_fit(cfg: RunConfig, args) -> list[dict]:
 
 
 def _cmd_phase(cfg: RunConfig, args) -> list[dict]:
-    from .readout import phase_separation
-
     p = _need(cfg.readout, "readout", "phase")
     sep = phase_separation(p.two_chi, p.kappa_ext, p.kappa_int)
     return [{"two_chi": p.two_chi, "kappa_ext": p.kappa_ext,

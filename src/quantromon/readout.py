@@ -1,14 +1,15 @@
-"""Dispersive single-shot readout: steady-state reflection, deterministic shot
-simulation with T1 decay, simultaneous double-Gaussian histogram fitting, and
-fidelity/error reports.
+"""Dispersive single-shot readout: deterministic shot simulation with T1
+decay, simultaneous double-Gaussian histogram fitting, and fidelity/error
+reports.
 
 The shot model is a calibrated one, not a first-principles prediction: the
 two cavity pointer states are the steady-state reflection amplitudes scaled
-by sqrt(nbar), shots are projected on the line through the two pointers, and
-the additive noise is ``noise_scale/sqrt(kappa_ext*tau)`` with ``noise_scale``
-calibrated against a measured fidelity. Excited-state shots decay at an
-exponential time t and record the time-weighted mixture of the two pointers
-(uniform integration weights).
+by sqrt(nbar) (:func:`quantromon.analytic.pointer_means`), shots are
+projected on the line through the two pointers, and the additive noise is
+``noise_scale/sqrt(kappa_ext*tau)`` with ``noise_scale`` calibrated against
+a measured fidelity. Excited-state shots decay at an exponential time t and
+record the time-weighted mixture of the two pointers (uniform integration
+weights).
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from __future__ import annotations
 import io
 import math
 import os
+import signal
 import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import rng
+from .analytic import pointer_means
 from .errors import (
     DegenerateMixtureError,
     FitConvergenceError,
@@ -36,9 +39,6 @@ __all__ = [
     "GaussianMixtureFit",
     "FidelityReport",
     "IntegrationPoint",
-    "reflection_coefficient",
-    "phase_separation",
-    "pointer_means",
     "simulate_shots",
     "export_shots_csv",
     "import_shots_csv",
@@ -47,49 +47,6 @@ __all__ = [
     "fidelity_report",
     "error_vs_integration",
 ]
-
-
-def reflection_coefficient(omega: float, omega_r_pulled: float,
-                           kappa_ext: float, kappa_int: float) -> complex:
-    """One-port reflection S11 off a resonator at its pulled frequency.
-
-    S11 = (i(w - w_r) + (k_int - k_ext)/2) / (i(w - w_r) + (k_int + k_ext)/2),
-    so |S11| <= 1, with full phase wrap through resonance when over-coupled.
-    """
-    detuning = omega - omega_r_pulled
-    return ((1j * detuning + (kappa_int - kappa_ext) / 2.0)
-            / (1j * detuning + (kappa_int + kappa_ext) / 2.0))
-
-
-def phase_separation(two_chi: float, kappa_ext: float, kappa_int: float) -> float:
-    """Reflected-phase separation (degrees) between the two qubit states.
-
-    Readout is taken at the midpoint of the two pulled resonator frequencies,
-    so the detunings are +-chi. Over-coupled resonators wrap the phase through
-    +-180 deg at resonance; the separation then follows the continuous branch,
-    i.e. 360 deg minus the principal-branch gap.
-    """
-    if kappa_ext + kappa_int <= 0.0:
-        raise ParameterError("total linewidth must be > 0")
-    chi = two_chi / 2.0
-    s_plus = reflection_coefficient(chi, 0.0, kappa_ext, kappa_int)
-    gap = 2.0 * math.degrees(np.angle(s_plus))  # principal-branch gap, symmetric
-    if kappa_ext > kappa_int:
-        return 360.0 - gap
-    return gap
-
-
-def pointer_means(p: ReadoutParams) -> tuple[float, float]:
-    """1-D pointer means (a.u.) for qubit states 0 and 1.
-
-    Complex reflection amplitudes sqrt(nbar)*S11(state), projected on the
-    line through the two means, with the origin at their midpoint.
-    """
-    f_ro = p.readout_freq if p.readout_freq is not None else p.omega_r - p.two_chi / 2.0
-    r0 = reflection_coefficient(f_ro, p.omega_r, p.kappa_ext, p.kappa_int)
-    r1 = reflection_coefficient(f_ro, p.omega_r - p.two_chi, p.kappa_ext, p.kappa_int)
-    separation = math.sqrt(p.nbar) * abs(r1 - r0)
-    return -separation / 2.0, separation / 2.0
 
 
 @dataclass(frozen=True)
@@ -190,8 +147,9 @@ def _beside_child(here, there):
     """Run ``there()`` in a forked child while ``here()`` runs in this
     process; ``(here(), the bytes there() returned)``, with None for the
     bytes if no child started or it failed: a nonzero status, a signal, a
-    short read, or a status lost because the child was reaped elsewhere. The
-    child is read and reaped even when ``here()`` raises. It imports nothing,
+    short read, or a status lost because the child was reaped elsewhere. If
+    ``here()`` raises, the child is killed before its pipe is read, so the
+    error does not wait for its work, and it is reaped. It imports nothing,
     leaves the parent's files alone and always ends with ``os._exit``: no
     inherited buffer is flushed twice, and no exception of its own reaches a
     handler of the parent."""
@@ -216,6 +174,12 @@ def _beside_child(here, there):
     os.close(write_end)
     try:
         result = here()
+    except BaseException:
+        try:
+            os.kill(pid, signal.SIGKILL)  # its bytes are not wanted
+        except ProcessLookupError:  # reaped elsewhere already
+            pass
+        raise
     finally:
         try:
             with open(read_end, "rb") as pipe:

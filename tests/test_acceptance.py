@@ -14,7 +14,12 @@ from scipy.special import ndtri
 from scipy.stats import spearmanr
 
 from quantromon import rng
-from quantromon.analytic import asymmetric_corrections, bare_modes, dressed_spectrum
+from quantromon.analytic import (
+    asymmetric_corrections,
+    bare_modes,
+    dressed_spectrum,
+    phase_separation,
+)
 from quantromon.coherence import CoherenceConfig, t1_dielectric
 from quantromon.flux import (
     FluxConfig,
@@ -31,7 +36,6 @@ from quantromon.readout import (
     error_vs_integration,
     fidelity_report,
     fit_double_gaussian,
-    phase_separation,
     simulate_shots,
     threshold,
 )

@@ -664,10 +664,10 @@ class TestImports:
         [["energies", "--config", c] for c in (REFERENCE, SAMPLE_A, SAMPLE_B, SAMPLE_C)]
         + [[cmd, "--config", c] for cmd in ("chi-sweep", "t1-model")
            for c in (SAMPLE_A, SAMPLE_B)]
+        + [["phase", "--config", SAMPLE_C]]
     )
     NUMPY_RUNS = (
         [["spectrum", "--config", c] for c in (REFERENCE, SAMPLE_A, SAMPLE_B, SAMPLE_C)]
-        + [["phase", "--config", SAMPLE_C]]
     )
     SCRIPT = textwrap.dedent("""
         import contextlib, io, json, sys

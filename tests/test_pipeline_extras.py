@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from quantromon.analytic import dressed_spectrum
+from quantromon.analytic import dressed_spectrum, phase_separation, pointer_means
 from quantromon.cli import run
 from quantromon.coherence import CoherenceConfig
 from quantromon.flux import (
@@ -24,8 +24,6 @@ from quantromon.readout import (
     fidelity_report,
     fit_double_gaussian,
     import_shots_csv,
-    phase_separation,
-    pointer_means,
     simulate_shots,
     threshold,
 )

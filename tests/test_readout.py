@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
+from quantromon.analytic import phase_separation, pointer_means, reflection_coefficient
 from quantromon.errors import (
     DegenerateMixtureError,
     NumericalError,
@@ -32,9 +33,6 @@ from quantromon.readout import (
     fidelity_report,
     fit_double_gaussian,
     import_shots_csv,
-    phase_separation,
-    pointer_means,
-    reflection_coefficient,
     simulate_shots,
     threshold,
 )
@@ -112,6 +110,24 @@ class TestPhaseSeparation:
     def test_zero_linewidth_rejected(self):
         with pytest.raises(ParameterError):
             phase_separation(1e6, 0.0, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_chi=st.floats(0.5 * 1.37e6, 2.0 * 1.37e6),
+           kappa_ext=st.floats(0.5 * 0.90e6, 2.0 * 0.90e6),
+           ratio=st.floats(0.2, 5.0))  # kappa_int / kappa_ext: both couplings
+    @example(two_chi=1.37e6, kappa_ext=0.90e6, ratio=0.38 / 0.90)  # over-coupled
+    @example(two_chi=1.37e6, kappa_ext=0.38e6, ratio=0.90 / 0.38)  # under-coupled
+    def test_matches_numpy_angle_within_two_ulp(self, two_chi, kappa_ext, ratio):
+        # the formula before the angle came from cmath.phase (libm atan2):
+        # numpy's angle, on the continuous branch. The two angles can differ
+        # by one ulp, which the doubled degrees carry into at most 2 ulp of
+        # the principal gap or, when larger, of the separation
+        kappa_int = ratio * kappa_ext
+        s_plus = reflection_coefficient(two_chi / 2.0, 0.0, kappa_ext, kappa_int)
+        gap = 2.0 * math.degrees(np.angle(s_plus))
+        reference = 360.0 - gap if kappa_ext > kappa_int else gap
+        assert abs(phase_separation(two_chi, kappa_ext, kappa_int) - reference) \
+            <= 2 * math.ulp(max(reference, gap))
 
 
 class TestSimulateShots:
@@ -812,6 +828,60 @@ class TestForkedShotCsv:
         assert done.returncode == 0 and done.stderr == "", done.stderr
         assert done.stdout.count("marker") == 1, done.stdout
         assert json.loads(done.stdout.splitlines()[-1]) == {"forks": 2, "same": True}
+
+    def test_failing_here_kills_the_child(self):
+        # a fault in this process's half is raised at once: the child's half,
+        # here a 30 s sleep, is not waited for, and the child is reaped. With
+        # SIGCHLD ignored, a child that ended first is already gone, and the
+        # fault is still the error raised
+        script = textwrap.dedent("""
+            import json, os, signal, time
+            from quantromon.readout import _beside_child
+
+            def failing_after(seconds):
+                def here():
+                    time.sleep(seconds)
+                    raise ValueError("this half fails")
+                return here
+
+            def sleeping(seconds):
+                def there():
+                    time.sleep(seconds)
+                    return b""
+                return there
+
+            result = {}
+            for case, here, there in [("child sleeps", failing_after(0), sleeping(30)),
+                                      ("child done, SIGCHLD ignored",
+                                       failing_after(0.5), sleeping(0))]:
+                if case.endswith("ignored"):
+                    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+                start = time.perf_counter()
+                try:
+                    _beside_child(here, there)
+                    error = None
+                except Exception as exc:
+                    error = repr(exc)
+                signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+                try:
+                    os.waitpid(-1, os.WNOHANG)
+                    children_left = True
+                except ChildProcessError:
+                    children_left = False
+                result[case] = {"error": error, "elapsed": time.perf_counter() - start,
+                                "children_left": children_left}
+            print(json.dumps(result))
+        """)
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            env=_subprocess_env(OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        result = json.loads(done.stdout)
+        for case in result.values():
+            assert case["error"] == "ValueError('this half fails')"
+            assert case["elapsed"] < 5.0
+            assert case["children_left"] is False
 
 
 class TestReadoutParamsValidation:

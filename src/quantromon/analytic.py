@@ -190,11 +190,13 @@ def phase_separation(two_chi: float, kappa_ext: float, kappa_int: float) -> floa
     Readout is taken at the midpoint of the two pulled resonator frequencies,
     so the detunings are +-chi. Over-coupled resonators wrap the phase through
     +-180 deg at resonance; the separation then follows the continuous branch,
-    i.e. 360 deg minus the principal-branch gap.
+    i.e. 360 deg minus the principal-branch gap. The separation does not
+    depend on the sign of the pull, so a negative ``two_chi`` gives the
+    value of its magnitude.
     """
     if kappa_ext + kappa_int <= 0.0:
         raise ParameterError("total linewidth must be > 0")
-    chi = two_chi / 2.0
+    chi = abs(two_chi) / 2.0
     s_plus = reflection_coefficient(chi, 0.0, kappa_ext, kappa_int)
     # principal-branch gap, symmetric; cmath.phase is libm's atan2, which can
     # differ from np.angle by one ulp

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .analytic import dressed_spectrum, phase_separation
 from .coherence import CoherenceConfig
-from .errors import ConfigError, NumericalError, ParameterError
+from .errors import ConfigError, NumericalError, ParameterError, is_int
 from .flux import FluxConfig, FluxMode, junction_energies, sweep
 from .params import (CircuitParams, ModeEnergies, ReadoutParams, derive_energies,
                      regime_warnings)
@@ -31,10 +31,6 @@ from .params import (CircuitParams, ModeEnergies, ReadoutParams, derive_energies
 # itself, so energies, chi-sweep and t1-model start without numpy
 
 __all__ = ["main", "run", "load_config", "normalize_config", "RunConfig"]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # cap on readout_sim.n_shots: a readout-sim peaks in the mixture fit, near
@@ -58,11 +54,11 @@ class SimOptions:
     tau_list: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not (_is_int(self.n_shots) and 1 <= self.n_shots <= MAX_SHOTS):
+        if not (is_int(self.n_shots) and 1 <= self.n_shots <= MAX_SHOTS):
             raise ConfigError(
                 f"readout_sim.n_shots must be an integer in [1, {MAX_SHOTS}], "
                 f"got {self.n_shots!r}")
-        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
+        if not (is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ConfigError(
                 f"readout_sim.seed must be an integer in [0, 2**64), got {self.seed!r}")
         for tau in self.tau_list:
@@ -166,7 +162,7 @@ def _parse_flux(section: dict, energies: ModeEnergies | None) -> FluxConfig:
         e_j1 = derived[0] if e_j1 is None else e_j1
         e_j2 = derived[1] if e_j2 is None else e_j2
     n = section.get("n", 0)
-    if not _is_int(n):
+    if not is_int(n):
         raise ConfigError(f"flux.n must be an integer, got {n!r}")
     return FluxConfig(
         mode=mode, e_j1_zero=e_j1, e_j2_zero=e_j2,
@@ -177,7 +173,7 @@ def _parse_flux(section: dict, energies: ModeEnergies | None) -> FluxConfig:
 
 def _parse_n_list(section: dict) -> tuple[int, ...]:
     n_list = section.get("n_list", [])
-    if not isinstance(n_list, list) or not all(map(_is_int, n_list)):
+    if not isinstance(n_list, list) or not all(map(is_int, n_list)):
         raise ConfigError("sweep.n_list must be a list of integers")
     return tuple(n_list)
 
@@ -419,10 +415,12 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return 0 if exc.code == 0 else 1
     try:
-        # a trailing separator names a directory even when none exists yet
-        if args.out is not None and (args.out.endswith((os.sep, os.altsep or os.sep))
-                                     or Path(args.out).is_dir()):
-            raise ConfigError(f"--out names a directory, not a file: {args.out}")
+        if args.out is not None:
+            # a trailing separator names a directory even when none exists yet
+            if args.out.endswith((os.sep, os.altsep or os.sep)) or Path(args.out).is_dir():
+                raise ConfigError(f"--out names a directory, not a file: {args.out}")
+            if any(p.exists() and not p.is_dir() for p in Path(args.out).parents):
+                raise ConfigError(f"--out lies under a file, not a directory: {args.out}")
         if args.command == "readout-fit" and args.config is None:
             cfg = RunConfig()
         else:

@@ -5,6 +5,15 @@ numerical failures discovered mid-computation derive from ``NumericalError``
 so the CLI can map them to distinct exit codes.
 """
 
+import sys
+
+
+def is_int(value) -> bool:
+    """The one integer rule: an ``int`` or numpy integer, not a ``bool`` (``True``
+    is no count). numpy is looked up, not imported, so no command loads it here."""
+    integers = (int, getattr(sys.modules.get("numpy"), "integer", int))
+    return isinstance(value, integers) and not isinstance(value, bool)
+
 
 class ConfigError(ValueError):
     """Malformed or incomplete run configuration."""

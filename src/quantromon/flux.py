@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 from .analytic import dressed_spectrum
 from .coherence import CoherenceConfig, coherence_report
-from .errors import NumericalError, ParameterError, UnphysicalOperatingPointError
+from .errors import NumericalError, ParameterError, UnphysicalOperatingPointError, is_int
 from .params import ModeEnergies
 
 __all__ = [
@@ -76,8 +76,9 @@ class FluxConfig:
 
 
 def tuned_junctions(cfg: FluxConfig, n: int) -> tuple[float, float]:
-    """Summed junction energy E_Jsigma (Hz) and asymmetry d_j at flux bias n."""
-    if isinstance(n, bool) or not isinstance(n, int):
+    """Summed junction energy E_Jsigma (Hz) and asymmetry d_j at flux bias n,
+    any integer by :func:`~quantromon.errors.is_int`."""
+    if not is_int(n):
         raise ParameterError(f"flux bias n must be an integer, got {n!r}")
     e_j1, e_j2 = cfg.e_j1_zero, cfg.e_j2_zero
     phase = n * math.pi * cfg.area_ratio_a
@@ -196,8 +197,7 @@ _MAX_ANCHOR = 5000  # above it the grid up to 0.5/anchor_n holds no point
 def _scan_area(mode: FluxMode, e_j1: float, e_j2: float, anchor_n: int, cost) -> float:
     """First grid area ratio ``k * 1e-4`` up to ``0.5/anchor_n`` with the least
     ``cost(e_jsigma, d_j)`` at ``anchor_n``, skipping unphysical points."""
-    if (isinstance(anchor_n, bool) or not isinstance(anchor_n, int)
-            or not 1 <= anchor_n <= _MAX_ANCHOR):
+    if not (is_int(anchor_n) and 1 <= anchor_n <= _MAX_ANCHOR):
         raise ParameterError(
             f"anchor_n must be an integer in [1, {_MAX_ANCHOR}], got {anchor_n!r}")
     a_max = 0.5 / anchor_n

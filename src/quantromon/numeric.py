@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import SpectrumResult, invert_chi
-from .errors import AmbiguousLabelingError, EigensolveError, ParameterError
+from .errors import AmbiguousLabelingError, EigensolveError, ParameterError, is_int
 from .params import ModeEnergies
 
 __all__ = [
@@ -57,22 +57,24 @@ class Truncation:
     the meaningful regime: the top one or two levels of each mode carry
     boundary artifacts, and very large bases (40+ levels at typical device
     parameters) start probing the unbounded region of the quartic potential.
-    Each mode keeps a whole number of 4 to 64 levels, but with 4 the top
-    level can mix about 50/50 with the first excitation and fail to label;
-    use 5 or more.
+    Each mode keeps 4 to 64 levels, an integer by
+    :func:`~quantromon.errors.is_int`, stored as the equal ``int``; with 4
+    the top level can mix about 50/50 with the first excitation and fail to
+    label, so use 5 or more.
     """
 
     n_q: int = 12
     n_r: int = 12
 
     def __post_init__(self):
-        # an int or numpy integer, as rng takes; a bool or float is not a level count
-        if not all(not isinstance(n, bool) and isinstance(n, (int, np.integer))
-                   and _MIN_LEVELS <= n <= _MAX_LEVELS for n in (self.n_q, self.n_r)):
+        if not all(is_int(n) and _MIN_LEVELS <= n <= _MAX_LEVELS for n in (self.n_q, self.n_r)):
             raise ParameterError(
                 f"truncation must keep a whole number of {_MIN_LEVELS} to "
                 f"{_MAX_LEVELS} levels per mode, got ({self.n_q}, {self.n_r})"
             )
+        # an unsigned numpy size would turn the basis index arithmetic to floats
+        for name in ("n_q", "n_r"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def dim(self) -> int:

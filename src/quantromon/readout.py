@@ -19,7 +19,7 @@ import math
 import os
 import signal
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     ThresholdError,
+    is_int,
 )
 from .params import ReadoutParams
 
@@ -63,8 +64,8 @@ class ShotSet:
 
 
 def _check_state(name: str, value) -> None:
-    """A prepared qubit state is the integer 0 or 1; a bool or float is not."""
-    if type(value) is not int or value not in (0, 1):
+    """A prepared qubit state is the integer 0 or 1."""
+    if not (is_int(value) and value in (0, 1)):
         raise ParameterError(f"{name} must be 0 or 1, got {value!r}")
 
 
@@ -87,11 +88,15 @@ def simulate_shots(p: ReadoutParams, prepared: int, n_shots: int, seed: int) -> 
     bit-identical; the counters are drawn :data:`_SHOT_CHUNK` at a time, so a
     call holds the values and one chunk. Excited shots that decay at t < tau
     record the uniform-weight mixture ``(t*m1 + (tau - t)*m0)/tau``.
+
+    ``prepared`` is 0 or 1 and ``n_shots`` lies in ``[1, 2**64]``, each an
+    integer by :func:`~quantromon.errors.is_int`, as is the seed
+    (:func:`quantromon.rng.philox4x64` checks it); a numpy integer gives the
+    values of the equal ``int``.
     """
     _check_state("prepared", prepared)
-    # shot i is counter i of a 64-bit counter; a float or bool is no count
-    if (isinstance(n_shots, bool) or not isinstance(n_shots, (int, np.integer))
-            or not 1 <= n_shots <= 2**64):
+    # shot i is counter i of a 64-bit counter
+    if not (is_int(n_shots) and 1 <= n_shots <= 2**64):
         raise ParameterError(f"n_shots must lie in [1, 2**64] and be an integer, "
                              f"got {n_shots!r}")
     from scipy.special import ndtri  # deferred: importing readout loads no scipy
@@ -337,9 +342,12 @@ def import_shots_csv(path) -> ShotSet:
     ``# key=value`` header lines, blank lines and one ``value`` column title
     come first; from the first number on, the file holds one number per line
     (blank lines and ``#`` comments are skipped). Any line ending is
-    accepted. The first fault among the value lines, in file order, raises
-    :class:`ParameterError`: a value that is not a number names its line, a
-    byte that is not UTF-8 its line and file offset. In a
+    accepted. A header field of :class:`ReadoutParams` with a default may be
+    left out and takes it; a missing or unreadable header value raises
+    :class:`ParameterError` naming its key. The first fault among the value
+    lines, in file order, raises :class:`ParameterError`: a value that is
+    not a number names its line, a byte that is not UTF-8 its line and file
+    offset. In a
     single-threaded process on Linux, a forked child parses half of a large
     file's lines; the values and messages are the same.
     """
@@ -359,18 +367,27 @@ def import_shots_csv(path) -> ShotSet:
                 offset += len(line.encode("utf-8"))
     except UnicodeDecodeError as exc:  # in the header read, which decodes ahead
         raise _fault_error(path, exc) from None
+
+    def read(key, convert):
+        """The header value of ``key`` as ``convert`` reads it."""
+        if key not in header:
+            raise ParameterError(f"malformed shot CSV header in {path}: {key} is missing")
+        try:
+            return convert(header[key])
+        except ValueError:
+            raise ParameterError(f"malformed shot CSV header in {path}: cannot read "
+                                 f"{key}={header[key]!r}") from None
+
+    # a field with a default may be left out (or empty) and takes it, as in a
+    # config's readout section
+    kwargs = {f.name: read(f.name, float) for f in fields(ReadoutParams)
+              if header.get(f.name, "") != "" or f.default is MISSING}
     try:
-        kwargs = {}
-        for param in fields(ReadoutParams):
-            raw = header.get(param.name, "")
-            kwargs[param.name] = (None if raw == "" and param.default is None
-                                  else float(raw))
         params = ReadoutParams(**kwargs)
-        prepared = int(header["prepared_state"])
-        seed = int(header["seed"])
-    except (KeyError, ValueError) as exc:
+    except ParameterError as exc:
         raise ParameterError(f"malformed shot CSV header in {path}: {exc}") from exc
-    return ShotSet(prepared_state=prepared, values=values, seed=seed, params=params)
+    return ShotSet(prepared_state=read("prepared_state", int), values=values,
+                   seed=read("seed", int), params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, is_int
 
 __all__ = ["philox4x64", "uniforms"]
 
@@ -34,29 +34,31 @@ def philox4x64(start: int, count: int, key: tuple[int, int]) -> np.ndarray:
     Parameters
     ----------
     start, count : int
-        The first counter and the number of blocks; the counters must not
-        pass ``2**64 - 1``.
+        The first counter and the number of blocks, each >= 0; the counters
+        must not pass ``2**64 - 1``.
     key : (int, int)
-        The two 64-bit key words, the seed and the stream, each an integer
-        in ``[0, 2**64)``; anything else, a ``bool`` included, raises
-        :class:`ParameterError`.
+        The two 64-bit key words, the seed and the stream, each in
+        ``[0, 2**64)``.
+
+    Each argument is an integer by :func:`~quantromon.errors.is_int`, a
+    numpy integer drawing the same blocks as the equal ``int``; anything
+    else raises :class:`ParameterError`.
 
     Returns
     -------
     array of uint64, shape (count, 4)
     """
     for name, word in zip(("seed", "stream"), key):
-        # bool is an int, but True would be written as a seed of "True"
-        if (isinstance(word, bool) or not isinstance(word, (int, np.integer))
-                or not 0 <= word <= _MASK64):
+        if not (is_int(word) and 0 <= word <= _MASK64):
             raise ParameterError(f"{name} must be an integer in [0, 2**64), got {word!r}")
-    if start < 0 or count < 0 or start + count - 1 > _MASK64:
+    if not (is_int(start) and is_int(count) and start >= 0 and count >= 0
+            and int(start) + int(count) - 1 <= _MASK64):
         raise ParameterError(
             f"counters start={start!r}, count={count!r} must lie within [0, 2**64)")
     # A fresh Philox has an empty buffer, so it steps its 256-bit counter
     # before each block: starting one below ``start`` (wrapping at 2**256)
     # makes the first block the one for counter ``start``.
-    bg = np.random.Philox(counter=(start - 1) % 2**256,
+    bg = np.random.Philox(counter=(int(start) - 1) % 2**256,
                           key=np.array(key, dtype=np.uint64))
     return bg.random_raw(4 * count).reshape(count, 4)
 

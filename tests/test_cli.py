@@ -181,6 +181,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["energies", "--config", SAMPLE_A],
                                       ["readout-sim", "--config", SAMPLE_C, "--shots", "100"]],
                              ids=["energies", "readout-sim"])
+    @pytest.mark.parametrize("below", ["x.csv", os.path.join("sub", "x.csv")])
+    def test_out_under_a_regular_file_exits_1_before_writing(self, tmp_path, monkeypatch,
+                                                             capsys, argv, below):
+        # the parent directory could not be made: a FileExistsError or
+        # NotADirectoryError traceback once the work was done
+        def unreachable(*args):
+            raise AssertionError("simulate_shots was called")
+
+        monkeypatch.setattr(readout, "simulate_shots", unreachable)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / below
+        assert run([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out lies under a file, not a directory: {out}\n")
+        assert list(tmp_path.iterdir()) == [afile]
+        assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv", [["energies", "--config", SAMPLE_A],
+                                      ["readout-sim", "--config", SAMPLE_C, "--shots", "100"]],
+                             ids=["energies", "readout-sim"])
     def test_out_ending_in_a_separator_exits_1_before_writing(self, tmp_path, monkeypatch,
                                                               capsys, argv):
         # Path drops the trailing slash, so "results/" named a file "results"

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -110,6 +111,16 @@ class TestPhaseSeparation:
     def test_zero_linewidth_rejected(self):
         with pytest.raises(ParameterError):
             phase_separation(1e6, 0.0, 0.0)
+
+    @pytest.mark.parametrize("kappa_ext, kappa_int", [(0.90e6, 0.38e6), (0.38e6, 0.90e6)],
+                             ids=["over-coupled", "under-coupled"])
+    @pytest.mark.parametrize("two_chi", [1.37e6, 0.2e6, 20e6])
+    def test_negative_shift_gives_the_positive_value(self, two_chi, kappa_ext, kappa_int):
+        # the two states' separation does not depend on the sign of the pull;
+        # it read 487.68 and -44.54 deg at -sample_c's shift before
+        sep = phase_separation(-two_chi, kappa_ext, kappa_int)
+        assert sep.hex() == phase_separation(two_chi, kappa_ext, kappa_int).hex()
+        assert 0.0 <= sep <= 360.0
 
     @settings(max_examples=300, deadline=None)
     @given(two_chi=st.floats(0.5 * 1.37e6, 2.0 * 1.37e6),
@@ -291,6 +302,37 @@ class TestShotCsvRoundTrip:
         path.write_text("# prepared_state=1\nvalue\n0.5\n")
         with pytest.raises(ParameterError):
             import_shots_csv(path)
+
+    @staticmethod
+    def _record(tmp_path, edit) -> Path:
+        """A 3-value export of SAMPLE_C with its text passed through ``edit``."""
+        path = tmp_path / "rec.csv"
+        export_shots_csv(_as_shotset([0.5, -0.25, 1.0], prepared=1, seed=7), path)
+        path.write_text(edit(path.read_text()))
+        return path
+
+    def test_header_fields_with_defaults_may_be_left_out(self, tmp_path):
+        path = self._record(tmp_path, lambda t: "".join(
+            line for line in t.splitlines(keepends=True)
+            if not line.startswith(("# noise_scale=", "# thermal_pop="))))
+        assert "noise_scale" not in path.read_text()
+        loaded = import_shots_csv(path)
+        assert loaded.params == ReadoutParams(**{
+            **dataclasses.asdict(SAMPLE_C), "noise_scale": 2.05, "thermal_pop": 0.0})
+        assert (loaded.prepared_state, loaded.seed) == (1, 7)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.replace("# omega_r=", "# not_omega_r="), "omega_r is missing"),
+        (lambda t: t.replace("# seed=7\n", ""), "seed is missing"),
+        (lambda t: re.sub(r"# tau=\S*", "# tau=abc", t), "cannot read tau='abc'"),
+        (lambda t: t.replace("# prepared_state=1", "# prepared_state=1.0"),
+         "cannot read prepared_state='1.0'"),
+    ], ids=["no-omega_r", "no-seed", "bad-tau", "float-state"])
+    def test_header_names_the_key_it_cannot_read(self, tmp_path, edit, message):
+        path = self._record(tmp_path, edit)
+        with pytest.raises(ParameterError) as info:
+            import_shots_csv(path)
+        assert str(info.value) == f"malformed shot CSV header in {path}: {message}"
 
     # sha256 of the exported bytes, recorded from the per-value writer this
     # module used to carry

@@ -103,10 +103,21 @@ def test_last_counter_is_reachable():
     (0, -1),
     (2**64 - 1, 2),  # would wrap the counter
     (2**64, 1),
+    (1.5, 2),  # drew the blocks of counters 1 and 2
+    (True, 2),  # drew counter 1's block
+    (0, 2.0),  # a bare TypeError
 ])
 def test_counter_range_outside_64_bits_rejected(start, count):
     with pytest.raises(ParameterError, match="counters"):
         uniforms(3, 0, start, count)
+
+
+@pytest.mark.parametrize("start", [0, 5, 2**63 - 2])
+@pytest.mark.parametrize("integer", [np.int64, np.uint64])
+def test_numpy_integer_counters_draw_the_int_blocks(start, integer):
+    # np.int64 once overflowed in (start - 1) % 2**256
+    ours = philox4x64(integer(start), integer(2), (integer(3), integer(1)))
+    assert ours.tobytes() == philox4x64(start, 2, (3, 1)).tobytes()
 
 
 @pytest.mark.parametrize("seed, stream, name", [

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .analytic import SpectrumResult
 from .errors import ParameterError, UnphysicalRegimeError
 
 __all__ = [
@@ -116,16 +117,15 @@ def transmon_equivalent_g(two_chi_target: float, delta: float,
     return math.sqrt(g_squared)
 
 
-def coherence_report(omega_q_t: float, delta: float, g_asymm: float,
-                     two_chi_total: float, alpha_q: float,
-                     cfg: CoherenceConfig) -> CoherenceReport:
-    """Full budget at one operating point, including the transmon comparison."""
-    t1_diel = t1_dielectric(omega_q_t, cfg.q_diel)
-    t1_asymm = t1_purcell(g_asymm, delta, cfg.kappa)
-    g_equiv = transmon_equivalent_g(two_chi_total, delta, alpha_q)
+def coherence_report(spec: SpectrumResult, cfg: CoherenceConfig) -> CoherenceReport:
+    """Full budget at one operating point, including the transmon comparison,
+    from its dressed spectrum alone: any :class:`SpectrumResult` serves."""
+    t1_diel = t1_dielectric(spec.omega_q_t, cfg.q_diel)
+    t1_asymm = t1_purcell(spec.g_asymm, spec.delta, cfg.kappa)
+    g_equiv = transmon_equivalent_g(spec.two_chi_total, spec.delta, spec.alpha_q)
     return CoherenceReport(
         t1_diel=t1_diel,
         t1_asymm=t1_asymm,
         t1_model=combine([t1_diel, t1_asymm]),
-        t1_transmon_purcell=t1_purcell(g_equiv, delta, cfg.kappa),
+        t1_transmon_purcell=t1_purcell(g_equiv, spec.delta, cfg.kappa),
     )

@@ -51,6 +51,8 @@ class FluxMode(enum.Enum):
 class FluxConfig:
     """Zero-flux junction energies (Hz), tuning layout and SQUID area ratio.
 
+    ``mode`` is a :class:`FluxMode` or its config name (``"both_squids"``,
+    ``"one_squid"`` or ``"fixed"``), stored as the member.
     Both energies must be finite and >= 0, with a positive sum
     (``e_j2_zero = 0`` models a single junction). The flux bias is not part
     of it: :func:`tuned_junctions` takes ``n`` as an argument.
@@ -62,6 +64,11 @@ class FluxConfig:
     area_ratio_a: float = 0.0
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "mode", FluxMode(self.mode))
+        except ValueError:
+            raise ParameterError(f"flux.mode must be one of {[m.value for m in FluxMode]}, "
+                                 f"got {self.mode!r}") from None
         for key in ("e_j1_zero", "e_j2_zero"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0.0):
@@ -77,9 +84,12 @@ class FluxConfig:
 
 def tuned_junctions(cfg: FluxConfig, n: int) -> tuple[float, float]:
     """Summed junction energy E_Jsigma (Hz) and asymmetry d_j at flux bias n,
-    any integer by :func:`~quantromon.errors.is_int`."""
+    an integer by :func:`~quantromon.errors.is_int` with ``|n| <= 2**53``:
+    past it not every integer is a float, and the flux phase means nothing."""
     if not is_int(n):
         raise ParameterError(f"flux bias n must be an integer, got {n!r}")
+    if not -2**53 <= n <= 2**53:
+        raise ParameterError(f"flux bias n must lie in [-2**53, 2**53], got {n!r}")
     e_j1, e_j2 = cfg.e_j1_zero, cfg.e_j2_zero
     phase = n * math.pi * cfg.area_ratio_a
     if cfg.mode is FluxMode.ONE_SQUID:
@@ -141,16 +151,9 @@ def evaluate_flux_point(en: ModeEnergies, cfg: FluxConfig, n: int,
     as the :class:`SweepRow` of bias ``n``."""
     e_jsigma, d_j = tuned_junctions(cfg, n)
     spec = dressed_spectrum(energies_at_flux(en, e_jsigma, d_j))
-    report = coherence_report(
-        omega_q_t=spec.omega_q_t,
-        delta=spec.delta,
-        g_asymm=spec.g_asymm,
-        two_chi_total=spec.two_chi_total,
-        alpha_q=spec.alpha_q,
-        cfg=coherence,
-    )
     return SweepRow(n=n, e_jsigma=e_jsigma, d_j=d_j, omega_q_t=spec.omega_q_t,
-                    delta=spec.delta, two_chi_total=spec.two_chi_total, **asdict(report))
+                    delta=spec.delta, two_chi_total=spec.two_chi_total,
+                    **asdict(coherence_report(spec, coherence)))
 
 
 def sweep(en: ModeEnergies, cfg: FluxConfig, n_list: list[int],

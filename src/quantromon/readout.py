@@ -52,7 +52,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShotSet:
-    """Projected quadrature values for shots prepared in one qubit state."""
+    """Projected quadrature values for shots prepared in one qubit state.
+
+    ``prepared_state`` is 0 or 1 and ``seed`` an integer in ``[0, 2**64)``,
+    the seeds a simulation accepts; anything else raises
+    :class:`ParameterError` naming it."""
 
     prepared_state: int
     values: np.ndarray = field(repr=False)
@@ -61,6 +65,7 @@ class ShotSet:
 
     def __post_init__(self):
         _check_state("prepared_state", self.prepared_state)
+        rng.check_key_word("seed", self.seed)
 
 
 def _check_state(name: str, value) -> None:
@@ -343,13 +348,15 @@ def import_shots_csv(path) -> ShotSet:
     come first; from the first number on, the file holds one number per line
     (blank lines and ``#`` comments are skipped). Any line ending is
     accepted. A header field of :class:`ReadoutParams` with a default may be
-    left out and takes it; a missing or unreadable header value raises
-    :class:`ParameterError` naming its key. The first fault among the value
-    lines, in file order, raises :class:`ParameterError`: a value that is
-    not a number names its line, a byte that is not UTF-8 its line and file
-    offset. In a
-    single-threaded process on Linux, a forked child parses half of a large
-    file's lines; the values and messages are the same.
+    left out and takes it. A missing or unreadable header value, or one that
+    :class:`ReadoutParams` or :class:`ShotSet` rejects (a ``prepared_state``
+    other than 0 or 1, a ``seed`` outside ``[0, 2**64)``), raises
+    :class:`ParameterError` that names the file and the key. The first
+    fault among the value lines, in file order, raises
+    :class:`ParameterError`: a value that is not a number names its line, a
+    byte that is not UTF-8 its line and file offset. In a single-threaded
+    process on Linux, a forked child parses half of a large file's lines;
+    the values and messages are the same.
     """
     header: dict[str, str] = {}
     values = np.empty(0)
@@ -371,23 +378,21 @@ def import_shots_csv(path) -> ShotSet:
     def read(key, convert):
         """The header value of ``key`` as ``convert`` reads it."""
         if key not in header:
-            raise ParameterError(f"malformed shot CSV header in {path}: {key} is missing")
+            raise ParameterError(f"{key} is missing")
         try:
             return convert(header[key])
         except ValueError:
-            raise ParameterError(f"malformed shot CSV header in {path}: cannot read "
-                                 f"{key}={header[key]!r}") from None
+            raise ParameterError(f"cannot read {key}={header[key]!r}") from None
 
-    # a field with a default may be left out (or empty) and takes it, as in a
-    # config's readout section
-    kwargs = {f.name: read(f.name, float) for f in fields(ReadoutParams)
-              if header.get(f.name, "") != "" or f.default is MISSING}
     try:
-        params = ReadoutParams(**kwargs)
+        # a field with a default may be left out (or empty) and takes it, as in
+        # a config's readout section
+        params = ReadoutParams(**{f.name: read(f.name, float) for f in fields(ReadoutParams)
+                                  if header.get(f.name, "") != "" or f.default is MISSING})
+        return ShotSet(prepared_state=read("prepared_state", int), values=values,
+                       seed=read("seed", int), params=params)
     except ParameterError as exc:
-        raise ParameterError(f"malformed shot CSV header in {path}: {exc}") from exc
-    return ShotSet(prepared_state=read("prepared_state", int), values=values,
-                   seed=read("seed", int), params=params)
+        raise ParameterError(f"malformed shot CSV header in {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

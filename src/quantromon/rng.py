@@ -20,11 +20,17 @@ import numpy as np
 
 from .errors import ParameterError, is_int
 
-__all__ = ["philox4x64", "uniforms"]
+__all__ = ["check_key_word", "philox4x64", "uniforms"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SHIFT11 = np.uint64(11)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
+
+
+def check_key_word(name: str, word) -> None:
+    """A key word, a seed or a stream, is an integer in ``[0, 2**64)``."""
+    if not (is_int(word) and 0 <= word <= _MASK64):
+        raise ParameterError(f"{name} must be an integer in [0, 2**64), got {word!r}")
 
 
 def philox4x64(start: int, count: int, key: tuple[int, int]) -> np.ndarray:
@@ -49,8 +55,7 @@ def philox4x64(start: int, count: int, key: tuple[int, int]) -> np.ndarray:
     array of uint64, shape (count, 4)
     """
     for name, word in zip(("seed", "stream"), key):
-        if not (is_int(word) and 0 <= word <= _MASK64):
-            raise ParameterError(f"{name} must be an integer in [0, 2**64), got {word!r}")
+        check_key_word(name, word)
     if not (is_int(start) and is_int(count) and start >= 0 and count >= 0
             and int(start) + int(count) - 1 <= _MASK64):
         raise ParameterError(

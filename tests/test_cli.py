@@ -97,6 +97,34 @@ class TestExitCodes:
         assert run(["energies", "--config", path]) == 1
         assert "b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, section, key, value, command, message", [
+        (SAMPLE_A, "circuit", "l_j", 10**400, "energies", "l_j must be > 0, got inf"),
+        (SAMPLE_A, "circuit", "c_j", -10**400, "energies", "c_j must be > 0, got -inf"),
+        (SAMPLE_A, "coherence", "kappa", 10**400, "t1-model",
+         "kappa must be finite and > 0, got inf"),
+        (SAMPLE_A, "flux", "area_ratio_a", 10**400, "chi-sweep",
+         "area_ratio_a must lie in (0, 1) for tunable modes, got inf"),
+        (SAMPLE_C, "readout", "omega_r", -10**400, "phase",
+         "omega_r must be finite, got -inf"),
+    ], ids=["l_j", "c_j", "kappa", "area_ratio_a", "omega_r"])
+    def test_integer_past_the_float_range_reads_as_inf(self, tmp_path, capsys, config,
+                                                        section, key, value, command, message):
+        # read as json reads 1e400, so the record's own range check names the key
+        cfg = json.loads(Path(config).read_text())
+        cfg[section][key] = value
+        assert run([command, "--config", _write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_q_diel_past_the_float_range_means_no_dielectric_loss(self, tmp_path, capsys):
+        outputs = []
+        for q_diel in (10**400, math.inf):
+            cfg = json.loads(Path(SAMPLE_A).read_text())
+            cfg["coherence"]["q_diel"] = q_diel
+            assert run(["t1-model", "--config", _write_config(tmp_path, cfg)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert next(csv.DictReader(outputs[0].splitlines()))["t1_diel"] == "inf"
+
     def test_missing_config_flag(self, capsys):
         assert run(["energies"]) == 1
 
@@ -350,6 +378,30 @@ class TestSweepCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: flux.n must be an integer, got {n!r}\n"
+
+    def test_bias_past_the_float_range_is_an_error_row(self, tmp_path):
+        cfg = json.loads(Path(SAMPLE_A).read_text())
+        cfg["sweep"]["n_list"] = [0, 10**400]
+        out = tmp_path / "sweep.csv"
+        assert run(["chi-sweep", "--config", _write_config(tmp_path, cfg),
+                    "--out", str(out)]) == 0
+        golden = (Path(__file__).parent / "golden" / "sample_a.chi-sweep.csv").read_text()
+        lines = out.read_text().splitlines()
+        assert lines[:2] == golden.splitlines()[:2]
+        rows = _read_csv(out)
+        assert rows[1]["n"] == str(10**400)
+        assert rows[1]["error"] == (
+            f"ParameterError: flux bias n must lie in [-2**53, 2**53], got {10**400}")
+
+    @pytest.mark.parametrize("mode", ["two_squids", None, 1])
+    def test_unknown_flux_mode_exits_1(self, tmp_path, capsys, mode):
+        cfg = json.loads(Path(SAMPLE_A).read_text())
+        cfg["flux"]["mode"] = mode
+        assert run(["chi-sweep", "--config", _write_config(tmp_path, cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: flux.mode must be one of ['both_squids', "
+                                f"'one_squid', 'fixed'], got {mode!r}\n")
 
     @pytest.mark.parametrize("command", ["chi-sweep", "t1-model"])
     def test_programming_error_writes_no_rows(self, tmp_path, monkeypatch, command):

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 
+from quantromon.analytic import dressed_spectrum
 from quantromon.coherence import (
     CoherenceConfig,
+    CoherenceReport,
     coherence_report,
     combine,
     t1_dielectric,
@@ -11,7 +14,8 @@ from quantromon.coherence import (
     transmon_equivalent_g,
 )
 from quantromon.errors import ParameterError, UnphysicalRegimeError
-from quantromon.flux import FluxConfig, FluxMode, evaluate_flux_point, junction_energies
+from quantromon.flux import (FluxConfig, FluxMode, energies_at_flux, evaluate_flux_point,
+                             junction_energies)
 from quantromon.params import CircuitParams, derive_energies
 
 TWO_PI = 2 * math.pi
@@ -50,6 +54,11 @@ class TestPurcell:
     def test_zero_detuning_rejected(self):
         with pytest.raises(ParameterError):
             t1_purcell(5e6, 0.0, 1e6)
+
+    @pytest.mark.parametrize("kappa", [0.0, -1e6, math.nan])
+    def test_nonpositive_linewidth_rejected(self, kappa):
+        with pytest.raises(ParameterError, match="kappa must be > 0"):
+            t1_purcell(5e6, 1e9, kappa)
 
 
 class TestCombine:
@@ -92,6 +101,11 @@ class TestTransmonEquivalent:
         t1 = t1_purcell(g, 0.398e9, 1.28e6)
         assert t1 < 20e-6  # well below measured quantromon lifetimes
 
+    @pytest.mark.parametrize("alpha_q", [0.0, -0.17e9, math.nan])
+    def test_nonpositive_anharmonicity_rejected(self, alpha_q):
+        with pytest.raises(ParameterError, match="alpha_q must be > 0"):
+            transmon_equivalent_g(2.2e6, -1.0e9, alpha_q)
+
     def test_pole_rejected(self):
         with pytest.raises(UnphysicalRegimeError):
             transmon_equivalent_g(2.2e6, -0.17e9, 0.17e9)
@@ -110,6 +124,15 @@ class TestReport:
         e_j1, e_j2 = junction_energies(self.EN)
         return FluxConfig(mode=FluxMode.BOTH_SQUIDS, e_j1_zero=e_j1,
                           e_j2_zero=e_j2, area_ratio_a=0.0423)
+
+    @pytest.mark.parametrize("n", [0, 3, 9])
+    def test_report_reads_the_dressed_spectrum(self, n):
+        # the budget of a flux point is a function of its spectrum alone
+        row = evaluate_flux_point(self.EN, self._cfg(), n, self.COH)
+        spec = dressed_spectrum(energies_at_flux(self.EN, row.e_jsigma, row.d_j))
+        report = coherence_report(spec, self.COH)
+        assert repr(report) == repr(CoherenceReport(**{
+            f.name: getattr(row, f.name) for f in dataclasses.fields(CoherenceReport)}))
 
     def test_rate_sum_identity(self):
         rep = evaluate_flux_point(self.EN, self._cfg(), 3, self.COH)

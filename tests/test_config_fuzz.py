@@ -28,7 +28,9 @@ CONFIG_DIR = importlib.resources.files("quantromon") / "configs"
 CONFIGS = {name: json.loads((CONFIG_DIR / f"{name}.json").read_text())
            for name in ("reference_device", "sample_a", "sample_b", "sample_c")}
 
-HOSTILE = (None, "x", True, [1.0], 0, -1, math.nan, math.inf, 1e308, 2**70)
+# 10**400 is valid JSON, an integer past the float range
+HOSTILE = (None, "x", True, [1.0], 0, -1, math.nan, math.inf, 1e308, 2**70,
+           10**400, -10**400)
 COMMANDS = {
     "energies": ["energies"],
     "spectrum": ["spectrum", "--trunc", "8x8"],
@@ -111,6 +113,7 @@ def _clean_exit(name, command):
 @example(leaf=("reference_device", ("circuit", "l_j")), value=1e308, command="spectrum")
 @example(leaf=("sample_c", ("circuit", "b")), value=-1, command="phase")
 @example(leaf=("sample_c", ("coherence", "q_diel")), value=math.inf, command="t1-model")
+@example(leaf=("sample_c", ("readout", "kappa_int")), value=10**400, command="readout-sim")
 def test_hostile_leaf_gives_typed_exit(leaf, value, command):
     name, path = leaf
     code, err = _run(_with_leaf(CONFIGS[name], path, value), command)

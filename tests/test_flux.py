@@ -84,6 +84,21 @@ class TestTunedJunctions:
             with pytest.raises(ParameterError, match="flux bias n must be an integer"):
                 tuned_junctions(both_squids(a=0.05), n)
 
+    @pytest.mark.parametrize("n", [2**53 + 1, -(2**53 + 1), 10**400],
+                             ids=["2**53+1", "-(2**53+1)", "10**400"])
+    @pytest.mark.parametrize("mode", list(FluxMode))
+    def test_bias_past_two_to_the_53_rejected(self, mode, n):
+        # past 2**53 not every integer is a float, so n*pi*a means nothing
+        cfg = FluxConfig(mode=mode, e_j1_zero=20e9, e_j2_zero=19e9, area_ratio_a=0.05)
+        with pytest.raises(ParameterError) as info:
+            tuned_junctions(cfg, n)
+        assert str(info.value) == f"flux bias n must lie in [-2**53, 2**53], got {n!r}"
+
+    def test_bias_at_two_to_the_53_accepted(self):
+        cfg = FluxConfig(mode=FluxMode.FIXED, e_j1_zero=20e9, e_j2_zero=19e9)
+        assert tuned_junctions(cfg, 2**53) == tuned_junctions(cfg, -2**53) == \
+            tuned_junctions(cfg, 0)
+
     @pytest.mark.parametrize("e_j1, e_j2, key", [
         (20e9, -1e9, "e_j2_zero"),
         (math.nan, 20e9, "e_j1_zero"),
@@ -98,6 +113,29 @@ class TestTunedJunctions:
         with pytest.raises(ParameterError, match="area_ratio_a"):
             FluxConfig(mode=FluxMode.BOTH_SQUIDS, e_j1_zero=20e9, e_j2_zero=20e9,
                        area_ratio_a=1.2)
+
+
+class TestModeNames:
+    @pytest.mark.parametrize("mode", list(FluxMode))
+    def test_name_gives_the_members_results(self, mode):
+        e_j1, e_j2 = junction_energies(EN)
+        by_name, by_member = (FluxConfig(mode=m, e_j1_zero=e_j1, e_j2_zero=e_j2,
+                                         area_ratio_a=0.0423)
+                              for m in (mode.value, mode))
+        assert by_name.mode is mode
+        assert by_name == by_member
+        biases = list(range(10)) + [-3, 12]
+        assert ([repr(tuned_junctions(by_name, n)) for n in biases]
+                == [repr(tuned_junctions(by_member, n)) for n in biases])
+        assert (repr(sweep(EN, by_name, biases, COH))
+                == repr(sweep(EN, by_member, biases, COH)))
+
+    @pytest.mark.parametrize("mode", ["two_squids", "BOTH_SQUIDS", "", None, 1])
+    def test_unknown_mode_rejected_by_name(self, mode):
+        with pytest.raises(ParameterError) as info:
+            FluxConfig(mode=mode, e_j1_zero=20e9, e_j2_zero=19e9, area_ratio_a=0.05)
+        assert str(info.value) == ("flux.mode must be one of ['both_squids', "
+                                   f"'one_squid', 'fixed'], got {mode!r}")
 
 
 class TestJunctionSplit:

@@ -327,12 +327,25 @@ class TestShotCsvRoundTrip:
         (lambda t: re.sub(r"# tau=\S*", "# tau=abc", t), "cannot read tau='abc'"),
         (lambda t: t.replace("# prepared_state=1", "# prepared_state=1.0"),
          "cannot read prepared_state='1.0'"),
-    ], ids=["no-omega_r", "no-seed", "bad-tau", "float-state"])
+        (lambda t: t.replace("# prepared_state=1", "# prepared_state=2"),
+         "prepared_state must be 0 or 1, got 2"),
+        (lambda t: t.replace("# seed=7", "# seed=-5"),
+         "seed must be an integer in [0, 2**64), got -5"),
+    ], ids=["no-omega_r", "no-seed", "bad-tau", "float-state", "state-2", "negative-seed"])
     def test_header_names_the_key_it_cannot_read(self, tmp_path, edit, message):
         path = self._record(tmp_path, edit)
         with pytest.raises(ParameterError) as info:
             import_shots_csv(path)
         assert str(info.value) == f"malformed shot CSV header in {path}: {message}"
+
+    @pytest.mark.parametrize("seed", [-5, 2**64, True, 7.0])
+    def test_shot_set_takes_only_a_seed_a_simulation_takes(self, seed):
+        message = f"seed must be an integer in [0, 2**64), got {seed!r}"
+        for make in (lambda: _as_shotset([0.5], seed=seed),
+                     lambda: simulate_shots(SAMPLE_C, 0, 10, seed)):
+            with pytest.raises(ParameterError) as info:
+                make()
+            assert str(info.value) == message
 
     # sha256 of the exported bytes, recorded from the per-value writer this
     # module used to carry

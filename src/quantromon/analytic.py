@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ParameterError, StraddlingResonanceError, UnphysicalRegimeError
-from .params import CODATA2018, ModeEnergies, ReadoutParams, regime_warnings
+from .params import ELECTRON_CHARGE, HBAR, ModeEnergies, ReadoutParams, regime_warnings
 
 __all__ = [
     "BareModes",
@@ -67,7 +67,7 @@ class SpectrumResult:
 
 def bare_modes(en: ModeEnergies) -> BareModes:
     """Uncoupled harmonic frequencies sqrt(8*E_Jmode*E_Cmode) and impedances."""
-    hbar_over_e2 = CODATA2018.hbar / CODATA2018.electron_charge**2
+    hbar_over_e2 = HBAR / ELECTRON_CHARGE**2
     return BareModes(
         omega_q=math.sqrt(8.0 * en.e_jq * en.e_cq),
         omega_r=math.sqrt(8.0 * en.e_jr * en.e_cr),

@@ -20,9 +20,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analytic import dressed_spectrum, phase_separation
+from .analytic import SpectrumResult, dressed_spectrum, phase_separation
 from .coherence import CoherenceConfig
-from .errors import ConfigError, NumericalError, ParameterError, is_int
+from .errors import NumericalError, ParameterError, check_key_word, is_int
 from .flux import FluxConfig, junction_energies, sweep
 from .params import (CircuitParams, ModeEnergies, ReadoutParams, derive_energies,
                      regime_warnings)
@@ -55,15 +55,13 @@ class SimOptions:
 
     def __post_init__(self):
         if not (is_int(self.n_shots) and 1 <= self.n_shots <= MAX_SHOTS):
-            raise ConfigError(
+            raise ParameterError(
                 f"readout_sim.n_shots must be an integer in [1, {MAX_SHOTS}], "
                 f"got {self.n_shots!r}")
-        if not (is_int(self.seed) and 0 <= self.seed < 2**64):
-            raise ConfigError(
-                f"readout_sim.seed must be an integer in [0, 2**64), got {self.seed!r}")
+        check_key_word("readout_sim.seed", self.seed)
         for tau in self.tau_list:
             if not 0.0 < tau < math.inf:
-                raise ConfigError(
+                raise ParameterError(
                     f"readout_sim.tau_list entries must be finite and > 0, got {tau!r}")
 
 
@@ -98,7 +96,7 @@ def _require_number(section: str, key: str, value, allow_none: bool = False):
     if value is None and allow_none:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+        raise ParameterError(f"{section}.{key} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # an integer past the float range, read as json reads 1e400
@@ -112,22 +110,22 @@ def normalize_config(raw: dict) -> dict:
     result back through is the identity.
     """
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ParameterError("config root must be a JSON object")
     out: dict = {}
     for section, content in raw.items():
         if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section {section!r}")
+            raise ParameterError(f"unknown config section {section!r}")
         if section == "description":
             if not isinstance(content, str):
-                raise ConfigError("description must be a string")
+                raise ParameterError("description must be a string")
             out[section] = content
             continue
         if not isinstance(content, dict):
-            raise ConfigError(f"section {section!r} must be a JSON object")
+            raise ParameterError(f"section {section!r} must be a JSON object")
         allowed = _SECTIONS[section]
         for key in content:
             if key not in allowed:
-                raise ConfigError(f"unknown key {section}.{key}")
+                raise ParameterError(f"unknown key {section}.{key}")
         out[section] = {k: content[k] for k in sorted(content)}
     return out
 
@@ -139,7 +137,7 @@ def _parse_numbers(name: str, cls, section: dict):
     missing = sorted(f.name for f in fields
                      if f.default is dataclasses.MISSING and f.name not in section)
     if missing:
-        raise ConfigError(f"{name} section missing keys: {missing}")
+        raise ParameterError(f"{name} section missing keys: {missing}")
     return cls(**{f.name: _require_number(name, f.name, section[f.name],
                                           allow_none=f.default is None)
                   for f in fields if f.name in section})
@@ -150,7 +148,7 @@ def _parse_flux(section: dict, energies: ModeEnergies | None) -> FluxConfig:
     e_j2 = _require_number("flux", "e_j2_zero", section.get("e_j2_zero"), allow_none=True)
     if e_j1 is None or e_j2 is None:
         if energies is None:
-            raise ConfigError(
+            raise ParameterError(
                 "flux.e_j1_zero/e_j2_zero are null and no circuit section is "
                 "present to derive them from"
             )
@@ -159,7 +157,7 @@ def _parse_flux(section: dict, energies: ModeEnergies | None) -> FluxConfig:
         e_j2 = derived[1] if e_j2 is None else e_j2
     n = section.get("n", 0)
     if not is_int(n):
-        raise ConfigError(f"flux.n must be an integer, got {n!r}")
+        raise ParameterError(f"flux.n must be an integer, got {n!r}")
     return FluxConfig(
         mode=section.get("mode", "fixed"), e_j1_zero=e_j1, e_j2_zero=e_j2,
         area_ratio_a=_require_number("flux", "area_ratio_a",
@@ -170,14 +168,14 @@ def _parse_flux(section: dict, energies: ModeEnergies | None) -> FluxConfig:
 def _parse_n_list(section: dict) -> tuple[int, ...]:
     n_list = section.get("n_list", [])
     if not isinstance(n_list, list) or not all(map(is_int, n_list)):
-        raise ConfigError("sweep.n_list must be a list of integers")
+        raise ParameterError("sweep.n_list must be a list of integers")
     return tuple(n_list)
 
 
 def _parse_sim(section: dict) -> SimOptions:
     tau_list = section.get("tau_list", [])
     if not isinstance(tau_list, list):
-        raise ConfigError("readout_sim.tau_list must be a list of numbers")
+        raise ParameterError("readout_sim.tau_list must be a list of numbers")
     taus = tuple(_require_number("readout_sim", "tau_list", t) for t in tau_list)
     return SimOptions(**{**section, "tau_list": taus})
 
@@ -185,11 +183,11 @@ def _parse_sim(section: dict) -> SimOptions:
 def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise ParameterError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
     data = normalize_config(raw)
     energies = None
     if "circuit" in data:
@@ -210,7 +208,7 @@ def load_config(path) -> RunConfig:
 
 def _need(value, section: str, command: str):
     if value is None:
-        raise ConfigError(f"command {command!r} requires a {section!r} config section")
+        raise ParameterError(f"command {command!r} requires a {section!r} config section")
     return value
 
 
@@ -272,7 +270,7 @@ def _parse_trunc(spec: str | None):
     try:
         n_q, n_r = (int(part) for part in spec.lower().split("x"))
     except ValueError:
-        raise ConfigError(f"--trunc must look like '12x12', got {spec!r}") from None
+        raise ParameterError(f"--trunc must look like '12x12', got {spec!r}") from None
     return Truncation(n_q=n_q, n_r=n_r)
 
 
@@ -283,12 +281,11 @@ def _cmd_spectrum(cfg: RunConfig, args) -> list[dict]:
     ana = dressed_spectrum(en)
     num = numeric_spectrum(en, _parse_trunc(args.trunc))
     rows = []
-    for name in ("omega_q_t", "omega_r_t", "alpha_q", "two_chi", "g_asymm",
-                 "two_chi_total"):
-        a = getattr(ana, name)
-        n = getattr(num, name)
+    for f in dataclasses.fields(SpectrumResult):
+        a = getattr(ana, f.name)
+        n = getattr(num, f.name)
         rel = abs(n - a) / abs(a) if a != 0.0 else (0.0 if n == a else math.inf)
-        rows.append({"quantity": name, "analytic": a, "numeric": n,
+        rows.append({"quantity": f.name, "analytic": a, "numeric": n,
                      "rel_delta": rel})
     return rows
 
@@ -308,7 +305,7 @@ def _cmd_sweep(cfg: RunConfig, args) -> list[dict]:
     flux_cfg = _need(cfg.flux, "flux", args.command)
     coherence = _need(cfg.coherence, "coherence", args.command)
     if not cfg.n_list:
-        raise ConfigError(f"command {args.command!r} requires sweep.n_list")
+        raise ParameterError(f"command {args.command!r} requires sweep.n_list")
     # the circuit and coherence sections were range-checked when the config
     # was loaded, so a row carries only a failure of its own flux point
     columns = _SWEEP_COLUMNS[args.command]
@@ -361,11 +358,20 @@ def _cmd_readout_fit(cfg: RunConfig, args) -> list[dict]:
     from .readout import import_shots_csv
 
     if args.shots0 is None or args.shots1 is None:
-        raise ConfigError("command 'readout-fit' requires --shots0 and --shots1")
+        raise ParameterError("command 'readout-fit' requires --shots0 and --shots1")
     for path in (args.shots0, args.shots1):
         if not Path(path).is_file():
-            raise ConfigError(f"shot file not found: {path}")
-    return [_fit_row(import_shots_csv(args.shots0), import_shots_csv(args.shots1))]
+            raise ParameterError(f"shot file not found: {path}")
+    shot_sets = []
+    for state, path in enumerate((args.shots0, args.shots1)):
+        shots = import_shots_csv(path)
+        # swapped files would fit with the states exchanged, one file twice
+        # would fail as a collapsed fit; both are faults of the input
+        if shots.prepared_state != state:
+            raise ParameterError(f"--shots{state} takes state-{state} shots, but {path} "
+                                 f"holds prepared_state={shots.prepared_state}")
+        shot_sets.append(shots)
+    return [_fit_row(*shot_sets)]
 
 
 def _cmd_phase(cfg: RunConfig, args) -> list[dict]:
@@ -414,18 +420,18 @@ def run(argv: list[str]) -> int:
         if args.out is not None:
             # a trailing separator names a directory even when none exists yet
             if args.out.endswith((os.sep, os.altsep or os.sep)) or Path(args.out).is_dir():
-                raise ConfigError(f"--out names a directory, not a file: {args.out}")
+                raise ParameterError(f"--out names a directory, not a file: {args.out}")
             if any(p.exists() and not p.is_dir() for p in Path(args.out).parents):
-                raise ConfigError(f"--out lies under a file, not a directory: {args.out}")
+                raise ParameterError(f"--out lies under a file, not a directory: {args.out}")
         if args.command == "readout-fit" and args.config is None:
             cfg = RunConfig()
         else:
             if args.config is None:
-                raise ConfigError(f"command {args.command!r} requires --config")
+                raise ParameterError(f"command {args.command!r} requires --config")
             cfg = load_config(args.config)
         rows = _COMMANDS[args.command](cfg, args)
         _emit(rows, args.out, args.format)
-    except (ConfigError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

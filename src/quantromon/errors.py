@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the input rules that
+raise them without loading numpy.
 
-Validation problems (bad inputs, bad configs) derive from ``ValueError``;
-numerical failures discovered mid-computation derive from ``NumericalError``
-so the CLI can map them to distinct exit codes.
+Every bad input, a library argument or a config, its file or a flag,
+raises :class:`ParameterError` naming the value; numerical failures
+discovered mid-computation derive from ``NumericalError``, so the CLI maps
+the two to distinct exit codes.
 """
 
 import sys
@@ -15,12 +17,16 @@ def is_int(value) -> bool:
     return isinstance(value, integers) and not isinstance(value, bool)
 
 
-class ConfigError(ValueError):
-    """Malformed or incomplete run configuration."""
+def check_key_word(name: str, word) -> None:
+    """A key word of the random streams, a seed or a stream, is an integer in
+    ``[0, 2**64)``; anything else raises :class:`ParameterError` naming it."""
+    if not (is_int(word) and 0 <= word <= 2**64 - 1):
+        raise ParameterError(f"{name} must be an integer in [0, 2**64), got {word!r}")
 
 
 class ParameterError(ValueError):
-    """Circuit or model parameter outside its allowed range."""
+    """A bad input: a parameter outside its range, or a malformed config,
+    file or flag."""
 
 
 class NumericalError(RuntimeError):

@@ -41,7 +41,10 @@ __all__ = [
     "numeric_spectrum",
 ]
 
-# labels (m_q, m_r) that must be identified for observable extraction
+# labels (m_q, m_r) that must be identified: extract_observables reads the
+# first five; (2, 1) is read by none and guards against resonance, since near
+# qubit-resonator degeneracy it loses its bare character first, so such a
+# device fails to label rather than giving observables of hybridized states
 REQUIRED_LABELS = tuple((mq, mr) for mq in range(3) for mr in range(2))
 
 _MIN_LEVELS = 4  # quartic terms need at least four Fock levels

@@ -1,5 +1,5 @@
-"""Circuit parameters, the energy scales derived from them, and the readout
-operating point.
+"""Circuit parameters, the physical constants and energy scales derived
+from them, and the readout operating point.
 
 Unit conventions used throughout the package:
 
@@ -13,13 +13,15 @@ Unit conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ParameterError
 
 __all__ = [
-    "PhysicalConstants",
-    "CODATA2018",
+    "PLANCK_H",
+    "ELECTRON_CHARGE",
+    "HBAR",
+    "REDUCED_FLUX_QUANTUM",
     "CircuitParams",
     "ModeEnergies",
     "ReadoutParams",
@@ -28,24 +30,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA-2018 values (SI). Fixed by definition, never user-configurable."""
-
-    planck_h: float = field(init=False, default=6.62607015e-34)          # J s (exact)
-    electron_charge: float = field(init=False, default=1.602176634e-19)  # C (exact)
-
-    @property
-    def hbar(self) -> float:
-        return self.planck_h / (2.0 * math.pi)
-
-    @property
-    def reduced_flux_quantum(self) -> float:
-        """hbar/2e in Wb."""
-        return self.hbar / (2.0 * self.electron_charge)
-
-
-CODATA2018 = PhysicalConstants()
+# h and e are exact in the SI (CODATA 2018); hbar and hbar/2e follow from
+# them in double precision. None is user-configurable.
+PLANCK_H = 6.62607015e-34                              # J s
+ELECTRON_CHARGE = 1.602176634e-19                      # C
+HBAR = PLANCK_H / (2.0 * math.pi)                      # J s
+REDUCED_FLUX_QUANTUM = HBAR / (2.0 * ELECTRON_CHARGE)  # hbar/2e in Wb
 
 
 @dataclass(frozen=True)
@@ -138,10 +128,7 @@ def derive_energies(params: CircuitParams) -> ModeEnergies:
     if violations:
         raise ParameterError("; ".join(violations))
 
-    h = CODATA2018.planck_h
-    e = CODATA2018.electron_charge
-    phi0bar = CODATA2018.reduced_flux_quantum
-
+    h, e, phi0bar = PLANCK_H, ELECTRON_CHARGE, REDUCED_FLUX_QUANTUM
     return ModeEnergies.from_scales(
         e_j=_energy("l_j", params.l_j, phi0bar**2, params.l_j * h),
         e_lr=_energy("l_r", params.l_r, phi0bar**2, params.l_r * h),

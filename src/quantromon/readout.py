@@ -31,6 +31,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     ThresholdError,
+    check_key_word,
     is_int,
 )
 from .params import ReadoutParams
@@ -65,7 +66,7 @@ class ShotSet:
 
     def __post_init__(self):
         _check_state("prepared_state", self.prepared_state)
-        rng.check_key_word("seed", self.seed)
+        check_key_word("seed", self.seed)
 
 
 def _check_state(name: str, value) -> None:

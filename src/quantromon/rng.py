@@ -9,8 +9,7 @@ four 64-bit words, i.e. up to four independent uniforms per counter.
 The blocks come from numpy's C implementation, :class:`numpy.random.Philox`
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), keyed
 by ``(seed, stream)`` and started at ``start``. The bits are those of
-Philox-4x64-10 for counters ``(c, 0, 0, 0)``, the same as the pure-numpy
-rounds this module used to compute; known-answer digests in
+Philox-4x64-10 for counters ``(c, 0, 0, 0)``; known-answer digests in
 ``tests/test_rng.py`` pin them.
 """
 
@@ -18,19 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, is_int
+from .errors import ParameterError, check_key_word, is_int
 
-__all__ = ["check_key_word", "philox4x64", "uniforms"]
+__all__ = ["philox4x64", "uniforms"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SHIFT11 = np.uint64(11)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
-
-
-def check_key_word(name: str, word) -> None:
-    """A key word, a seed or a stream, is an integer in ``[0, 2**64)``."""
-    if not (is_int(word) and 0 <= word <= _MASK64):
-        raise ParameterError(f"{name} must be an integer in [0, 2**64), got {word!r}")
 
 
 def philox4x64(start: int, count: int, key: tuple[int, int]) -> np.ndarray:

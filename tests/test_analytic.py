@@ -16,7 +16,8 @@ from quantromon.errors import (
     StraddlingResonanceError,
     UnphysicalRegimeError,
 )
-from quantromon.params import CODATA2018, CircuitParams, derive_energies, regime_warnings
+from quantromon.params import (ELECTRON_CHARGE, HBAR, CircuitParams, derive_energies,
+                               regime_warnings)
 
 TABLE = CircuitParams(l_j=8.2e-9, c_j=56.88e-15, l_r=0.546e-9, c_r=781.8e-15,
                       b=0.405, d_j=0.0)
@@ -52,7 +53,7 @@ class TestBareModes:
 
     def test_unit_energy_ratio_gives_resistance_quantum_scale(self):
         en = dataclasses.replace(EN, e_cq=EN.e_jq)
-        expected = CODATA2018.hbar / CODATA2018.electron_charge**2
+        expected = HBAR / ELECTRON_CHARGE**2
         assert bare_modes(en).z_q == expected
 
 

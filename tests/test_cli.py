@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import importlib.resources
 import json
@@ -14,9 +15,10 @@ from pathlib import Path
 import pytest
 
 import quantromon
-from quantromon import numeric, readout
+from quantromon import cli, numeric, readout
+from quantromon.analytic import SpectrumResult
 from quantromon.cli import MAX_SHOTS, load_config, normalize_config, run
-from quantromon.errors import ConfigError
+from quantromon.errors import ParameterError
 
 CONFIG_DIR = importlib.resources.files("quantromon") / "configs"
 SAMPLE_A = str(CONFIG_DIR / "sample_a.json")
@@ -62,11 +64,11 @@ class TestConfigParsing:
         assert len(calls) == 1
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigError, match="mystery"):
+        with pytest.raises(ParameterError, match="mystery"):
             normalize_config({"mystery": {}})
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="circuit.l_x"):
+        with pytest.raises(ParameterError, match="circuit.l_x"):
             normalize_config({"circuit": {"l_x": 1.0}})
 
     def test_normalize_idempotent(self):
@@ -75,13 +77,37 @@ class TestConfigParsing:
         assert normalize_config(once) == once
 
     def test_missing_file(self):
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(ParameterError, match="not found"):
             load_config("/nonexistent/config.json")
+
+    @pytest.mark.parametrize("site", ["unknown section", "missing file", "bad JSON",
+                                      "--trunc"])
+    def test_every_input_fault_raises_parameter_error(self, tmp_path, site):
+        # the one input-error type, not a subclass, wherever a config, its
+        # file or a flag is at fault
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text('{"circuit": ')
+        calls = {
+            "unknown section": lambda: normalize_config({"mystery": {}}),
+            "missing file": lambda: load_config(tmp_path / "none.json"),
+            "bad JSON": lambda: load_config(bad_json),
+            "--trunc": lambda: cli._parse_trunc("12y12"),
+        }
+        messages = {
+            "unknown section": "unknown config section 'mystery'",
+            "missing file": f"config file not found: {tmp_path / 'none.json'}",
+            "bad JSON": f"config {bad_json} is not valid JSON: Expecting value",
+            "--trunc": "--trunc must look like '12x12', got '12y12'",
+        }
+        with pytest.raises(ParameterError) as info:
+            calls[site]()
+        assert type(info.value) is ParameterError
+        assert str(info.value).startswith(messages[site])
 
     def test_non_numeric_value_rejected(self, tmp_path):
         path = _write_config(tmp_path, {"circuit": {
             "l_j": "big", "c_j": 1e-15, "l_r": 1e-9, "c_r": 1e-13, "b": 0.4}})
-        with pytest.raises(ConfigError, match="l_j"):
+        with pytest.raises(ParameterError, match="l_j"):
             load_config(path)
 
 
@@ -312,7 +338,8 @@ class TestExitCodes:
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # junction inductance tuned so the dressed modes are degenerate and
-        # the asymmetric coupling hybridizes them: labeling must fail
+        # the asymmetric coupling hybridizes them: the guard label (2, 1),
+        # which no observable reads, fails to label
         path = _write_config(tmp_path, {"circuit": {
             "l_j": 7.394e-9, "c_j": 56.88e-15, "l_r": 0.546e-9,
             "c_r": 781.8e-15, "b": 0.405, "d_j": 0.3}})
@@ -327,6 +354,12 @@ class TestSpectrumCommand:
         rows = {r["quantity"]: r for r in _read_csv(out)}
         assert float(rows["two_chi"]["rel_delta"]) < 0.10
         assert float(rows["omega_q_t"]["rel_delta"]) < 0.01
+
+    def test_rows_are_the_spectrum_result_fields(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--config", REFERENCE, "--out", str(out)]) == 0
+        assert [r["quantity"] for r in _read_csv(out)] == [
+            f.name for f in dataclasses.fields(SpectrumResult)]
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "spec.json"
@@ -619,15 +652,18 @@ class TestReadoutCommands:
 
     def test_swapped_shot_files_give_mirrored_report(self, tmp_path):
         # the fit starts component 0 on the lower quartile, which the swapped
-        # state-0 shots do not hold, so it ends with a0 < 0.5 and relabels
+        # state-0 shots do not hold, so it ends with a0 < 0.5 and relabels;
+        # the library fits any two shot sets, while readout-fit refuses files
+        # whose headers do not match their flags
         assert run(["readout-sim", "--config", SAMPLE_C, "--shots", "4000",
                     "--seed", "3", "--out", str(tmp_path / "rep.csv")]) == 0
-        files = [str(tmp_path / f"rep_shots{state}.csv") for state in (0, 1)]
+        shots = [readout.import_shots_csv(tmp_path / f"rep_shots{state}.csv")
+                 for state in (0, 1)]
         rows = []
-        for name, (shots0, shots1) in (("fit.csv", files), ("swapped.csv", files[::-1])):
-            assert run(["readout-fit", "--shots0", shots0, "--shots1", shots1,
-                        "--out", str(tmp_path / name)]) == 0
-            rows.append({k: float(v) for k, v in _read_csv(tmp_path / name)[0].items()})
+        for shots0, shots1 in (shots, shots[::-1]):
+            fit = readout.fit_double_gaussian(shots0, shots1)
+            report = readout.fidelity_report(shots0, shots1, fit, readout.threshold(fit))
+            rows.append({**dataclasses.asdict(fit), **dataclasses.asdict(report)})
         fit, swapped = rows
         pairs = [("mu0", "mu1"), ("sigma0", "sigma1"), ("a0", "a1"), ("p01", "p10"),
                  ("eps_01", "eps_10")]
@@ -636,6 +672,22 @@ class TestReadoutCommands:
             assert swapped[b] == pytest.approx(fit[a], rel=1e-6)
         for key in ("fidelity", "threshold", "eps_id"):
             assert swapped[key] == pytest.approx(fit[key], rel=1e-6)
+
+    @pytest.mark.parametrize("states", [(1, 0), (0, 0), (1, 1)],
+                             ids=["swapped", "state-0 twice", "state-1 twice"])
+    def test_shot_file_of_the_other_state_exits_1(self, tmp_path, capsys, states):
+        # each header's prepared_state must match its flag; the first file
+        # that does not is named, before any fit
+        assert run(["readout-sim", "--config", SAMPLE_C, "--shots", "2000",
+                    "--seed", "3", "--out", str(tmp_path / "rep.csv")]) == 0
+        files = [str(tmp_path / f"rep_shots{state}.csv") for state in states]
+        capsys.readouterr()
+        assert run(["readout-fit", "--shots0", files[0], "--shots1", files[1]]) == 1
+        flag = 0 if states[0] != 0 else 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --shots{flag} takes state-{flag} shots, but "
+                                f"{files[flag]} holds prepared_state={1 - flag}\n")
 
     def test_fit_round_trip_matches_sim_report(self, tmp_path):
         cfg = json.loads(Path(SAMPLE_C).read_text())
@@ -679,7 +731,7 @@ class TestSimOptions:
     def test_too_many_shots_rejected_at_load(self, tmp_path, n_shots):
         cfg = json.loads(Path(SAMPLE_C).read_text())
         cfg["readout_sim"]["n_shots"] = n_shots
-        with pytest.raises(ConfigError, match=r"readout_sim\.n_shots must be an integer "
+        with pytest.raises(ParameterError, match=r"readout_sim\.n_shots must be an integer "
                                               r"in \[1, 10000000\], got " + str(n_shots)):
             load_config(_write_config(tmp_path, cfg))
 
@@ -695,13 +747,15 @@ class TestSimOptions:
         assert "readout_sim.n_shots" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed", [2**64, -1])
+    @pytest.mark.parametrize("seed", [2**64, -1, True])
     def test_config_seed_out_of_range_exits_1(self, tmp_path, capsys, seed):
+        # the stream rule's own message, with the config key for its name
         cfg = json.loads(Path(SAMPLE_C).read_text())
         cfg["readout_sim"]["seed"] = seed
         path = _write_config(tmp_path, cfg)
         assert run(["readout-sim", "--config", path, "--shots", "100"]) == 1
-        assert "readout_sim.seed" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: readout_sim.seed must be an integer in [0, 2**64), got {seed!r}\n")
 
     @pytest.mark.parametrize("tau", [0, -1, math.nan, math.inf])
     def test_bad_tau_exits_1_before_any_file(self, tmp_path, capsys, tau):

@@ -235,7 +235,8 @@ class TestObservables:
 
     def test_resonant_labeling_ambiguous(self):
         # tune the junction energy until the dressed modes are degenerate,
-        # with enough asymmetry-induced coupling to hybridize them
+        # with enough asymmetry-induced coupling to hybridize them: the guard
+        # label (2, 1) fails to label
         lo, hi = 1e9, 1e12
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -246,6 +247,24 @@ class TestObservables:
         en_res = energies_at_flux(EN, 0.5 * (lo + hi), 0.3)
         with pytest.raises(AmbiguousLabelingError):
             numeric_spectrum(en_res, Truncation(12, 12))
+
+    def test_resonant_failure_names_the_guard_label(self, monkeypatch):
+        # the device of the CLI's resonant test: the five labels the
+        # observables read keep overlaps of 0.52 and more, and only the guard
+        # label (2, 1), read by no observable, falls below the threshold
+        en = derive_energies(CircuitParams(l_j=7.394e-9, c_j=56.88e-15, l_r=0.546e-9,
+                                           c_r=781.8e-15, b=0.405, d_j=0.3))
+        with pytest.raises(AmbiguousLabelingError, match=r"^label \(2, 1\): best overlap 0\.42"):
+            numeric_spectrum(en, Truncation(12, 12))
+        read = tuple(lbl for lbl in REQUIRED_LABELS if lbl != (2, 1))
+        monkeypatch.setattr(numeric, "REQUIRED_LABELS", read)
+        trunc = Truncation(12, 12)
+        overlaps = {}
+        for idx, h in build_hamiltonian(en, trunc):
+            overlaps.update(label_states(*eigensolve(h), trunc, idx)[1])
+        assert set(overlaps) == set(read)
+        assert min(overlaps.values()) > 0.5
+        numeric_spectrum(en, trunc)  # without the guard, observables of hybridized states
 
     @pytest.mark.parametrize("n_q, n_r", [(12, 4), (4, 12)])
     def test_ambiguous_message_shows_overlap_below_threshold(self, n_q, n_r):

@@ -8,7 +8,10 @@ from scipy.constants import hbar as _hbar
 
 from quantromon.errors import ParameterError
 from quantromon.params import (
-    CODATA2018,
+    ELECTRON_CHARGE,
+    HBAR,
+    PLANCK_H,
+    REDUCED_FLUX_QUANTUM,
     CircuitParams,
     ModeEnergies,
     derive_energies,
@@ -20,10 +23,13 @@ TABLE = CircuitParams(l_j=8.2e-9, c_j=56.88e-15, l_r=0.546e-9, c_r=781.8e-15,
 
 
 def test_constants_fixed_and_positive():
-    assert CODATA2018.planck_h == 6.62607015e-34
-    assert CODATA2018.electron_charge == 1.602176634e-19
-    assert CODATA2018.reduced_flux_quantum > 0
-    assert CODATA2018.reduced_flux_quantum == pytest.approx(_hbar / (2 * _e), rel=1e-12)
+    assert PLANCK_H == 6.62607015e-34
+    assert ELECTRON_CHARGE == 1.602176634e-19
+    assert REDUCED_FLUX_QUANTUM > 0
+    assert REDUCED_FLUX_QUANTUM == pytest.approx(_hbar / (2 * _e), rel=1e-12)
+    # the derived two bit for bit: every energy and golden rests on them
+    assert HBAR == float.fromhex("0x1.185a7057c690dp-113")
+    assert REDUCED_FLUX_QUANTUM == float.fromhex("0x1.7b6ef0ac4bd33p-52")
 
 
 def test_table_energies_match_independent_formula_evaluation():
@@ -80,7 +86,7 @@ def test_scale_covariance_general(k):
 
 def test_inductance_round_trip():
     en = derive_energies(TABLE)
-    l_j = CODATA2018.reduced_flux_quantum**2 / (en.e_j * CODATA2018.planck_h)
+    l_j = REDUCED_FLUX_QUANTUM**2 / (en.e_j * PLANCK_H)
     assert l_j == pytest.approx(TABLE.l_j, rel=1e-12)
 
 

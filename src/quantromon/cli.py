@@ -1,7 +1,9 @@
 """Command-line interface: strict JSON configs in, CSV/JSON tables out.
 
 Subcommands: energies, spectrum, chi-sweep, t1-model, readout-sim,
-readout-fit, phase. Exit codes: 0 success, 1 validation/config error,
+readout-fit, phase. Each has its own parser, which takes --out, --format and
+only the flags the command reads (``_COMMANDS``); argparse refuses any other
+flag. Exit codes: 0 success, 1 usage, validation or config error,
 2 numerical failure. Numeric output is written with full round-trip decimal
 precision and LF line endings so reruns with identical config and seed are
 byte-identical.
@@ -359,9 +361,6 @@ def _cmd_readout_fit(cfg: RunConfig, args) -> list[dict]:
 
     if args.shots0 is None or args.shots1 is None:
         raise ParameterError("command 'readout-fit' requires --shots0 and --shots1")
-    for path in (args.shots0, args.shots1):
-        if not Path(path).is_file():
-            raise ParameterError(f"shot file not found: {path}")
     shot_sets = []
     for state, path in enumerate((args.shots0, args.shots1)):
         shots = import_shots_csv(path)
@@ -381,14 +380,24 @@ def _cmd_phase(cfg: RunConfig, args) -> list[dict]:
              "kappa_int": p.kappa_int, "separation_deg": sep}]
 
 
+# each command's flags besides --out and --format; argparse refuses any other
+_FLAGS = {
+    "--config": {"required": True, "help": "JSON run configuration"},
+    "--seed": {"type": int, "help": "override readout_sim.seed"},
+    "--trunc": {"help": "Fock truncation as <nq>x<nr>"},
+    "--shots": {"type": int, "help": "override readout_sim.n_shots"},
+    "--shots0": {"help": "state-0 shot CSV"},
+    "--shots1": {"help": "state-1 shot CSV"},
+}
+
 _COMMANDS = {
-    "energies": _cmd_energies,
-    "spectrum": _cmd_spectrum,
-    "chi-sweep": _cmd_sweep,
-    "t1-model": _cmd_sweep,
-    "readout-sim": _cmd_readout_sim,
-    "readout-fit": _cmd_readout_fit,
-    "phase": _cmd_phase,
+    "energies": (_cmd_energies, ("--config",)),
+    "spectrum": (_cmd_spectrum, ("--config", "--trunc")),
+    "chi-sweep": (_cmd_sweep, ("--config",)),
+    "t1-model": (_cmd_sweep, ("--config",)),
+    "readout-sim": (_cmd_readout_sim, ("--config", "--seed", "--shots")),
+    "readout-fit": (_cmd_readout_fit, ("--shots0", "--shots1")),
+    "phase": (_cmd_phase, ("--config",)),
 }
 
 
@@ -398,15 +407,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectrum, coherence, and readout pipelines for the "
                     "quantromon qubit-resonator circuit.",
     )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=False, help="JSON run configuration")
-    parser.add_argument("--out", default=None, help="output file (stdout when omitted)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, default=None, help="override readout_sim.seed")
-    parser.add_argument("--trunc", default=None, help="Fock truncation as <nq>x<nr>")
-    parser.add_argument("--shots", type=int, default=None, help="override readout_sim.n_shots")
-    parser.add_argument("--shots0", default=None, help="state-0 shot CSV (readout-fit)")
-    parser.add_argument("--shots1", default=None, help="state-1 shot CSV (readout-fit)")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, flags) in _COMMANDS.items():
+        command = commands.add_parser(name)
+        for flag in flags:
+            command.add_argument(flag, **_FLAGS[flag])
+        command.add_argument("--out", help="output file (stdout when omitted)")
+        command.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -423,13 +430,8 @@ def run(argv: list[str]) -> int:
                 raise ParameterError(f"--out names a directory, not a file: {args.out}")
             if any(p.exists() and not p.is_dir() for p in Path(args.out).parents):
                 raise ParameterError(f"--out lies under a file, not a directory: {args.out}")
-        if args.command == "readout-fit" and args.config is None:
-            cfg = RunConfig()
-        else:
-            if args.config is None:
-                raise ParameterError(f"command {args.command!r} requires --config")
-            cfg = load_config(args.config)
-        rows = _COMMANDS[args.command](cfg, args)
+        cfg = load_config(args.config) if "config" in args else RunConfig()
+        rows = _COMMANDS[args.command][0](cfg, args)
         _emit(rows, args.out, args.format)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,9 +55,10 @@ __all__ = [
 class ShotSet:
     """Projected quadrature values for shots prepared in one qubit state.
 
-    ``prepared_state`` is 0 or 1 and ``seed`` an integer in ``[0, 2**64)``,
-    the seeds a simulation accepts; anything else raises
-    :class:`ParameterError` naming it."""
+    ``prepared_state`` is 0 or 1, ``values`` a 1-D sequence of numbers,
+    stored as a float64 array (a 1-D float64 array is kept, not copied), and
+    ``seed`` an integer in ``[0, 2**64)``, the seeds a simulation accepts;
+    anything else raises :class:`ParameterError` naming it."""
 
     prepared_state: int
     values: np.ndarray = field(repr=False)
@@ -66,6 +67,13 @@ class ShotSet:
 
     def __post_init__(self):
         _check_state("prepared_state", self.prepared_state)
+        try:
+            values = np.asarray(self.values, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ParameterError("values must be numbers") from None
+        if values.ndim != 1:
+            raise ParameterError(f"values must be 1-D, got shape {values.shape}")
+        object.__setattr__(self, "values", values)
         check_key_word("seed", self.seed)
 
 
@@ -224,7 +232,7 @@ def export_shots_csv(shots: ShotSet, path) -> None:
     (:func:`_beside_child`); if the child fails, this process formats that
     half too, so the bytes are always those of the serial code.
     """
-    values = np.asarray(shots.values, dtype=np.float64)
+    values = shots.values
     n = values.size
     mid = n // 2 if n >= _FORK_MIN_VALUES and _can_fork() else 0
     with open(path, "w", encoding="utf-8", newline="") as f:
@@ -345,8 +353,10 @@ def import_shots_csv(path) -> ShotSet:
     """Parse a ShotSet written by :func:`export_shots_csv` (or a compatible
     real measurement record).
 
-    ``# key=value`` header lines, blank lines and one ``value`` column title
-    come first; from the first number on, the file holds one number per line
+    A ``path`` that is not a regular file raises :class:`ParameterError`
+    (``shot file not found: <path>``). ``# key=value`` header lines, blank
+    lines and one ``value`` column title come first; from the first number
+    on, the file holds one number per line
     (blank lines and ``#`` comments are skipped). Any line ending is
     accepted. A header field of :class:`ReadoutParams` with a default may be
     left out and takes it. A missing or unreadable header value, or one that
@@ -359,6 +369,8 @@ def import_shots_csv(path) -> ShotSet:
     process on Linux, a forked child parses half of a large file's lines;
     the values and messages are the same.
     """
+    if not os.path.isfile(path):
+        raise ParameterError(f"shot file not found: {path}")
     header: dict[str, str] = {}
     values = np.empty(0)
     try:
@@ -458,8 +470,7 @@ def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet) -> GaussianMixtureFit:
     """
     from scipy.optimize import least_squares  # deferred: importing readout loads no scipy
 
-    x0v = np.asarray(shots0.values, dtype=float)
-    x1v = np.asarray(shots1.values, dtype=float)
+    x0v, x1v = shots0.values, shots1.values
     if x0v.size == 0 or x1v.size == 0:
         raise ParameterError("both shot sets must be nonempty")
     if x0v.size + x1v.size < 8:  # fewer samples than fit parameters
@@ -572,8 +583,8 @@ def _assignment_errors(shots0: ShotSet, shots1: ShotSet, thr: float,
                        sign: float) -> tuple[float, float]:
     """Empirical (P(0|1), P(1|0)) when shots beyond ``thr`` in the direction
     ``sign`` are assigned to state 1."""
-    p10 = float(np.mean(sign * (np.asarray(shots0.values) - thr) > 0.0))
-    p01 = float(np.mean(~(sign * (np.asarray(shots1.values) - thr) > 0.0)))
+    p10 = float(np.mean(sign * (shots0.values - thr) > 0.0))
+    p01 = float(np.mean(~(sign * (shots1.values - thr) > 0.0)))
     return p01, p10
 
 

@@ -5,6 +5,7 @@ import importlib.resources
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -345,6 +346,64 @@ class TestExitCodes:
             "c_r": 781.8e-15, "b": 0.405, "d_j": 0.3}})
         assert run(["spectrum", "--config", path]) == 2
         assert "failure" in capsys.readouterr().err
+
+
+# the flags each command reads besides --out and --format, and a value each
+# flag accepts
+_COMMAND_FLAGS = {
+    "energies": {"--config"},
+    "spectrum": {"--config", "--trunc"},
+    "chi-sweep": {"--config"},
+    "t1-model": {"--config"},
+    "readout-sim": {"--config", "--seed", "--shots"},
+    "readout-fit": {"--shots0", "--shots1"},
+    "phase": {"--config"},
+}
+_FLAG_VALUES = {"--config": SAMPLE_C, "--seed": "1", "--trunc": "8x8", "--shots": "100",
+                "--shots0": "shots0.csv", "--shots1": "shots1.csv"}
+# of the 56 (command, flag) pairs, the 31 that each command refuses
+_REFUSED = [(command, flag) for command, flags in _COMMAND_FLAGS.items()
+            for flag in sorted(_FLAG_VALUES.keys() - flags)]
+
+
+@pytest.fixture(scope="module")
+def shot_files(tmp_path_factory):
+    """State-0 and state-1 shot CSVs of sample_c.json, 1000 shots each."""
+    folder = tmp_path_factory.mktemp("shots")
+    params = load_config(SAMPLE_C).readout
+    paths = []
+    for state in (0, 1):
+        path = folder / f"shots{state}.csv"
+        readout.export_shots_csv(readout.simulate_shots(params, state, 1000, 3), path)
+        paths.append(str(path))
+    return paths
+
+
+class TestCommandFlags:
+    """Each command takes --out, --format and only the flags it reads."""
+
+    @pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+    def test_help_lists_exactly_the_flags_read(self, capsys, command):
+        assert run([command, "--help"]) == 0
+        listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        assert listed == _COMMAND_FLAGS[command] | {"--help", "--out", "--format"}
+
+    @pytest.mark.parametrize("command, flag", _REFUSED, ids=[" ".join(p) for p in _REFUSED])
+    def test_flag_not_read_exits_1_before_any_output(self, tmp_path, capsys, shot_files,
+                                                     command, flag):
+        # each of these ran the command without the flag, and readout-fit
+        # loaded and range-checked a config it never read
+        base = {"energies": ["--config", SAMPLE_A], "spectrum": ["--config", REFERENCE],
+                "chi-sweep": ["--config", SAMPLE_A], "t1-model": ["--config", SAMPLE_A],
+                "readout-sim": ["--config", SAMPLE_C, "--shots", "100"],
+                "readout-fit": ["--shots0", shot_files[0], "--shots1", shot_files[1]],
+                "phase": ["--config", SAMPLE_C]}[command]
+        out = tmp_path / "res" / "table.csv"
+        assert run([command, *base, "--out", str(out), flag, _FLAG_VALUES[flag]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSpectrumCommand:

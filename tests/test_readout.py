@@ -347,6 +347,32 @@ class TestShotCsvRoundTrip:
                 make()
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros((2, 2)), "values must be 1-D, got shape (2, 2)"),
+        (np.float64(0.5), "values must be 1-D, got shape ()"),
+        (["0.5", "abc"], "values must be numbers"),
+    ], ids=["2-d", "0-d", "non-numeric"])
+    def test_shot_set_values_are_one_row_of_numbers(self, values, message):
+        # a 2-D set exported lines that the import rejects, and a 0-d one
+        # made the export raise IndexError
+        with pytest.raises(ParameterError) as info:
+            ShotSet(0, values, 1, SAMPLE_C)
+        assert str(info.value) == message
+
+    def test_shot_set_keeps_a_float64_row(self):
+        values = np.array([0.5, -0.25])
+        assert ShotSet(0, values, 1, SAMPLE_C).values is values
+        assert ShotSet(0, [1, 2], 1, SAMPLE_C).values.dtype == np.float64
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_import_names_a_path_that_is_not_a_file(self, tmp_path, kind):
+        path = tmp_path / "shots.csv"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(ParameterError) as info:
+            import_shots_csv(path)
+        assert str(info.value) == f"shot file not found: {path}"
+
     # sha256 of the exported bytes, recorded from the per-value writer this
     # module used to carry
     def test_export_bytes_simulated(self, tmp_path):

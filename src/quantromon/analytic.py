@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError, StraddlingResonanceError, UnphysicalRegimeError
 from .params import ELECTRON_CHARGE, HBAR, ModeEnergies, ReadoutParams, regime_warnings
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BareModes:
+class BareModes(NamedTuple):
     """Uncoupled mode frequencies (Hz) and impedances (Ohm)."""
 
     omega_q: float
@@ -43,8 +42,7 @@ class BareModes:
     z_r: float
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     """Dressed observables in Hz.
 
     ``two_chi`` is the cross-Kerr part alone; ``two_chi_total`` additionally

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .analytic import SpectrumResult, dressed_spectrum, phase_separation
 from .coherence import CoherenceConfig
@@ -42,20 +42,24 @@ __all__ = ["main", "run", "load_config", "normalize_config", "RunConfig"]
 MAX_SHOTS = 10**7
 
 
-@dataclass(frozen=True)
-class SimOptions:
-    """``readout_sim`` settings; ``--shots``/``--seed`` replace the first two.
-
-    ``n_shots`` is at most :data:`MAX_SHOTS`, about 0.45 GiB at the peak of
-    a run, in :func:`~quantromon.readout.fit_double_gaussian`; every
-    ``tau_list`` entry is finite and > 0.
-    """
-
+class _SimOptionsFields(NamedTuple):
     n_shots: int = 20000
     seed: int = 0
     tau_list: tuple[float, ...] = ()
 
-    def __post_init__(self):
+
+class SimOptions(_SimOptionsFields):
+    """``readout_sim`` settings; ``--shots``/``--seed`` replace the first two.
+
+    ``n_shots`` is at most :data:`MAX_SHOTS`, about 0.45 GiB at the peak of
+    a run, in :func:`~quantromon.readout.fit_double_gaussian`; every
+    ``tau_list`` entry is finite and > 0. The checks run again on ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (is_int(self.n_shots) and 1 <= self.n_shots <= MAX_SHOTS):
             raise ParameterError(
                 f"readout_sim.n_shots must be an integer in [1, {MAX_SHOTS}], "
@@ -65,10 +69,14 @@ class SimOptions:
             if not 0.0 < tau < math.inf:
                 raise ParameterError(
                     f"readout_sim.tau_list entries must be finite and > 0, got {tau!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     energies: ModeEnergies | None = None
     flux: FluxConfig | None = None
     coherence: CoherenceConfig | None = None
@@ -77,20 +85,16 @@ class RunConfig:
     sim: SimOptions = SimOptions()
 
 
-def _keys(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
 _SECTIONS = {
     "description": None,
-    "circuit": _keys(CircuitParams),
+    "circuit": set(CircuitParams._fields),
     # flux.n is still accepted and checked for compatibility with older
     # configs; no command reads it, since sweeps take sweep.n_list
-    "flux": _keys(FluxConfig) | {"n"},
-    "coherence": _keys(CoherenceConfig),
-    "readout": _keys(ReadoutParams),
+    "flux": {*FluxConfig._fields, "n"},
+    "coherence": set(CoherenceConfig._fields),
+    "readout": set(ReadoutParams._fields),
     "sweep": {"n_list"},
-    "readout_sim": _keys(SimOptions),
+    "readout_sim": set(SimOptions._fields),
 }
 
 
@@ -135,14 +139,13 @@ def normalize_config(raw: dict) -> dict:
 def _parse_numbers(name: str, cls, section: dict):
     """Build ``cls`` from a section of numbers: fields without a default are
     required, and ``null`` is allowed where the default is ``None``."""
-    fields = dataclasses.fields(cls)
-    missing = sorted(f.name for f in fields
-                     if f.default is dataclasses.MISSING and f.name not in section)
+    defaults = cls._field_defaults
+    missing = sorted(key for key in cls._fields if key not in defaults and key not in section)
     if missing:
         raise ParameterError(f"{name} section missing keys: {missing}")
-    return cls(**{f.name: _require_number(name, f.name, section[f.name],
-                                          allow_none=f.default is None)
-                  for f in fields if f.name in section})
+    return cls(**{key: _require_number(name, key, section[key],
+                                       allow_none=key in defaults and defaults[key] is None)
+                  for key in cls._fields if key in section})
 
 
 def _parse_flux(section: dict, energies: ModeEnergies | None) -> FluxConfig:
@@ -261,7 +264,17 @@ def _emit(rows: list[dict], out: str | None, fmt: str) -> None:
 
 def _cmd_energies(cfg: RunConfig, args) -> list[dict]:
     en = _need(cfg.energies, "circuit", "energies")
-    return [{**dataclasses.asdict(en), "warnings": " | ".join(regime_warnings(en))}]
+    return [{**en._asdict(), "warnings": " | ".join(regime_warnings(en))}]
+
+
+def _integer(text: str) -> int:
+    """An integer flag value: an optional ``-`` and ASCII digits. ``int()``
+    alone also takes ``_`` separators, a ``+`` sign, surrounding spaces and
+    the digits of other scripts."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(
+            f"must be ASCII digits with an optional leading '-', got {text!r}")
+    return int(text)
 
 
 def _parse_trunc(spec: str | None):
@@ -270,8 +283,8 @@ def _parse_trunc(spec: str | None):
     if spec is None:
         return Truncation()
     try:
-        n_q, n_r = (int(part) for part in spec.lower().split("x"))
-    except ValueError:
+        n_q, n_r = (_integer(part) for part in spec.lower().split("x"))
+    except (ValueError, argparse.ArgumentTypeError):
         raise ParameterError(f"--trunc must look like '12x12', got {spec!r}") from None
     return Truncation(n_q=n_q, n_r=n_r)
 
@@ -283,11 +296,9 @@ def _cmd_spectrum(cfg: RunConfig, args) -> list[dict]:
     ana = dressed_spectrum(en)
     num = numeric_spectrum(en, _parse_trunc(args.trunc))
     rows = []
-    for f in dataclasses.fields(SpectrumResult):
-        a = getattr(ana, f.name)
-        n = getattr(num, f.name)
+    for quantity, a, n in zip(SpectrumResult._fields, ana, num):
         rel = abs(n - a) / abs(a) if a != 0.0 else (0.0 if n == a else math.inf)
-        rows.append({"quantity": f.name, "analytic": a, "numeric": n,
+        rows.append({"quantity": quantity, "analytic": a, "numeric": n,
                      "rel_delta": rel})
     return rows
 
@@ -321,7 +332,7 @@ def _fit_row(shots0, shots1) -> dict:
 
     fit = fit_double_gaussian(shots0, shots1)
     report = fidelity_report(shots0, shots1, fit, threshold(fit))
-    return {**dataclasses.asdict(fit), **dataclasses.asdict(report)}
+    return {**fit._asdict(), **report._asdict()}
 
 
 def _cmd_readout_sim(cfg: RunConfig, args) -> list[dict]:
@@ -332,7 +343,7 @@ def _cmd_readout_sim(cfg: RunConfig, args) -> list[dict]:
 
     p = _need(cfg.readout, "readout", "readout-sim")
     flags = {"n_shots": args.shots, "seed": args.seed}
-    sim = dataclasses.replace(cfg.sim, **{k: v for k, v in flags.items() if v is not None})
+    sim = cfg.sim._replace(**{k: v for k, v in flags.items() if v is not None})
     n_shots, seed = sim.n_shots, sim.seed
     # the base shot sets are simulated only when they are exported or fitted
     if args.out is not None or not sim.tau_list:
@@ -348,12 +359,8 @@ def _cmd_readout_sim(cfg: RunConfig, args) -> list[dict]:
             return [{"n_shots": n_shots, "seed": seed, "tau": p.tau,
                      **_fit_row(shots0, shots1)}]
         del shots0, shots1  # exported; the per-tau table simulates its own
-    rows = []
-    for point in error_vs_integration(p, list(sim.tau_list), n_shots, seed):
-        row = {"n_shots": n_shots, "seed": seed}
-        row.update(dataclasses.asdict(point))
-        rows.append(row)
-    return rows
+    return [{"n_shots": n_shots, "seed": seed, **point._asdict()}
+            for point in error_vs_integration(p, list(sim.tau_list), n_shots, seed)]
 
 
 def _cmd_readout_fit(cfg: RunConfig, args) -> list[dict]:
@@ -383,9 +390,9 @@ def _cmd_phase(cfg: RunConfig, args) -> list[dict]:
 # each command's flags besides --out and --format; argparse refuses any other
 _FLAGS = {
     "--config": {"required": True, "help": "JSON run configuration"},
-    "--seed": {"type": int, "help": "override readout_sim.seed"},
+    "--seed": {"type": _integer, "help": "override readout_sim.seed"},
     "--trunc": {"help": "Fock truncation as <nq>x<nr>"},
-    "--shots": {"type": int, "help": "override readout_sim.n_shots"},
+    "--shots": {"type": _integer, "help": "override readout_sim.n_shots"},
     "--shots0": {"help": "state-0 shot CSV"},
     "--shots1": {"help": "state-1 shot CSV"},
 }

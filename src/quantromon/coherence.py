@@ -11,7 +11,7 @@ coupling returns ``math.inf`` ("no Purcell channel").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analytic import SpectrumResult
 from .errors import ParameterError, UnphysicalRegimeError
@@ -29,27 +29,35 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CoherenceConfig:
+class _CoherenceConfigFields(NamedTuple):
+    q_diel: float
+    kappa: float
+
+
+class CoherenceConfig(_CoherenceConfigFields):
     """Dielectric quality factor and readout linewidth (kappa/2pi, Hz).
 
     ``q_diel`` must be > 0 and may be ``inf``: no dielectric loss, so
     ``t1_diel`` is infinite and ``t1_model`` is the Purcell lifetime alone.
-    ``kappa`` must be finite and > 0.
+    ``kappa`` must be finite and > 0. The checks run again on ``_replace``.
     """
 
-    q_diel: float
-    kappa: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.q_diel > 0.0):
             raise ParameterError(f"q_diel must be > 0, got {self.q_diel!r}")
         if not (0.0 < self.kappa < math.inf):
             raise ParameterError(f"kappa must be finite and > 0, got {self.kappa!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
+class CoherenceReport(NamedTuple):
     """Lifetimes in seconds; 1/t1_model = 1/t1_diel + 1/t1_asymm."""
 
     t1_diel: float

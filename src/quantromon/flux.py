@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .analytic import dressed_spectrum
 from .coherence import CoherenceConfig, coherence_report
@@ -47,39 +47,49 @@ class FluxMode(enum.Enum):
     FIXED = "fixed"
 
 
-@dataclass(frozen=True)
-class FluxConfig:
-    """Zero-flux junction energies (Hz), tuning layout and SQUID area ratio.
-
-    ``mode`` is a :class:`FluxMode` or its config name (``"both_squids"``,
-    ``"one_squid"`` or ``"fixed"``), stored as the member.
-    Both energies must be finite and >= 0, with a positive sum
-    (``e_j2_zero = 0`` models a single junction). The flux bias is not part
-    of it: :func:`tuned_junctions` takes ``n`` as an argument.
-    """
-
+class _FluxConfigFields(NamedTuple):
     mode: FluxMode
     e_j1_zero: float
     e_j2_zero: float
     area_ratio_a: float = 0.0
 
-    def __post_init__(self):
+
+class FluxConfig(_FluxConfigFields):
+    """Zero-flux junction energies (Hz), tuning layout and SQUID area ratio.
+
+    ``mode`` is a :class:`FluxMode` or its config name (``"both_squids"``,
+    ``"one_squid"`` or ``"fixed"``), stored as the member.
+    Both energies must be finite and >= 0, with a positive sum
+    (``e_j2_zero = 0`` models a single junction). The checks and the
+    conversion of ``mode`` run again on ``_replace``. The flux bias is not
+    part of it: :func:`tuned_junctions` takes ``n`` as an argument.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
         try:
-            object.__setattr__(self, "mode", FluxMode(self.mode))
+            mode = FluxMode(cfg.mode)
         except ValueError:
             raise ParameterError(f"flux.mode must be one of {[m.value for m in FluxMode]}, "
-                                 f"got {self.mode!r}") from None
+                                 f"got {cfg.mode!r}") from None
         for key in ("e_j1_zero", "e_j2_zero"):
-            value = getattr(self, key)
+            value = getattr(cfg, key)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ParameterError(f"{key} must be a finite number >= 0, got {value!r}")
-        if not (self.e_j1_zero + self.e_j2_zero > 0.0):
+        if not (cfg.e_j1_zero + cfg.e_j2_zero > 0.0):
             raise ParameterError("e_j1_zero + e_j2_zero must be > 0")
-        if self.mode is not FluxMode.FIXED and not (0.0 < self.area_ratio_a < 1.0):
+        if mode is not FluxMode.FIXED and not (0.0 < cfg.area_ratio_a < 1.0):
             raise ParameterError(
                 f"area_ratio_a must lie in (0, 1) for tunable modes, "
-                f"got {self.area_ratio_a!r}"
+                f"got {cfg.area_ratio_a!r}"
             )
+        return super().__new__(cls, mode, *cfg[1:])
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def tuned_junctions(cfg: FluxConfig, n: int) -> tuple[float, float]:
@@ -127,8 +137,7 @@ def energies_at_flux(en: ModeEnergies, e_jsigma: float, d_j: float) -> ModeEnerg
                                     e_cr=en.e_cr, b=en.b, d_j=d_j)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One flux operating point of the sweep: the tuned junctions, the dressed
     spectrum and the whole coherence budget; ``error`` is set for failed rows."""
 
@@ -153,7 +162,7 @@ def evaluate_flux_point(en: ModeEnergies, cfg: FluxConfig, n: int,
     spec = dressed_spectrum(energies_at_flux(en, e_jsigma, d_j))
     return SweepRow(n=n, e_jsigma=e_jsigma, d_j=d_j, omega_q_t=spec.omega_q_t,
                     delta=spec.delta, two_chi_total=spec.two_chi_total,
-                    **asdict(coherence_report(spec, coherence)))
+                    **coherence_report(spec, coherence)._asdict())
 
 
 def sweep(en: ModeEnergies, cfg: FluxConfig, n_list: list[int],

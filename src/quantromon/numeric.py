@@ -23,7 +23,7 @@ part of each mode reproduces ``sqrt(8*E_Jmode*E_Cmode)`` exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,12 @@ _MAX_LEVELS = 64  # well past the meaningful range; 1000 levels would ask for GB
 _OVERLAP_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class Truncation:
+class _TruncationFields(NamedTuple):
+    n_q: int = 12
+    n_r: int = 12
+
+
+class Truncation(_TruncationFields):
     """Fock levels kept per mode.
 
     Moderate truncations (the 12x12 default, converged against 10..14) are
@@ -61,23 +65,26 @@ class Truncation:
     boundary artifacts, and very large bases (40+ levels at typical device
     parameters) start probing the unbounded region of the quartic potential.
     Each mode keeps 4 to 64 levels, an integer by
-    :func:`~quantromon.errors.is_int`, stored as the equal ``int``; with 4
-    the top level can mix about 50/50 with the first excitation and fail to
-    label, so use 5 or more.
+    :func:`~quantromon.errors.is_int`, stored as the equal ``int``, also on
+    ``_replace``; with 4 the top level can mix about 50/50 with the first
+    excitation and fail to label, so use 5 or more.
     """
 
-    n_q: int = 12
-    n_r: int = 12
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(is_int(n) and _MIN_LEVELS <= n <= _MAX_LEVELS for n in (self.n_q, self.n_r)):
+    def __new__(cls, *args, **kwargs):
+        trunc = super().__new__(cls, *args, **kwargs)
+        if not all(is_int(n) and _MIN_LEVELS <= n <= _MAX_LEVELS for n in trunc):
             raise ParameterError(
                 f"truncation must keep a whole number of {_MIN_LEVELS} to "
-                f"{_MAX_LEVELS} levels per mode, got ({self.n_q}, {self.n_r})"
+                f"{_MAX_LEVELS} levels per mode, got ({trunc.n_q}, {trunc.n_r})"
             )
         # an unsigned numpy size would turn the basis index arithmetic to floats
-        for name in ("n_q", "n_r"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        return super().__new__(cls, *map(int, trunc))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:

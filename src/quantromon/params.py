@@ -13,7 +13,7 @@ Unit conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import ParameterError
 
@@ -38,8 +38,7 @@ HBAR = PLANCK_H / (2.0 * math.pi)                      # J s
 REDUCED_FLUX_QUANTUM = HBAR / (2.0 * ELECTRON_CHARGE)  # hbar/2e in Wb
 
 
-@dataclass(frozen=True)
-class CircuitParams:
+class CircuitParams(NamedTuple):
     """Raw lumped-element values. A plain record; :func:`derive_energies`
     range-checks it.
 
@@ -67,8 +66,7 @@ class CircuitParams:
     d_j: float = 0.0
 
 
-@dataclass(frozen=True)
-class ModeEnergies:
+class ModeEnergies(NamedTuple):
     """Derived energy scales, all expressed as frequencies in Hz.
 
     ``e_jq`` is the qubit-mode inductive energy (twice the single-junction
@@ -160,18 +158,7 @@ def regime_warnings(en: ModeEnergies) -> tuple[str, ...]:
     return tuple(messages)
 
 
-@dataclass(frozen=True)
-class ReadoutParams:
-    """Readout operating point.
-
-    ``omega_r`` is the resonator frequency with the qubit in state 0; state 1
-    pulls it down by ``two_chi``. ``readout_freq`` defaults to the midpoint of
-    the two pulled frequencies. ``noise_scale`` is the calibrated
-    SNR-per-sqrt(tau) factor described in the :mod:`quantromon.readout`
-    docstring; ``thermal_pop`` is the probability that a nominally-ground
-    shot starts excited. Every value must be finite; only ``readout_freq`` may be None.
-    """
-
+class _ReadoutParamsFields(NamedTuple):
     omega_r: float
     two_chi: float
     kappa_ext: float
@@ -183,11 +170,26 @@ class ReadoutParams:
     noise_scale: float = 2.05
     thermal_pop: float = 0.0
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (value is None and f.name == "readout_freq" or math.isfinite(value)):
-                raise ParameterError(f"{f.name} must be finite, got {value!r}")
+
+class ReadoutParams(_ReadoutParamsFields):
+    """Readout operating point.
+
+    ``omega_r`` is the resonator frequency with the qubit in state 0; state 1
+    pulls it down by ``two_chi``. ``readout_freq`` defaults to the midpoint of
+    the two pulled frequencies. ``noise_scale`` is the calibrated
+    SNR-per-sqrt(tau) factor described in the :mod:`quantromon.readout`
+    docstring; ``thermal_pop`` is the probability that a nominally-ground
+    shot starts excited. Every value must be finite; only ``readout_freq`` may be None.
+    The checks run again on ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if not (value is None and name == "readout_freq" or math.isfinite(value)):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         if self.kappa_ext < 0.0 or self.kappa_int < 0.0:
             raise ParameterError("kappa_ext and kappa_int must be >= 0")
         if self.kappa_ext + self.kappa_int <= 0.0:
@@ -200,3 +202,8 @@ class ReadoutParams:
             raise ParameterError(f"t1 must be > 0, got {self.t1!r}")
         if not (0.0 <= self.thermal_pop < 1.0):
             raise ParameterError(f"thermal_pop must lie in [0, 1), got {self.thermal_pop!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

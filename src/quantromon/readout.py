@@ -19,7 +19,7 @@ import math
 import os
 import signal
 import warnings
-from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,30 +51,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShotSet:
+class _ShotSetFields(NamedTuple):
+    prepared_state: int
+    values: np.ndarray
+    seed: int
+    params: ReadoutParams
+
+
+class ShotSet(_ShotSetFields):
     """Projected quadrature values for shots prepared in one qubit state.
 
     ``prepared_state`` is 0 or 1, ``values`` a 1-D sequence of numbers,
     stored as a float64 array (a 1-D float64 array is kept, not copied), and
     ``seed`` an integer in ``[0, 2**64)``, the seeds a simulation accepts;
-    anything else raises :class:`ParameterError` naming it."""
+    anything else raises :class:`ParameterError` naming it. The checks and
+    the conversion of ``values`` run again on ``_replace``; the repr leaves
+    ``values`` out."""
 
-    prepared_state: int
-    values: np.ndarray = field(repr=False)
-    seed: int
-    params: ReadoutParams
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_state("prepared_state", self.prepared_state)
+    def __new__(cls, *args, **kwargs):
+        shots = super().__new__(cls, *args, **kwargs)
+        _check_state("prepared_state", shots.prepared_state)
         try:
-            values = np.asarray(self.values, dtype=np.float64)
+            values = np.asarray(shots.values, dtype=np.float64)
         except (TypeError, ValueError):
             raise ParameterError("values must be numbers") from None
         if values.ndim != 1:
             raise ParameterError(f"values must be 1-D, got shape {values.shape}")
-        object.__setattr__(self, "values", values)
-        check_key_word("seed", self.seed)
+        check_key_word("seed", shots.seed)
+        return super().__new__(cls, shots.prepared_state, values, shots.seed, shots.params)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __repr__(self) -> str:
+        return (f"ShotSet(prepared_state={self.prepared_state!r}, seed={self.seed!r}, "
+                f"params={self.params!r})")
 
 
 def _check_state(name: str, value) -> None:
@@ -238,9 +252,8 @@ def export_shots_csv(shots: ShotSet, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(f"# prepared_state={shots.prepared_state}\n")
         f.write(f"# seed={shots.seed}\n")
-        for param in fields(ReadoutParams):
-            value = getattr(shots.params, param.name)
-            f.write(f"# {param.name}={'' if value is None else repr(float(value))}\n")
+        for name, value in shots.params._asdict().items():
+            f.write(f"# {name}={'' if value is None else repr(float(value))}\n")
         f.write("value\n")
         tail = None
         if mid:  # a forked child formats the lines from mid on
@@ -400,8 +413,9 @@ def import_shots_csv(path) -> ShotSet:
     try:
         # a field with a default may be left out (or empty) and takes it, as in
         # a config's readout section
-        params = ReadoutParams(**{f.name: read(f.name, float) for f in fields(ReadoutParams)
-                                  if header.get(f.name, "") != "" or f.default is MISSING})
+        params = ReadoutParams(**{name: read(name, float) for name in ReadoutParams._fields
+                                  if header.get(name, "") != ""
+                                  or name not in ReadoutParams._field_defaults})
         return ShotSet(prepared_state=read("prepared_state", int), values=values,
                        seed=read("seed", int), params=params)
     except ParameterError as exc:
@@ -412,8 +426,7 @@ def import_shots_csv(path) -> ShotSet:
 # Double-Gaussian fitting, thresholding, and error reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianMixtureFit:
+class GaussianMixtureFit(NamedTuple):
     """Simultaneous two-histogram mixture fit.
 
     State-0 counts are modeled as a0*N(mu0, sigma0) + (1-a0)*N(mu1, sigma1)
@@ -561,8 +574,7 @@ def threshold(fit: GaussianMixtureFit) -> float:
     )
 
 
-@dataclass(frozen=True)
-class FidelityReport:
+class FidelityReport(NamedTuple):
     """Assignment-error decomposition at a fixed threshold.
 
     ``eps_id`` is the overlap error of the two fitted unit Gaussians across
@@ -612,8 +624,7 @@ def fidelity_report(shots0: ShotSet, shots1: ShotSet, fit: GaussianMixtureFit,
     )
 
 
-@dataclass(frozen=True)
-class IntegrationPoint:
+class IntegrationPoint(NamedTuple):
     """Error budget at one integration time; ``degenerate`` flags rows whose
     mixture fit collapsed (statistics too poor to decompose errors)."""
 
@@ -634,7 +645,7 @@ def error_vs_integration(p: ReadoutParams, tau_list: list[float], n_shots: int,
     """Simulate -> fit -> report for each integration time; deterministic."""
     points: list[IntegrationPoint] = []
     for i, tau in enumerate(tau_list):
-        p_tau = replace(p, tau=tau)
+        p_tau = p._replace(tau=tau)
         row_seed = _row_seed(seed, i)
         s0 = simulate_shots(p_tau, 0, n_shots, row_seed)
         s1 = simulate_shots(p_tau, 1, n_shots, row_seed)

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 """
 
 import contextlib
-import dataclasses
 import json
 import math
 
@@ -44,7 +43,7 @@ from quantromon.cli import run
 TABLE = CircuitParams(l_j=8.2e-9, c_j=56.88e-15, l_r=0.546e-9, c_r=781.8e-15,
                       b=0.405, d_j=0.0)
 EN = derive_energies(TABLE)
-EN_ASYM = derive_energies(dataclasses.replace(TABLE, d_j=0.045))
+EN_ASYM = derive_energies(TABLE._replace(d_j=0.045))
 
 COHERENCE_A = CoherenceConfig(q_diel=1.1e6, kappa=1.28e6)
 
@@ -122,7 +121,7 @@ def test_c03c_truncation_stability():
 
 def test_c04_exact_zero_properties():
     with criterion("criterion 4 (exact zeros)"):
-        en_b0 = derive_energies(dataclasses.replace(TABLE, b=0.0))
+        en_b0 = derive_energies(TABLE._replace(b=0.0))
         assert dressed_spectrum(en_b0).two_chi == 0.0
         assert abs(numeric_spectrum(en_b0, Truncation(10, 10)).two_chi) < 1e3
         spec = dressed_spectrum(EN)  # d_j = 0

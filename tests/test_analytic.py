@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -48,11 +47,11 @@ class TestBareModes:
         assert modes.z_r == pytest.approx(36.612, rel=1e-4)
 
     def test_quadrupled_inductive_energy_doubles_frequency(self):
-        en4 = dataclasses.replace(EN, e_jq=4 * EN.e_jq)
+        en4 = EN._replace(e_jq=4 * EN.e_jq)
         assert bare_modes(en4).omega_q == 2.0 * bare_modes(EN).omega_q
 
     def test_unit_energy_ratio_gives_resistance_quantum_scale(self):
-        en = dataclasses.replace(EN, e_cq=EN.e_jq)
+        en = EN._replace(e_cq=EN.e_jq)
         expected = HBAR / ELECTRON_CHARGE**2
         assert bare_modes(en).z_q == expected
 
@@ -71,7 +70,7 @@ class TestDressedSpectrum:
         assert spec.omega_r_t == pytest.approx(7.583e9, rel=0.01)
 
     def test_b_zero_shift_vanishes_exactly(self):
-        en0 = derive_energies(dataclasses.replace(TABLE, b=0.0))
+        en0 = derive_energies(TABLE._replace(b=0.0))
         spec = dressed_spectrum(en0)
         assert spec.two_chi == 0.0
         assert spec.two_chi_total == 0.0
@@ -79,7 +78,7 @@ class TestDressedSpectrum:
         assert spec.omega_q_t == math.sqrt(8 * en0.e_jq * en0.e_cq) - en0.e_cq
 
     def test_quadrupled_ecr_doubles_chi(self):
-        en4 = dataclasses.replace(EN, e_cr=4 * EN.e_cr)
+        en4 = EN._replace(e_cr=4 * EN.e_cr)
         assert dressed_spectrum(en4).two_chi == 2.0 * dressed_spectrum(EN).two_chi
 
     def test_symmetric_case_identities(self):
@@ -88,13 +87,13 @@ class TestDressedSpectrum:
         assert spec.two_chi_total == spec.two_chi
 
     def test_regime_warning(self):
-        soft = dataclasses.replace(EN, e_lr=0.5 * EN.e_j,
-                                   e_jr=0.5 * EN.e_j + EN.b**2 / 2 * EN.e_j)
+        soft = EN._replace(e_lr=0.5 * EN.e_j,
+                           e_jr=0.5 * EN.e_j + EN.b**2 / 2 * EN.e_j)
         with pytest.warns(UserWarning, match="perturbative"):
             dressed_spectrum(soft)
 
     def test_one_warning_per_regime_message(self):
-        soft_b1 = derive_energies(dataclasses.replace(TABLE, l_r=2e-8, b=1.0))
+        soft_b1 = derive_energies(TABLE._replace(l_r=2e-8, b=1.0))
         with pytest.warns(UserWarning) as record:
             dressed_spectrum(soft_b1)
         assert tuple(str(w.message) for w in record) == regime_warnings(soft_b1)
@@ -103,8 +102,8 @@ class TestDressedSpectrum:
     def test_chi_ratio_closed_form(self):
         r = EN.e_lr / EN.e_j
         for b1, b2 in [(0.2, 0.4)]:
-            en1 = dataclasses.replace(EN, b=b1, e_jr=EN.e_lr + b1**2 / 2 * EN.e_j)
-            en2 = dataclasses.replace(EN, b=b2, e_jr=EN.e_lr + b2**2 / 2 * EN.e_j)
+            en1 = EN._replace(b=b1, e_jr=EN.e_lr + b1**2 / 2 * EN.e_j)
+            en2 = EN._replace(b=b2, e_jr=EN.e_lr + b2**2 / 2 * EN.e_j)
             ratio = dressed_spectrum(en1).two_chi / dressed_spectrum(en2).two_chi
             expected = (b1**2 * math.sqrt(b2**2 / 2 + r)) / (b2**2 * math.sqrt(b1**2 / 2 + r))
             assert ratio == pytest.approx(expected, rel=1e-12)
@@ -112,13 +111,13 @@ class TestDressedSpectrum:
     def test_chi_monotone_in_b(self):
         values = []
         for b in [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]:
-            en = dataclasses.replace(EN, b=b, e_jr=EN.e_lr + b**2 / 2 * EN.e_j)
+            en = EN._replace(b=b, e_jr=EN.e_lr + b**2 / 2 * EN.e_j)
             values.append(dressed_spectrum(en).two_chi)
         assert all(lo < hi for lo, hi in zip(values, values[1:]))
 
 
 class TestAsymmetricCorrections:
-    EN45 = dataclasses.replace(EN, d_j=0.045)
+    EN45 = EN._replace(d_j=0.045)
 
     def test_symmetric_identity(self):
         g, total = asymmetric_corrections(EN, TWO_CHI / 2, -0.398e9)
@@ -133,7 +132,7 @@ class TestAsymmetricCorrections:
         assert total / TWO_CHI == pytest.approx(1.3, abs=0.01)
 
     def test_sign_flip_parity(self):
-        en_m = dataclasses.replace(EN, d_j=-0.045)
+        en_m = EN._replace(d_j=-0.045)
         g_p, total_p = asymmetric_corrections(self.EN45, TWO_CHI / 2, -0.398e9)
         g_m, total_m = asymmetric_corrections(en_m, TWO_CHI / 2, -0.398e9)
         assert total_m == total_p
@@ -155,7 +154,7 @@ class TestInvertChi:
         assert invert_chi(2.2e6, -0.398e9, EN.e_cq, EN.e_jq, 0.0) == 2.2e6
 
     def test_round_trip(self):
-        en45 = dataclasses.replace(EN, d_j=0.045)
+        en45 = EN._replace(d_j=0.045)
         chi = TWO_CHI / 2
         _, total = asymmetric_corrections(en45, chi, -0.398e9)
         recovered = invert_chi(total, -0.398e9, en45.e_cq, en45.e_jq, 0.045)
@@ -167,7 +166,7 @@ class TestInvertChi:
            st.floats(1e3, 1e7), st.floats(1.5, 20.0), st.sampled_from([-1.0, 1.0]))
     def test_inverts_asymmetric_corrections(self, ec_scale, ej_scale, d_j, chi, ratio, sign):
         # |Delta| > alpha on either side keeps the detuning out of the straddling regime
-        en = dataclasses.replace(EN, e_cq=EN.e_cq * ec_scale, e_jq=EN.e_jq * ej_scale, d_j=d_j)
+        en = EN._replace(e_cq=EN.e_cq * ec_scale, e_jq=EN.e_jq * ej_scale, d_j=d_j)
         delta = sign * ratio * en.e_cq
         _, total = asymmetric_corrections(en, chi, delta)
         recovered = invert_chi(total, delta, en.e_cq, en.e_jq, d_j)

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import gc
 import importlib.resources
 import json
@@ -161,7 +160,11 @@ class TestExitCodes:
         assert "circuit" in capsys.readouterr().err
 
     def test_malformed_trunc(self, capsys):
-        assert run(["spectrum", "--config", REFERENCE, "--trunc", "abc"]) == 1
+        # int() alone takes a "_" separator, a "+" sign, a space and full-width
+        # digits, so each of the last four ran a 12x12 spectrum
+        for spec in ("abc", "1_2x12", "+12x12", "12x 12", "\uff11\uff12x12"):
+            assert run(["spectrum", "--config", REFERENCE, "--trunc", spec]) == 1, spec
+            assert "--trunc" in capsys.readouterr().err
 
     def test_oversized_trunc_exits_1_before_building(self, monkeypatch, capsys):
         # a 1000x1000 basis would ask for hundreds of GB; the truncation is
@@ -417,8 +420,7 @@ class TestSpectrumCommand:
     def test_rows_are_the_spectrum_result_fields(self, tmp_path):
         out = tmp_path / "spec.csv"
         assert run(["spectrum", "--config", REFERENCE, "--out", str(out)]) == 0
-        assert [r["quantity"] for r in _read_csv(out)] == [
-            f.name for f in dataclasses.fields(SpectrumResult)]
+        assert [r["quantity"] for r in _read_csv(out)] == list(SpectrumResult._fields)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "spec.json"
@@ -656,7 +658,9 @@ class TestReadoutCommands:
 
         def recording(*args):
             shots = simulate(*args)
-            refs.append(weakref.ref(shots))
+            # a ShotSet is a tuple, which takes no weak reference; the set
+            # holds its values array, so the array freed means the set is too
+            refs.append(weakref.ref(shots.values))
             return shots
 
         checked = []
@@ -722,7 +726,7 @@ class TestReadoutCommands:
         for shots0, shots1 in (shots, shots[::-1]):
             fit = readout.fit_double_gaussian(shots0, shots1)
             report = readout.fidelity_report(shots0, shots1, fit, readout.threshold(fit))
-            rows.append({**dataclasses.asdict(fit), **dataclasses.asdict(report)})
+            rows.append({**fit._asdict(), **report._asdict()})
         fit, swapped = rows
         pairs = [("mu0", "mu1"), ("sigma0", "sigma1"), ("a0", "a1"), ("p01", "p10"),
                  ("eps_01", "eps_10")]
@@ -781,6 +785,20 @@ class TestSimOptions:
                     "--shots", "100", "--seed", "-1"]) == 1
         assert "readout_sim.seed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "1_0"), ("--seed", "+1"), ("--seed", " 1"), ("--seed", "\uff11"),
+        ("--shots", "2_000"), ("--shots", "+100"), ("--shots", "100 "), ("--shots", "1.5"),
+    ])
+    def test_malformed_integer_flag_exits_1(self, tmp_path, capsys, flag, value):
+        # int() alone took each of these but "1.5": seed 10 and 2000 shots for
+        # the first of each
+        out = tmp_path / "report.csv"
+        argv = {"--seed": ["--shots", "100"], "--shots": []}[flag]
+        assert run(["readout-sim", "--config", SAMPLE_C, "--out", str(out), *argv,
+                    flag, value]) == 1
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_shots_flag_exits_1(self, capsys):
         assert run(["readout-sim", "--config", SAMPLE_C, "--shots", "0"]) == 1
@@ -869,11 +887,16 @@ class TestImports:
                 with contextlib.redirect_stdout(io.StringIO()):
                     exits.append(run(argv))
 
+        def present(*modules):
+            return [m for m in modules if m in sys.modules]
+
         exits = []
         run_all(json.loads(sys.argv[1]))
         numpy = loaded("numpy")
+        closed_form = present("dataclasses", "inspect")
         run_all(json.loads(sys.argv[2]))
-        print(json.dumps({"exits": exits, "numpy": numpy, "scipy": loaded("scipy")}))
+        print(json.dumps({"exits": exits, "numpy": numpy, "scipy": loaded("scipy"),
+                          "closed_form": closed_form, "spectrum": present("dataclasses")}))
     """)
 
     def test_non_readout_commands_load_no_scipy(self):
@@ -889,6 +912,10 @@ class TestImports:
         assert result["exits"] == [0] * (len(self.CLOSED_FORM_RUNS) + len(self.NUMPY_RUNS))
         assert result["numpy"] == []
         assert result["scipy"] == []
+        # the records are tuples, so no command here builds a dataclass; numpy
+        # loads inspect itself
+        assert result["closed_form"] == []
+        assert result["spectrum"] == []
 
     BLAS_SCRIPT = textwrap.dedent("""
         import json, os, sys

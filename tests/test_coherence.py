@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -132,7 +131,7 @@ class TestReport:
         spec = dressed_spectrum(energies_at_flux(self.EN, row.e_jsigma, row.d_j))
         report = coherence_report(spec, self.COH)
         assert repr(report) == repr(CoherenceReport(**{
-            f.name: getattr(row, f.name) for f in dataclasses.fields(CoherenceReport)}))
+            name: getattr(row, name) for name in CoherenceReport._fields}))
 
     def test_rate_sum_identity(self):
         rep = evaluate_flux_point(self.EN, self._cfg(), 3, self.COH)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -148,7 +147,7 @@ class TestJunctionSplit:
 
 class TestFits:
     def test_fit_one_squid_reproduces_device_observables(self):
-        en = derive_energies(dataclasses.replace(TABLE, d_j=-0.30))
+        en = derive_energies(TABLE._replace(d_j=-0.30))
         cfg = fit_one_squid(en, f_q_zero=5.205e9, d_j_zero=-0.30,
                             anchor_n=5, d_j_anchor=-0.0152)
         assert cfg.e_j1_zero == pytest.approx(B_EJ1, rel=1e-9)
@@ -253,7 +252,7 @@ class TestFitRoundTrip:
     @given(_anchor_and_grid_area(), st.floats(-0.6, 0.6))
     def test_one_squid_config_recovered(self, anchor_and_area, d_j):
         n, area = anchor_and_area
-        en = derive_energies(dataclasses.replace(TABLE, d_j=d_j))
+        en = derive_energies(TABLE._replace(d_j=d_j))
         e_j1, e_j2 = junction_energies(en)
         cfg = FluxConfig(mode=FluxMode.ONE_SQUID, e_j1_zero=e_j1,
                          e_j2_zero=e_j2, area_ratio_a=area)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import tracemalloc
@@ -110,7 +109,7 @@ class TestBuildHamiltonian:
             assert energy - e0 == pytest.approx(expected, rel=1e-12, abs=1.0)
 
     def test_uncoupled_b_zero(self):
-        en0 = derive_energies(dataclasses.replace(TABLE, b=0.0))
+        en0 = derive_energies(TABLE._replace(b=0.0))
         trunc = Truncation(8, 8)
         h = _full(en0, trunc)
         for iq in range(8):
@@ -128,7 +127,7 @@ class TestBuildHamiltonian:
 
     def test_harmonic_uncoupled_overlaps_exactly_one(self):
         trunc = Truncation(10, 10)
-        h = _oracle(derive_energies(dataclasses.replace(TABLE, b=0.0)), trunc,
+        h = _oracle(derive_energies(TABLE._replace(b=0.0)), trunc,
                     include_quartics=False)
         w, v = eigensolve(h)
         _, overlaps = label_states(w, v, trunc, np.arange(trunc.dim))
@@ -153,7 +152,7 @@ class TestBuildHamiltonian:
 
     def test_overflow_rejected(self):
         # zero-point amplitude (2*e_cq/e_jq)**(1/4) overflows for this combo
-        huge = dataclasses.replace(EN, e_cq=1e300, e_jq=1e-300, e_j=5e-301)
+        huge = EN._replace(e_cq=1e300, e_jq=1e-300, e_j=5e-301)
         with pytest.raises(ParameterError):
             build_hamiltonian(huge, Truncation(6, 6))
 
@@ -180,7 +179,7 @@ class TestObservables:
         # 17/4 coefficient shifts the remainder c by d/r, i.e. 43*d to 173*d.
         # The quartic oscillator alone has c = 233/8; the resonator adds a
         # few units (remainder measured 34.5-37.4 over these scalings).
-        en = derive_energies(dataclasses.replace(TABLE, c_j=TABLE.c_j * scale))
+        en = derive_energies(TABLE._replace(c_j=TABLE.c_j * scale))
         r = en.e_cq / bare_modes(en).omega_q
         num = numeric_spectrum(en, Truncation(12, 12))
         remainder = (num.alpha_q / en.e_cq - 1.0 - 4.25 * r) / r**2
@@ -209,7 +208,7 @@ class TestObservables:
         assert abs(obs.two_chi) < 1.0
 
     def test_b_zero_chi_below_kilohertz(self):
-        en0 = derive_energies(dataclasses.replace(TABLE, b=0.0))
+        en0 = derive_energies(TABLE._replace(b=0.0))
         num = numeric_spectrum(en0, Truncation(10, 10))
         assert abs(num.two_chi) < 1e3
 
@@ -223,7 +222,7 @@ class TestObservables:
 
     def test_transverse_coupling_raises_total_shift(self):
         sym = numeric_spectrum(EN, Truncation(12, 12))
-        asym = numeric_spectrum(derive_energies(dataclasses.replace(TABLE, d_j=0.045)),
+        asym = numeric_spectrum(derive_energies(TABLE._replace(d_j=0.045)),
                                 Truncation(12, 12))
         assert asym.two_chi_total > sym.two_chi_total
         assert asym.g_asymm < 0.0
@@ -287,7 +286,7 @@ class TestObservables:
         deviations = []
         for ratio in (15.0, 8.0, 4.0, 2.0):
             l_r = (EN.e_lr * TABLE.l_r) / (ratio * EN.e_j)
-            params = dataclasses.replace(TABLE, l_r=l_r)
+            params = TABLE._replace(l_r=l_r)
             en = derive_energies(params)
             ana = dressed_spectrum(en)
             num = numeric_spectrum(en, Truncation(12, 12))
@@ -342,7 +341,7 @@ def _scaled(factors, d_j):
     """Energies of TABLE with l_j, c_j, l_r, c_r and b scaled by ``factors``."""
     names = ("l_j", "c_j", "l_r", "c_r", "b")
     scaled = {k: getattr(TABLE, k) * f for k, f in zip(names, factors)}
-    return derive_energies(dataclasses.replace(TABLE, d_j=d_j, **scaled))
+    return derive_energies(TABLE._replace(d_j=d_j, **scaled))
 
 
 _AROUND_TABLE = st.tuples(*[st.floats(0.8, 1.2)] * 5)
@@ -464,7 +463,7 @@ class TestBlockAssembly:
         # checked before the first solve, each sum is freed once its checked
         # copy exists and each block once solved, so the peak is about three
         # blocks (3.18 blocks measured)
-        en, trunc = dataclasses.replace(EN, d_j=0.05), Truncation(30, 30)
+        en, trunc = EN._replace(d_j=0.05), Truncation(30, 30)
         block = (trunc.dim // 2) ** 2 * np.dtype(float).itemsize
         numeric_spectrum(en, trunc)  # first-call allocations are not the spectrum's
         tracemalloc.start()
@@ -477,7 +476,7 @@ class TestBlockAssembly:
 
     def test_overflow_names_mode_and_elements_through_numeric_spectrum(self):
         # E_JQ/E_CQ underflows, so the qubit's zero-point amplitude overflows
-        en = dataclasses.replace(EN, e_jq=1e-300, e_cq=1e300)
+        en = EN._replace(e_jq=1e-300, e_cq=1e300)
         with pytest.raises(ParameterError) as info:
             numeric_spectrum(en, Truncation(6, 6))
         msg = str(info.value)
@@ -486,7 +485,7 @@ class TestBlockAssembly:
         assert "resonator" not in msg
 
     def test_resonator_overflow_names_resonator(self):
-        en = dataclasses.replace(EN, d_j=0.05, e_jr=1e-300, e_cr=1e300)
+        en = EN._replace(d_j=0.05, e_jr=1e-300, e_cr=1e300)
         with pytest.raises(ParameterError, match=r"resonator mode: E_JR/E_CR = .*circuit\.l_r"):
             numeric_spectrum(en, Truncation(6, 6))
 
@@ -501,7 +500,7 @@ class TestBlockAssembly:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(numeric, name, counted)
-        numeric_spectrum(dataclasses.replace(EN, d_j=d_j), Truncation(8, 8))
+        numeric_spectrum(EN._replace(d_j=d_j), Truncation(8, 8))
         assert calls == {"build_hamiltonian": 1, "_mode_operators": 2}
 
     @pytest.mark.parametrize("d_j", [0.0, 0.05])
@@ -516,4 +515,4 @@ class TestBlockAssembly:
 
         monkeypatch.setattr(numeric, "_mode_operators", skewed)
         with pytest.raises(EigensolveError, match=r"asymmetry .* exceeds 1e-9"):
-            numeric_spectrum(dataclasses.replace(EN, d_j=d_j), Truncation(6, 6))
+            numeric_spectrum(EN._replace(d_j=d_j), Truncation(6, 6))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -60,27 +59,27 @@ def test_derived_identities_exact():
 
 def test_capacitance_doubling_halves_charging_energy_exactly():
     base = derive_energies(TABLE)
-    doubled = derive_energies(dataclasses.replace(TABLE, c_j=2 * TABLE.c_j))
+    doubled = derive_energies(TABLE._replace(c_j=2 * TABLE.c_j))
     assert doubled.e_cq == base.e_cq / 2.0
 
 
 def test_inductance_doubling_halves_inductive_energy_exactly():
     base = derive_energies(TABLE)
-    doubled = derive_energies(dataclasses.replace(TABLE, l_r=2 * TABLE.l_r))
+    doubled = derive_energies(TABLE._replace(l_r=2 * TABLE.l_r))
     assert doubled.e_lr == base.e_lr / 2.0
 
 
 @pytest.mark.parametrize("k", [2.0, 4.0, 0.5])
 def test_scale_covariance_power_of_two(k):
     base = derive_energies(TABLE)
-    scaled = derive_energies(dataclasses.replace(TABLE, l_j=k * TABLE.l_j))
+    scaled = derive_energies(TABLE._replace(l_j=k * TABLE.l_j))
     assert scaled.e_j == base.e_j / k
 
 
 @pytest.mark.parametrize("k", [1.7, 3.3, 0.21])
 def test_scale_covariance_general(k):
     base = derive_energies(TABLE)
-    scaled = derive_energies(dataclasses.replace(TABLE, l_j=k * TABLE.l_j))
+    scaled = derive_energies(TABLE._replace(l_j=k * TABLE.l_j))
     assert scaled.e_j == pytest.approx(base.e_j / k, rel=1e-12)
 
 
@@ -92,7 +91,7 @@ def test_inductance_round_trip():
 
 @pytest.mark.parametrize("field", ["l_j", "c_j", "l_r", "c_r"])
 def test_nonpositive_inputs_rejected_by_name(field):
-    bad = dataclasses.replace(TABLE, **{field: -1e-9})
+    bad = TABLE._replace(**{field: -1e-9})
     with pytest.raises(ParameterError, match=field):
         derive_energies(bad)
 
@@ -102,28 +101,28 @@ def test_nonpositive_inputs_rejected_by_name(field):
 def test_extreme_element_energy_rejected_by_name(field, value):
     # in range, but the energy derived from it underflows to 0.0 (a huge
     # capacitance) or its denominator does (a tiny inductance)
-    bad = dataclasses.replace(TABLE, **{field: value})
+    bad = TABLE._replace(**{field: value})
     with pytest.raises(ParameterError, match=f"^{field} = "):
         derive_energies(bad)
 
 
 def test_out_of_range_b_and_dj_rejected():
     with pytest.raises(ParameterError, match=r"b out of \[0, 1\]"):
-        derive_energies(dataclasses.replace(TABLE, b=1.2))
+        derive_energies(TABLE._replace(b=1.2))
     with pytest.raises(ParameterError, match="d_j"):
-        derive_energies(dataclasses.replace(TABLE, d_j=1.0))
+        derive_energies(TABLE._replace(d_j=1.0))
 
 
 def test_validate_reports_b_violation():
     for b in (1.2, -0.1):
         with pytest.raises(ParameterError) as info:
-            derive_energies(dataclasses.replace(TABLE, b=b))
+            derive_energies(TABLE._replace(b=b))
         assert "b out of [0, 1]" in str(info.value)
 
 
 def test_nan_element_rejected_by_name():
     with pytest.raises(ParameterError, match="l_j"):
-        derive_energies(dataclasses.replace(TABLE, l_j=math.nan))
+        derive_energies(TABLE._replace(l_j=math.nan))
 
 
 def test_regime_warnings_table_device_clean():
@@ -134,7 +133,7 @@ def test_regime_warnings_soft_inductor():
     # pick l_r so that e_lr = 0.5 * e_j
     en = derive_energies(TABLE)
     l_r = TABLE.l_r * en.e_lr / (0.5 * en.e_j)
-    (message,) = regime_warnings(derive_energies(dataclasses.replace(TABLE, l_r=l_r)))
+    (message,) = regime_warnings(derive_energies(TABLE._replace(l_r=l_r)))
     assert "perturbative" in message
     assert "e_lr/e_j = 0.5)" in message
 

@@ -1,7 +1,6 @@
 """Cross-module behaviors not tied to a single unit: fixed-bias pipelines,
 imported measurement records, and CLI output edge cases."""
 
-import dataclasses
 import json
 import math
 
@@ -52,12 +51,11 @@ class TestFixedModePipeline:
 
 class TestReadoutFrequencyChoice:
     def test_midpoint_default_matches_explicit(self):
-        explicit = dataclasses.replace(
-            SAMPLE_C, readout_freq=SAMPLE_C.omega_r - SAMPLE_C.two_chi / 2.0)
+        explicit = SAMPLE_C._replace(readout_freq=SAMPLE_C.omega_r - SAMPLE_C.two_chi / 2.0)
         assert pointer_means(SAMPLE_C) == pointer_means(explicit)
 
     def test_off_midpoint_readout_shrinks_separation(self):
-        on_peak = dataclasses.replace(SAMPLE_C, readout_freq=SAMPLE_C.omega_r)
+        on_peak = SAMPLE_C._replace(readout_freq=SAMPLE_C.omega_r)
         _, m1_mid = pointer_means(SAMPLE_C)
         _, m1_peak = pointer_means(on_peak)
         assert 0.0 < m1_peak < m1_mid
@@ -135,5 +133,5 @@ class TestCliEdgeCases:
         path = tmp_path / "x.csv"
         export_shots_csv(shots, path)
         again = import_shots_csv(path)
-        assert again == dataclasses.replace(shots, values=again.values)
+        assert again == shots._replace(values=again.values)
         assert np.array_equal(again.values, shots.values)

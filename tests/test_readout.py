@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -61,16 +60,16 @@ def _as_shotset(values, prepared=0, seed=0):
 
 
 class TestReadoutParams:
-    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ReadoutParams)])
+    @pytest.mark.parametrize("name", ReadoutParams._fields)
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_rejected_by_name(self, name, value):
         with pytest.raises(ParameterError) as info:
-            dataclasses.replace(SAMPLE_C, **{name: value})
+            SAMPLE_C._replace(**{name: value})
         assert str(info.value) == f"{name} must be finite, got {value!r}"
 
     def test_readout_freq_may_be_none(self):
         assert SAMPLE_C.readout_freq is None
-        assert dataclasses.replace(SAMPLE_C, readout_freq=7.4e9).readout_freq == 7.4e9
+        assert SAMPLE_C._replace(readout_freq=7.4e9).readout_freq == 7.4e9
 
 
 class TestReflection:
@@ -158,7 +157,7 @@ class TestSimulateShots:
         assert not np.array_equal(s0.values, s1.values)
 
     def test_no_decay_limit_centers_on_excited_pointer(self):
-        p = dataclasses.replace(SAMPLE_C, t1=1e6)  # effectively infinite
+        p = SAMPLE_C._replace(t1=1e6)  # effectively infinite
         n = 200000
         shots = simulate_shots(p, 1, n, 11)
         _, m1 = pointer_means(p)
@@ -167,7 +166,7 @@ class TestSimulateShots:
 
     def test_heavy_decay_matches_quadrature_oracle(self):
         # tau >> t1: oracle CDF integrates the exponential decay-time density
-        p = dataclasses.replace(SAMPLE_C, tau=3 * SAMPLE_C.t1)
+        p = SAMPLE_C._replace(tau=3 * SAMPLE_C.t1)
         m0, m1 = pointer_means(p)
         sigma = p.noise_scale / math.sqrt(p.kappa_ext * p.tau)
         n = 100000
@@ -190,7 +189,7 @@ class TestSimulateShots:
     def test_survival_mass_near_excited_pointer(self):
         # shots surviving the full window (weight exp(-tau/t1)) sit at m1;
         # late partial decays bleed slightly below, hence the one-sided slack
-        p = dataclasses.replace(SAMPLE_C, tau=3 * SAMPLE_C.t1)
+        p = SAMPLE_C._replace(tau=3 * SAMPLE_C.t1)
         m0, m1 = pointer_means(p)
         sigma = p.noise_scale / math.sqrt(p.kappa_ext * p.tau)
         values = simulate_shots(p, 1, 100000, 5).values
@@ -199,7 +198,7 @@ class TestSimulateShots:
         assert survived - 0.01 <= near_m1 <= survived + 0.03
 
     def test_thermal_population_knob(self):
-        p = dataclasses.replace(SAMPLE_C, thermal_pop=0.25, t1=1e6)
+        p = SAMPLE_C._replace(thermal_pop=0.25, t1=1e6)
         m0, m1 = pointer_means(p)
         values = simulate_shots(p, 0, 100000, 7).values
         hot = np.mean(values > 0.0)
@@ -256,7 +255,7 @@ class TestShotChunks:
     @pytest.mark.parametrize("n", [_SHOT_CHUNK - 1, _SHOT_CHUNK, _SHOT_CHUNK + 1,
                                    3 * _SHOT_CHUNK + 7])
     def test_chunks_match_one_draw(self, n, prepared, thermal_pop, seed):
-        p = dataclasses.replace(SAMPLE_C, thermal_pop=thermal_pop)
+        p = SAMPLE_C._replace(thermal_pop=thermal_pop)
         values = simulate_shots(p, prepared, n, seed).values
         assert values.tobytes() == _one_draw_shots(p, prepared, n, seed).tobytes()
 
@@ -267,7 +266,7 @@ class TestShotChunks:
         (1, "0c3d35fe280fa03aa67ab4e53a16e4c7108ee37d533fdca3bec1a564c63b5757"),
     ])
     def test_multi_chunk_digest(self, prepared, digest):
-        p = dataclasses.replace(SAMPLE_C, thermal_pop=0.07)
+        p = SAMPLE_C._replace(thermal_pop=0.07)
         values = simulate_shots(p, prepared, 3 * 65536 + 7, 2**63 + 5).values
         assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
@@ -318,7 +317,7 @@ class TestShotCsvRoundTrip:
         assert "noise_scale" not in path.read_text()
         loaded = import_shots_csv(path)
         assert loaded.params == ReadoutParams(**{
-            **dataclasses.asdict(SAMPLE_C), "noise_scale": 2.05, "thermal_pop": 0.0})
+            **SAMPLE_C._asdict(), "noise_scale": 2.05, "thermal_pop": 0.0})
         assert (loaded.prepared_state, loaded.seed) == (1, 7)
 
     @pytest.mark.parametrize("edit, message", [
@@ -384,8 +383,7 @@ class TestShotCsvRoundTrip:
             "76c8841fb27b60f19c57488a10117c55d780ac8507e3a842a52caa627b453f08"
 
     def test_export_bytes_edge_values(self, tmp_path):
-        params = dataclasses.replace(SAMPLE_C, readout_freq=7399315000.0,
-                                     thermal_pop=0.0125)
+        params = SAMPLE_C._replace(readout_freq=7399315000.0, thermal_pop=0.0125)
         values = [-0.0, 0.0, 5e-324, 1.7976931348623157e308,
                   -1.7976931348623157e308, 1e-05, 1e16, 0.1, 1 / 3, -2.5,
                   123456789.0, 1e-300]
@@ -618,8 +616,8 @@ class TestFidelityReport:
         rep = fidelity_report(s0, s1, fit, thr)
 
         shift = 17.3
-        s0t = dataclasses.replace(s0, values=s0.values + shift)
-        s1t = dataclasses.replace(s1, values=s1.values + shift)
+        s0t = s0._replace(values=s0.values + shift)
+        s1t = s1._replace(values=s1.values + shift)
         fit_t = fit_double_gaussian(s0t, s1t)
         thr_t = threshold(fit_t)
         assert thr_t - thr == pytest.approx(shift, abs=1e-6)
@@ -821,7 +819,7 @@ class TestForkedShotCsv:
         done = subprocess.run(
             [sys.executable, "-W", "error", "-c", self.SCRIPT,
              str(tmp_path_factory.mktemp("forked")),
-             json.dumps(dataclasses.asdict(SAMPLE_C))],
+             json.dumps(SAMPLE_C._asdict())],
             env=_subprocess_env(OPENBLAS_NUM_THREADS="1"),
             capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
@@ -903,7 +901,7 @@ class TestForkedShotCsv:
         env.pop("PYTHONUNBUFFERED", None)
         done = subprocess.run(
             [sys.executable, "-W", "error", "-c", script, str(tmp_path),
-             json.dumps(dataclasses.asdict(SAMPLE_C))],
+             json.dumps(SAMPLE_C._asdict())],
             env=env,
             capture_output=True, text=True, timeout=300)
         assert done.returncode == 0 and done.stderr == "", done.stderr
@@ -968,14 +966,14 @@ class TestForkedShotCsv:
 class TestReadoutParamsValidation:
     def test_linewidths(self):
         with pytest.raises(ParameterError):
-            dataclasses.replace(SAMPLE_C, kappa_ext=-1.0)
+            SAMPLE_C._replace(kappa_ext=-1.0)
         with pytest.raises(ParameterError):
-            dataclasses.replace(SAMPLE_C, kappa_ext=0.0, kappa_int=0.0)
+            SAMPLE_C._replace(kappa_ext=0.0, kappa_int=0.0)
 
     def test_positive_quantities(self):
         with pytest.raises(ParameterError):
-            dataclasses.replace(SAMPLE_C, tau=0.0)
+            SAMPLE_C._replace(tau=0.0)
         with pytest.raises(ParameterError):
-            dataclasses.replace(SAMPLE_C, nbar=-3.0)
+            SAMPLE_C._replace(nbar=-3.0)
         with pytest.raises(ParameterError):
-            dataclasses.replace(SAMPLE_C, t1=0.0)
+            SAMPLE_C._replace(t1=0.0)

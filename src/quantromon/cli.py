@@ -191,7 +191,10 @@ def load_config(path) -> RunConfig:
         raise ParameterError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # a ValueError: a byte that is not UTF-8, text that is not JSON, or an
+        # integer past Python's digit limit; a RecursionError: nesting past
+        # the recursion limit
         raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
     data = normalize_config(raw)
     energies = None

@@ -41,15 +41,16 @@ __all__ = [
     "numeric_spectrum",
 ]
 
-# labels (m_q, m_r) that must be identified: extract_observables reads the
-# first five; (2, 1) is read by none and guards against resonance, since near
-# qubit-resonator degeneracy it loses its bare character first, so such a
-# device fails to label rather than giving observables of hybridized states
-REQUIRED_LABELS = tuple((mq, mr) for mq in range(3) for mr in range(2))
+# the labels (m_q, m_r) that extract_observables reads; each must be at least
+# _OVERLAP_THRESHOLD bare, so a hybridized device fails to label rather than
+# giving observables of mixed states
+REQUIRED_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0))
 
 _MIN_LEVELS = 4  # quartic terms need at least four Fock levels
 _MAX_LEVELS = 64  # well past the meaningful range; 1000 levels would ask for GBs
-_OVERLAP_THRESHOLD = 0.5
+# a label's bare state must outweigh the rest of its dressed state 2:1; any
+# floor above 1/2 keeps two labels from taking one state
+_OVERLAP_THRESHOLD = 2 / 3
 
 
 class _TruncationFields(NamedTuple):
@@ -230,12 +231,10 @@ def label_states(w: np.ndarray, v: np.ndarray, trunc: Truncation, basis: np.ndar
     """Assign each required (m_q, m_r) label to a dressed eigenstate.
 
     Each label takes the eigenstate with the largest bare-state overlap
-    |<bare|dressed>|^2. A largest overlap below 0.5 means no dressed state
-    has dominant bare character, and labeling is declared ambiguous. So is a
-    collision, two labels taking the same eigenstate: an eigenstate's
-    overlaps sum to 1, so that happens only at an exact 50/50 mix, and above
-    it the assignment is one-to-one. Both raise
-    :class:`AmbiguousLabelingError`.
+    |<bare|dressed>|^2. A largest overlap below 2/3 means that state is
+    hybridized, and labeling is declared ambiguous
+    (:class:`AmbiguousLabelingError`). An eigenstate's overlaps sum to 1, so
+    above 1/2 no two labels can take the same eigenstate.
 
     ``basis`` holds the flat product-basis index ``m_q*n_r + m_r`` of each
     row of ``v``: a parity sector's indices, or ``np.arange(trunc.dim)``
@@ -245,7 +244,6 @@ def label_states(w: np.ndarray, v: np.ndarray, trunc: Truncation, basis: np.ndar
     basis = np.asarray(basis)
     energies: dict[tuple[int, int], float] = {}
     overlaps: dict[tuple[int, int], float] = {}
-    owner: dict[int, tuple[int, int]] = {}
     for lbl in REQUIRED_LABELS:
         hit = np.flatnonzero(basis == lbl[0] * trunc.n_r + lbl[1])
         if not hit.size:
@@ -255,17 +253,10 @@ def label_states(w: np.ndarray, v: np.ndarray, trunc: Truncation, basis: np.ndar
         best = float(ov[k])
         if best < _OVERLAP_THRESHOLD:
             raise AmbiguousLabelingError(
-                f"label {lbl}: best overlap {best!r} < {_OVERLAP_THRESHOLD} at "
+                f"label {lbl}: best overlap {best!r} < {_OVERLAP_THRESHOLD:.4g} at "
                 f"truncation {trunc.n_q}x{trunc.n_r} (near-resonant mixing, or "
                 "mixing with the top kept level; try a larger truncation)"
             )
-        if k in owner:
-            raise AmbiguousLabelingError(
-                f"labels {owner[k]} and {lbl} both have their best overlap "
-                f"({best!r}) with one eigenstate at truncation "
-                f"{trunc.n_q}x{trunc.n_r}: an exact 50/50 mix"
-            )
-        owner[k] = lbl
         energies[lbl] = float(w[k])
         overlaps[lbl] = best
     return energies, overlaps

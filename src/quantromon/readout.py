@@ -334,6 +334,18 @@ def _is_header(text: str) -> bool:
     return not text or text.startswith("#") or text == "value"
 
 
+def _is_number(text: str) -> bool:
+    """Whether ``np.loadtxt`` reads the stripped ``text`` as one float64: as
+    ``float`` reads it, but ASCII only and without ``_`` digit separators."""
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _fault_error(path, exc: ValueError) -> ParameterError:
     """Name the first fault of a shot CSV in file order: a byte that is not
     UTF-8, or a value line that is not one number; else ``exc``. Lines end at
@@ -352,12 +364,9 @@ def _fault_error(path, exc: ValueError) -> ParameterError:
                 f"{offset + err.start}: {err.reason}")
         in_values = in_values or not _is_header(text)
         text = text.split("#", 1)[0].strip()
-        if in_values and text:
-            try:
-                float(text)
-            except ValueError:
-                return ParameterError(
-                    f"malformed shot CSV {path}, line {lineno}: {text!r} is not a number")
+        if in_values and text and not _is_number(text):
+            return ParameterError(
+                f"malformed shot CSV {path}, line {lineno}: {text!r} is not a number")
         offset += len(line)
     return ParameterError(f"malformed shot CSV values in {path}: {exc}")
 

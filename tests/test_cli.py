@@ -307,6 +307,16 @@ class TestExitCodes:
         path.write_bytes(b"\xff\xfe{")
         assert run(["energies", "--config", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+        # an integer past Python's 4300-digit limit, and nesting past the
+        # recursion limit: one error line naming the file and the reason
+        for text, reason in ((f'{{"circuit": {{"b": {"1" * 5000}}}}}', "4300 digits"),
+                             ("[" * 100000, "recursion depth")):
+            path.write_text(text)
+            assert run(["energies", "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: config {path} is not valid JSON: ")
+            assert reason in captured.err and len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["energies", "spectrum"])
     @pytest.mark.parametrize("key, value", [("c_j", 1e308), ("c_r", 1e308),
@@ -342,13 +352,33 @@ class TestExitCodes:
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # junction inductance tuned so the dressed modes are degenerate and
-        # the asymmetric coupling hybridizes them: the guard label (2, 1),
-        # which no observable reads, fails to label
+        # the asymmetric coupling hybridizes them: the read label (1, 1)
+        # falls below the labeling floor
         path = _write_config(tmp_path, {"circuit": {
             "l_j": 7.394e-9, "c_j": 56.88e-15, "l_r": 0.546e-9,
             "c_r": 781.8e-15, "b": 0.405, "d_j": 0.3}})
         assert run(["spectrum", "--config", path]) == 2
         assert "failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("circuit, code", [
+        # (1, 1) 0.841 bare; the unread (2, 1) label, 0.449, used to refuse it
+        ({"l_j": 1.253e-08, "c_j": 7.02e-14, "l_r": 6.848e-10, "c_r": 1.62e-12,
+          "b": 0.8318, "d_j": -0.2171}, 0),
+        # (1, 1) and (2, 0) about 0.52 bare; (2, 1), 0.505, used to let it through
+        ({"l_j": 1.638e-08, "c_j": 4.09e-14, "l_r": 8.858e-10, "c_r": 9.052e-13,
+          "b": 0.7851, "d_j": 0.07819}, 2),
+    ], ids=["labels", "refused"])
+    def test_read_labels_decide_the_exit(self, tmp_path, capsys, circuit, code):
+        path = _write_config(tmp_path, {"circuit": circuit})
+        assert run(["spectrum", "--config", path]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err.startswith("numerical failure: label (1, 1): best overlap 0.517")
+            assert len(captured.err.splitlines()) == 1
+        else:
+            assert captured.err == ""
+            assert captured.out.startswith("quantity,")
 
 
 # the flags each command reads besides --out and --format, and a value each

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,9 @@ COMMANDS = {
     "readout-sim": ["readout-sim", "--shots", "2000"],
 }
 PREFIXES = {1: "error: ", 2: "numerical failure: "}
+# the closed form's regime messages (params.regime_warnings), the one warning
+# a hostile leaf may raise
+REGIME = ("E_LR >> E_J regime violated ", "b = 1: constraint reduction assumes")
 
 
 def _positive(value):
@@ -116,7 +120,11 @@ def _clean_exit(name, command):
 @example(leaf=("sample_c", ("readout", "kappa_int")), value=10**400, command="readout-sim")
 def test_hostile_leaf_gives_typed_exit(leaf, value, command):
     name, path = leaf
-    code, err = _run(_with_leaf(CONFIGS[name], path, value), command)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", category=UserWarning)
+        code, err = _run(_with_leaf(CONFIGS[name], path, value), command)
+    for w in caught:
+        assert w.category is UserWarning and str(w.message).startswith(REGIME), w
     assert code in (0, 1, 2)
     if _out_of_range(path, value):
         assert code != 0, f"{path} = {value!r} is out of range, but {command} exits 0"

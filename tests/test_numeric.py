@@ -234,8 +234,8 @@ class TestObservables:
 
     def test_resonant_labeling_ambiguous(self):
         # tune the junction energy until the dressed modes are degenerate,
-        # with enough asymmetry-induced coupling to hybridize them: the guard
-        # label (2, 1) fails to label
+        # with enough asymmetry-induced coupling to hybridize them: a read
+        # label falls below the floor
         lo, hi = 1e9, 1e12
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -247,28 +247,36 @@ class TestObservables:
         with pytest.raises(AmbiguousLabelingError):
             numeric_spectrum(en_res, Truncation(12, 12))
 
-    def test_resonant_failure_names_the_guard_label(self, monkeypatch):
-        # the device of the CLI's resonant test: the five labels the
-        # observables read keep overlaps of 0.52 and more, and only the guard
-        # label (2, 1), read by no observable, falls below the threshold
+    def test_resonant_failure_names_the_guard_label(self):
+        # the device of the CLI's resonant test: the read labels are the
+        # guard, and (1, 1), the first of them below the floor in the first
+        # parity block, names the failure
         en = derive_energies(CircuitParams(l_j=7.394e-9, c_j=56.88e-15, l_r=0.546e-9,
                                            c_r=781.8e-15, b=0.405, d_j=0.3))
-        with pytest.raises(AmbiguousLabelingError, match=r"^label \(2, 1\): best overlap 0\.42"):
+        with pytest.raises(AmbiguousLabelingError, match=r"^label \(1, 1\): best overlap 0\.53"):
             numeric_spectrum(en, Truncation(12, 12))
-        read = tuple(lbl for lbl in REQUIRED_LABELS if lbl != (2, 1))
-        monkeypatch.setattr(numeric, "REQUIRED_LABELS", read)
-        trunc = Truncation(12, 12)
-        overlaps = {}
-        for idx, h in build_hamiltonian(en, trunc):
-            overlaps.update(label_states(*eigensolve(h), trunc, idx)[1])
-        assert set(overlaps) == set(read)
-        assert min(overlaps.values()) > 0.5
-        numeric_spectrum(en, trunc)  # without the guard, observables of hybridized states
+
+    @pytest.mark.parametrize("params, weakest", [
+        # the device that the unread (2, 1) label used to refuse: (1, 1) is
+        # 0.841 bare, (2, 1) only 0.449
+        ((1.253e-08, 7.02e-14, 6.848e-10, 1.62e-12, 0.8318, -0.2171), 0.841),
+        # a device of the draw that (2, 1), 0.469 bare, refused: (1, 1) is 0.726
+        ((4.991e-09, 6.489e-14, 8.497e-10, 5.113e-13, 0.8764, 0.2831), 0.726),
+    ], ids=["weakest-0.841", "weakest-0.726"])
+    def test_read_labels_above_floor_give_spectrum(self, params, weakest):
+        en = derive_energies(CircuitParams(*params))
+        for trunc in (Truncation(12, 12), Truncation(16, 12), Truncation(24, 24)):
+            overlaps = {}
+            for idx, h in build_hamiltonian(en, trunc):
+                overlaps.update(label_states(*eigensolve(h), trunc, idx)[1])
+            assert set(overlaps) == set(REQUIRED_LABELS)
+            assert min(overlaps.values()) == pytest.approx(weakest, abs=1e-3)
+            numeric_spectrum(en, trunc)
 
     @pytest.mark.parametrize("n_q, n_r", [(12, 4), (4, 12)])
     def test_ambiguous_message_shows_overlap_below_threshold(self, n_q, n_r):
         # the top kept level of a four-level mode mixes about 50/50 with the
-        # first excitation, just below the threshold
+        # first excitation, below the threshold
         with pytest.raises(AmbiguousLabelingError) as info:
             numeric_spectrum(EN, Truncation(n_q, n_r))
         msg = str(info.value)
@@ -295,16 +303,17 @@ class TestObservables:
 
 
 class TestLabelStates:
-    def test_exact_half_mix_collides(self):
+    def test_exact_half_mix_below_floor(self):
         # a 45 degree rotation over the rows of (0, 0) and (1, 0): each row's
         # largest overlap, 0.5000000000000001, is shared by the same two
-        # eigenstates, so neither label is dominant in its own state
+        # eigenstates, and the floor, above 1/2, refuses the first label
         trunc = Truncation(4, 4)
         rows = [0 * trunc.n_r + 0, 1 * trunc.n_r + 0]
         v = np.eye(trunc.dim)
         c = math.sqrt(0.5)
         v[np.ix_(rows, rows)] = [[c, -c], [c, c]]
-        with pytest.raises(AmbiguousLabelingError, match=r"\(0, 0\) and \(1, 0\)"):
+        with pytest.raises(AmbiguousLabelingError,
+                           match=r"^label \(0, 0\): best overlap 0\.5000000000000001 < 0\.6667 "):
             label_states(np.arange(trunc.dim, dtype=float), v, trunc, np.arange(trunc.dim))
 
     @settings(max_examples=60, deadline=None)
@@ -334,7 +343,7 @@ class TestLabelStates:
             # (squared as an array, as label_states does: a scalar float64
             # ** 2 can round differently)
             assert overlaps[lbl] == np.max(v[row] ** 2) == (v[row] ** 2)[k]
-            assert overlaps[lbl] >= 0.5
+            assert overlaps[lbl] >= numeric._OVERLAP_THRESHOLD
 
 
 def _scaled(factors, d_j):

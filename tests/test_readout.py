@@ -456,13 +456,14 @@ class TestShotCsvRoundTrip:
         export_shots_csv(_as_shotset([0.5, 1.5, 2.5]), path)
         lines = path.read_text().splitlines()
         bad_line = lines.index("1.5") + 1  # 1-based
-        lines[bad_line - 1] = "abc"
-        path.write_bytes(newline.join(lines).encode())
-        with pytest.raises(ParameterError) as info:
-            import_shots_csv(path)
-        assert str(path) in str(info.value)
-        assert f"line {bad_line}:" in str(info.value)
-        assert "'abc'" in str(info.value)
+        # float() reads "1_0" and full-width digits, np.loadtxt does not
+        for bad in ("abc", "1_0", "\uff11\uff12"):
+            lines[bad_line - 1] = bad
+            path.write_bytes(newline.join(lines).encode())
+            with pytest.raises(ParameterError) as info:
+                import_shots_csv(path)
+            assert str(path) in str(info.value)
+            assert f"line {bad_line}: {bad!r} is not a number" in str(info.value)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("first", ["value", "byte"])

@@ -4,21 +4,24 @@ Subcommands: energies, spectrum, chi-sweep, t1-model, readout-sim,
 readout-fit, phase. Each has its own parser, which takes --out, --format and
 only the flags the command reads (``_COMMANDS``); argparse refuses any other
 flag. Exit codes: 0 success, 1 usage, validation or config error,
-2 numerical failure. Numeric output is written with full round-trip decimal
-precision and LF line endings so reruns with identical config and seed are
-byte-identical.
+2 numerical failure; a warning raised while a command runs, such as a regime
+message of the closed form, is one ``warning:`` line on stderr. Numeric
+output is written with full round-trip decimal precision and LF line endings
+so reruns with identical config and seed are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -428,35 +431,65 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
+    """Run one command; return its exit code.
+
+    Each distinct warning message raised while the command runs, such as a
+    regime message of the closed form, is printed once on stderr as
+    ``warning: <message>``, ahead of any ``error:`` or ``numerical failure:``
+    line.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return 0 if exc.code == 0 else 1
-    try:
-        if args.out is not None:
-            # a trailing separator names a directory even when none exists yet
-            if args.out.endswith((os.sep, os.altsep or os.sep)) or Path(args.out).is_dir():
-                raise ParameterError(f"--out names a directory, not a file: {args.out}")
-            if any(p.exists() and not p.is_dir() for p in Path(args.out).parents):
-                raise ParameterError(f"--out lies under a file, not a directory: {args.out}")
-        cfg = load_config(args.config) if "config" in args else RunConfig()
-        rows = _COMMANDS[args.command][0](cfg, args)
-        _emit(rows, args.out, args.format)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    with warnings.catch_warnings(record=True) as caught:
+        # UserWarnings are the command's own messages; other categories keep
+        # the caller's filters
+        warnings.simplefilter("always", UserWarning)
+        try:
+            if args.out is not None:
+                # a trailing separator names a directory even when none exists yet
+                if args.out.endswith((os.sep, os.altsep or os.sep)) or Path(args.out).is_dir():
+                    raise ParameterError(f"--out names a directory, not a file: {args.out}")
+                if any(p.exists() and not p.is_dir() for p in Path(args.out).parents):
+                    raise ParameterError(f"--out lies under a file, not a directory: {args.out}")
+            cfg = load_config(args.config) if "config" in args else RunConfig()
+            rows = _COMMANDS[args.command][0](cfg, args)
+            _emit(rows, args.out, args.format)
+            code, failure = 0, None
+        except ParameterError as exc:
+            code, failure = 1, f"error: {exc}"
+        except NumericalError as exc:
+            code, failure = 2, f"numerical failure: {exc}"
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
+    if failure is not None:
+        print(failure, file=sys.stderr)
+    return code
 
 
 def main() -> None:
+    """The ``quantromon`` command: run it on ``sys.argv`` and end the process.
+
+    After the command, stdout and stderr are flushed and the process ends with
+    ``os._exit``: no cyclic garbage collection runs (the collector is off from
+    the start) and the interpreter does not tear down its modules. Every file
+    the package writes is closed by then and every child reaped. In-process
+    callers use :func:`run`, which returns the exit code instead.
+    """
     # numpy is not loaded yet, so this default reaches its BLAS: one thread
     # keeps the small eigensolves of a spectrum from stalling on a busy core
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(run(sys.argv[1:]))
+    gc.disable()
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe reports at the normal exit
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import importlib.resources
 import json
 import math
@@ -8,7 +9,6 @@ import re
 import subprocess
 import sys
 import textwrap
-import warnings
 import weakref
 from pathlib import Path
 
@@ -459,7 +459,7 @@ class TestSpectrumCommand:
         rows = json.loads(out.read_text())
         assert {r["quantity"] for r in rows} >= {"two_chi", "alpha_q"}
 
-    def test_energies_warnings_cell_matches_spectrum_warnings(self, tmp_path):
+    def test_energies_warnings_cell_matches_spectrum_warnings(self, tmp_path, capsys):
         # a soft linear inductor (e_lr/e_j = 0.41) and b = 1 break both
         # regime assumptions of the closed form
         cfg = json.loads(Path(REFERENCE).read_text())
@@ -467,17 +467,29 @@ class TestSpectrumCommand:
         path = _write_config(tmp_path, cfg)
         out = tmp_path / "energies.csv"
         assert run(["energies", "--config", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
         cell = _read_csv(out)[0]["warnings"]
         assert cell == (
             "E_LR >> E_J regime violated (e_lr/e_j = 0.41); perturbative "
             "formulas unreliable | b = 1: constraint reduction assumes "
             "0 < b < 1; values taken from the b -> 1 limit")
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            assert run(["spectrum", "--config", path,
-                        "--out", str(tmp_path / "spectrum.csv")]) == 0
-        emitted = [str(w.message) for w in record if w.category is UserWarning]
-        assert emitted == cell.split(" | ")
+        assert run(["spectrum", "--config", path,
+                    "--out", str(tmp_path / "spectrum.csv")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {message}" for message in cell.split(" | ")]
+
+    def test_warning_lines_come_before_the_failure_line(self, tmp_path, capsys):
+        # the closed form warns before the 4x4 truncation fails to label a state
+        cfg = json.loads(Path(REFERENCE).read_text())
+        cfg["circuit"]["l_r"] = 2e-8
+        path = _write_config(tmp_path, cfg)
+        assert run(["spectrum", "--config", path, "--trunc", "4x4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("warning: E_LR >> E_J regime violated (e_lr/e_j = 0.41)")
+        assert lines[1].startswith("numerical failure: label (")
 
 
 class TestSweepCommands:
@@ -1006,6 +1018,82 @@ class TestEncoding:
             env=_subprocess_env(OPENBLAS_NUM_THREADS="1"),
             capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, "")
+
+
+class TestEntryPoint:
+    """``python -m quantromon.cli`` as a user runs it: ``main()`` flushes the
+    streams and ends the process with ``os._exit``, so a byte left in a
+    buffer would be lost without a trace."""
+
+    GOLDEN = Path(__file__).parent / "golden"
+    RESONANT = {"l_j": 7.394e-9, "c_j": 56.88e-15, "l_r": 0.546e-9, "c_r": 781.8e-15,
+                "b": 0.405, "d_j": 0.3}
+
+    @staticmethod
+    def _cli(*argv, cwd):
+        # PYTHONUNBUFFERED would write stdout through, hiding a missing flush;
+        # the BLAS thread count is main()'s default
+        env = {k: v for k, v in _subprocess_env().items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run([sys.executable, "-m", "quantromon.cli", *map(str, argv)],
+                              cwd=cwd, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, timeout=120)
+
+    @pytest.mark.parametrize("case", ["reference_device.energies", "reference_device.spectrum",
+                                      "sample_a.chi-sweep", "sample_a.t1-model",
+                                      "sample_c.phase"])
+    def test_stdout_is_the_golden(self, tmp_path, case):
+        config, command = case.split(".")
+        done = self._cli(command, "--config", CONFIG_DIR / f"{config}.json", cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (self.GOLDEN / f"{case}.csv").read_bytes()
+
+    def test_readout_files_and_fit_are_the_golden(self, tmp_path):
+        report = tmp_path / "readout" / "report.csv"
+        done = self._cli("readout-sim", "--config", SAMPLE_C, "--out", report, cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert report.read_bytes() == (self.GOLDEN / "sample_c.readout-sim.csv").read_bytes()
+        index = json.loads((self.GOLDEN / "index.json").read_text())["sample_c.readout-sim.csv"]
+        shots = [report.with_name(f"report_shots{state}.csv") for state in (0, 1)]
+        for state, path in enumerate(shots):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == index[f"shots{state}_sha256"]
+        done = self._cli("readout-fit", "--shots0", shots[0], "--shots1", shots[1], cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (self.GOLDEN / "sample_c.readout-fit.csv").read_bytes()
+
+    def test_refused_flag_exits_1_on_one_error_line(self, tmp_path):
+        done = self._cli("chi-sweep", "--config", SAMPLE_A, "--trunc", "30x30", cwd=tmp_path)
+        assert (done.returncode, done.stdout) == (1, b"")
+        # argparse's usage lines, then the one line that names the flag
+        errors = [line for line in done.stderr.decode().splitlines() if "error:" in line]
+        assert errors == ["quantromon: error: unrecognized arguments: --trunc 30x30"]
+        assert done.stderr.decode().endswith(errors[0] + "\n")
+
+    def test_resonant_device_exits_2_on_one_line(self, tmp_path):
+        path = _write_config(tmp_path, {"circuit": self.RESONANT})
+        done = self._cli("spectrum", "--config", path, cwd=tmp_path)
+        assert (done.returncode, done.stdout) == (2, b"")
+        lines = done.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical failure: label (1, 1): best overlap 0.53")
+
+    def test_regime_messages_are_warning_lines(self, tmp_path):
+        # a soft linear inductor breaks E_LR >> E_J at nine of the ten biases;
+        # each message is one line, without the warning's source path
+        cfg = json.loads(Path(SAMPLE_A).read_text())
+        cfg["circuit"]["l_r"] = 2e-8
+        done = self._cli("chi-sweep", "--config", _write_config(tmp_path, cfg), cwd=tmp_path)
+        assert done.returncode == 0
+        assert len(done.stdout.decode().splitlines()) == 11
+        lines = done.stderr.decode().splitlines()
+        assert len(lines) == 9
+        assert all(line.startswith("warning: E_LR >> E_J regime violated (e_lr/e_j = ")
+                   and line.endswith("); perturbative formulas unreliable")
+                   for line in lines), lines
+
+    def test_run_leaves_the_collector_on(self, capsys):
+        assert gc.isenabled()
+        assert run(["phase", "--config", SAMPLE_C]) == 0
+        assert gc.isenabled()
 
 
 class TestDeterminism:

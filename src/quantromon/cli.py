@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .analytic import SpectrumResult, dressed_spectrum, phase_separation
 from .coherence import CoherenceConfig
-from .errors import NumericalError, ParameterError, check_key_word, is_int
+from .errors import NumericalError, ParameterError, check_key_word, checked, is_int
 from .flux import FluxConfig, junction_energies, sweep
 from .params import (CircuitParams, ModeEnergies, ReadoutParams, derive_energies,
                      regime_warnings)
@@ -45,24 +45,21 @@ __all__ = ["main", "run", "load_config", "normalize_config", "RunConfig"]
 MAX_SHOTS = 10**7
 
 
-class _SimOptionsFields(NamedTuple):
-    n_shots: int = 20000
-    seed: int = 0
-    tau_list: tuple[float, ...] = ()
-
-
-class SimOptions(_SimOptionsFields):
+@checked
+class SimOptions(NamedTuple):
     """``readout_sim`` settings; ``--shots``/``--seed`` replace the first two.
 
     ``n_shots`` is at most :data:`MAX_SHOTS`, about 0.45 GiB at the peak of
     a run, in :func:`~quantromon.readout.fit_double_gaussian`; every
-    ``tau_list`` entry is finite and > 0. The checks run again on ``_replace``.
+    ``tau_list`` entry is finite and > 0. The checks run again on
+    ``_replace`` (:func:`~quantromon.errors.checked`).
     """
 
-    __slots__ = ()
+    n_shots: int = 20000
+    seed: int = 0
+    tau_list: tuple[float, ...] = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not (is_int(self.n_shots) and 1 <= self.n_shots <= MAX_SHOTS):
             raise ParameterError(
                 f"readout_sim.n_shots must be an integer in [1, {MAX_SHOTS}], "
@@ -73,10 +70,6 @@ class SimOptions(_SimOptionsFields):
                 raise ParameterError(
                     f"readout_sim.tau_list entries must be finite and > 0, got {tau!r}")
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class RunConfig(NamedTuple):
@@ -199,6 +192,8 @@ def load_config(path) -> RunConfig:
         # integer past Python's digit limit; a RecursionError: nesting past
         # the recursion limit
         raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:  # a file that exists but cannot be read
+        raise ParameterError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     data = normalize_config(raw)
     energies = None
     if "circuit" in data:

@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .analytic import SpectrumResult
-from .errors import ParameterError, UnphysicalRegimeError
+from .errors import ParameterError, UnphysicalRegimeError, checked
 
 __all__ = [
     "CoherenceConfig",
@@ -29,32 +29,25 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-class _CoherenceConfigFields(NamedTuple):
-    q_diel: float
-    kappa: float
-
-
-class CoherenceConfig(_CoherenceConfigFields):
+@checked
+class CoherenceConfig(NamedTuple):
     """Dielectric quality factor and readout linewidth (kappa/2pi, Hz).
 
     ``q_diel`` must be > 0 and may be ``inf``: no dielectric loss, so
     ``t1_diel`` is infinite and ``t1_model`` is the Purcell lifetime alone.
-    ``kappa`` must be finite and > 0. The checks run again on ``_replace``.
+    ``kappa`` must be finite and > 0. The checks run again on ``_replace``
+    (:func:`~quantromon.errors.checked`).
     """
 
-    __slots__ = ()
+    q_diel: float
+    kappa: float
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not (self.q_diel > 0.0):
             raise ParameterError(f"q_diel must be > 0, got {self.q_diel!r}")
         if not (0.0 < self.kappa < math.inf):
             raise ParameterError(f"kappa must be finite and > 0, got {self.kappa!r}")
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class CoherenceReport(NamedTuple):

@@ -1,6 +1,10 @@
 """Exception types shared across the package, and the input rules that
 raise them without loading numpy.
 
+A record that checks its fields is a ``typing.NamedTuple`` class under
+:func:`checked`: its ``_check`` runs on construction, ``_make`` and
+``_replace`` alike.
+
 Every bad input, a library argument or a config, its file or a flag,
 raises :class:`ParameterError` naming the value; numerical failures
 discovered mid-computation derive from ``NumericalError``, so the CLI maps
@@ -15,6 +19,23 @@ def is_int(value) -> bool:
     is no count). numpy is looked up, not imported, so no command loads it here."""
     integers = (int, getattr(sys.modules.get("numpy"), "integer", int))
     return isinstance(value, integers) and not isinstance(value, bool)
+
+
+def checked(cls):
+    """Make the NamedTuple class ``cls`` run its ``_check`` method on every
+    record built: by the constructor, ``_make`` and so ``_replace``.
+
+    ``_check`` raises :class:`ParameterError` naming a bad field, or returns
+    the fields to store (the record itself when it converts none).
+    """
+    build = cls.__new__  # the NamedTuple's own, which stores what it is given
+
+    def __new__(cls, *args, **kwargs):
+        return build(cls, *build(cls, *args, **kwargs)._check())
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
 
 
 def check_key_word(name: str, word) -> None:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .analytic import dressed_spectrum
 from .coherence import CoherenceConfig, coherence_report
-from .errors import NumericalError, ParameterError, UnphysicalOperatingPointError, is_int
+from .errors import NumericalError, ParameterError, UnphysicalOperatingPointError, checked, is_int
 from .params import ModeEnergies
 
 __all__ = [
@@ -47,49 +47,42 @@ class FluxMode(enum.Enum):
     FIXED = "fixed"
 
 
-class _FluxConfigFields(NamedTuple):
-    mode: FluxMode
-    e_j1_zero: float
-    e_j2_zero: float
-    area_ratio_a: float = 0.0
-
-
-class FluxConfig(_FluxConfigFields):
+@checked
+class FluxConfig(NamedTuple):
     """Zero-flux junction energies (Hz), tuning layout and SQUID area ratio.
 
     ``mode`` is a :class:`FluxMode` or its config name (``"both_squids"``,
     ``"one_squid"`` or ``"fixed"``), stored as the member.
     Both energies must be finite and >= 0, with a positive sum
     (``e_j2_zero = 0`` models a single junction). The checks and the
-    conversion of ``mode`` run again on ``_replace``. The flux bias is not
-    part of it: :func:`tuned_junctions` takes ``n`` as an argument.
+    conversion of ``mode`` run again on ``_replace``
+    (:func:`~quantromon.errors.checked`). The flux bias is not part of it:
+    :func:`tuned_junctions` takes ``n`` as an argument.
     """
 
-    __slots__ = ()
+    mode: FluxMode
+    e_j1_zero: float
+    e_j2_zero: float
+    area_ratio_a: float = 0.0
 
-    def __new__(cls, *args, **kwargs):
-        cfg = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         try:
-            mode = FluxMode(cfg.mode)
+            mode = FluxMode(self.mode)
         except ValueError:
             raise ParameterError(f"flux.mode must be one of {[m.value for m in FluxMode]}, "
-                                 f"got {cfg.mode!r}") from None
+                                 f"got {self.mode!r}") from None
         for key in ("e_j1_zero", "e_j2_zero"):
-            value = getattr(cfg, key)
+            value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ParameterError(f"{key} must be a finite number >= 0, got {value!r}")
-        if not (cfg.e_j1_zero + cfg.e_j2_zero > 0.0):
+        if not (self.e_j1_zero + self.e_j2_zero > 0.0):
             raise ParameterError("e_j1_zero + e_j2_zero must be > 0")
-        if mode is not FluxMode.FIXED and not (0.0 < cfg.area_ratio_a < 1.0):
+        if mode is not FluxMode.FIXED and not (0.0 < self.area_ratio_a < 1.0):
             raise ParameterError(
                 f"area_ratio_a must lie in (0, 1) for tunable modes, "
-                f"got {cfg.area_ratio_a!r}"
+                f"got {self.area_ratio_a!r}"
             )
-        return super().__new__(cls, mode, *cfg[1:])
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+        return (mode, *self[1:])
 
 
 def tuned_junctions(cfg: FluxConfig, n: int) -> tuple[float, float]:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import SpectrumResult, invert_chi
-from .errors import AmbiguousLabelingError, EigensolveError, ParameterError, is_int
+from .errors import AmbiguousLabelingError, EigensolveError, ParameterError, checked, is_int
 from .params import ModeEnergies
 
 __all__ = [
@@ -53,12 +53,8 @@ _MAX_LEVELS = 64  # well past the meaningful range; 1000 levels would ask for GB
 _OVERLAP_THRESHOLD = 2 / 3
 
 
-class _TruncationFields(NamedTuple):
-    n_q: int = 12
-    n_r: int = 12
-
-
-class Truncation(_TruncationFields):
+@checked
+class Truncation(NamedTuple):
     """Fock levels kept per mode.
 
     Moderate truncations (the 12x12 default, converged against 10..14) are
@@ -67,25 +63,22 @@ class Truncation(_TruncationFields):
     parameters) start probing the unbounded region of the quartic potential.
     Each mode keeps 4 to 64 levels, an integer by
     :func:`~quantromon.errors.is_int`, stored as the equal ``int``, also on
-    ``_replace``; with 4 the top level can mix about 50/50 with the first
-    excitation and fail to label, so use 5 or more.
+    ``_replace`` (:func:`~quantromon.errors.checked`); with 4 the top level
+    can mix about 50/50 with the first excitation and fail to label, so use
+    5 or more.
     """
 
-    __slots__ = ()
+    n_q: int = 12
+    n_r: int = 12
 
-    def __new__(cls, *args, **kwargs):
-        trunc = super().__new__(cls, *args, **kwargs)
-        if not all(is_int(n) and _MIN_LEVELS <= n <= _MAX_LEVELS for n in trunc):
+    def _check(self):
+        if not all(is_int(n) and _MIN_LEVELS <= n <= _MAX_LEVELS for n in self):
             raise ParameterError(
                 f"truncation must keep a whole number of {_MIN_LEVELS} to "
-                f"{_MAX_LEVELS} levels per mode, got ({trunc.n_q}, {trunc.n_r})"
+                f"{_MAX_LEVELS} levels per mode, got ({self.n_q}, {self.n_r})"
             )
         # an unsigned numpy size would turn the basis index arithmetic to floats
-        return super().__new__(cls, *map(int, trunc))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+        return map(int, self)
 
     @property
     def dim(self) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ParameterError
+from .errors import ParameterError, checked
 
 __all__ = [
     "PLANCK_H",
@@ -158,7 +158,19 @@ def regime_warnings(en: ModeEnergies) -> tuple[str, ...]:
     return tuple(messages)
 
 
-class _ReadoutParamsFields(NamedTuple):
+@checked
+class ReadoutParams(NamedTuple):
+    """Readout operating point.
+
+    ``omega_r`` is the resonator frequency with the qubit in state 0; state 1
+    pulls it down by ``two_chi``. ``readout_freq`` defaults to the midpoint of
+    the two pulled frequencies. ``noise_scale`` is the calibrated
+    SNR-per-sqrt(tau) factor described in the :mod:`quantromon.readout`
+    docstring; ``thermal_pop`` is the probability that a nominally-ground
+    shot starts excited. Every value must be finite; only ``readout_freq`` may be None.
+    The checks run again on ``_replace`` (:func:`~quantromon.errors.checked`).
+    """
+
     omega_r: float
     two_chi: float
     kappa_ext: float
@@ -170,23 +182,7 @@ class _ReadoutParamsFields(NamedTuple):
     noise_scale: float = 2.05
     thermal_pop: float = 0.0
 
-
-class ReadoutParams(_ReadoutParamsFields):
-    """Readout operating point.
-
-    ``omega_r`` is the resonator frequency with the qubit in state 0; state 1
-    pulls it down by ``two_chi``. ``readout_freq`` defaults to the midpoint of
-    the two pulled frequencies. ``noise_scale`` is the calibrated
-    SNR-per-sqrt(tau) factor described in the :mod:`quantromon.readout`
-    docstring; ``thermal_pop`` is the probability that a nominally-ground
-    shot starts excited. Every value must be finite; only ``readout_freq`` may be None.
-    The checks run again on ``_replace``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         for name, value in zip(self._fields, self):
             if not (value is None and name == "readout_freq" or math.isfinite(value)):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
@@ -203,7 +199,3 @@ class ReadoutParams(_ReadoutParamsFields):
         if not (0.0 <= self.thermal_pop < 1.0):
             raise ParameterError(f"thermal_pop must lie in [0, 1), got {self.thermal_pop!r}")
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)

@@ -32,6 +32,7 @@ from .errors import (
     ParameterError,
     ThresholdError,
     check_key_word,
+    checked,
     is_int,
 )
 from .params import ReadoutParams
@@ -51,40 +52,32 @@ __all__ = [
 ]
 
 
-class _ShotSetFields(NamedTuple):
-    prepared_state: int
-    values: np.ndarray
-    seed: int
-    params: ReadoutParams
-
-
-class ShotSet(_ShotSetFields):
+@checked
+class ShotSet(NamedTuple):
     """Projected quadrature values for shots prepared in one qubit state.
 
     ``prepared_state`` is 0 or 1, ``values`` a 1-D sequence of numbers,
     stored as a float64 array (a 1-D float64 array is kept, not copied), and
     ``seed`` an integer in ``[0, 2**64)``, the seeds a simulation accepts;
     anything else raises :class:`ParameterError` naming it. The checks and
-    the conversion of ``values`` run again on ``_replace``; the repr leaves
-    ``values`` out."""
+    the conversion of ``values`` run again on ``_replace``
+    (:func:`~quantromon.errors.checked`); the repr leaves ``values`` out."""
 
-    __slots__ = ()
+    prepared_state: int
+    values: np.ndarray
+    seed: int
+    params: ReadoutParams
 
-    def __new__(cls, *args, **kwargs):
-        shots = super().__new__(cls, *args, **kwargs)
-        _check_state("prepared_state", shots.prepared_state)
+    def _check(self):
+        _check_state("prepared_state", self.prepared_state)
         try:
-            values = np.asarray(shots.values, dtype=np.float64)
+            values = np.asarray(self.values, dtype=np.float64)
         except (TypeError, ValueError):
             raise ParameterError("values must be numbers") from None
         if values.ndim != 1:
             raise ParameterError(f"values must be 1-D, got shape {values.shape}")
-        check_key_word("seed", shots.seed)
-        return super().__new__(cls, shots.prepared_state, values, shots.seed, shots.params)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+        check_key_word("seed", self.seed)
+        return self.prepared_state, values, self.seed, self.params
 
     def __repr__(self) -> str:
         return (f"ShotSet(prepared_state={self.prepared_state!r}, seed={self.seed!r}, "
@@ -376,9 +369,10 @@ def import_shots_csv(path) -> ShotSet:
     real measurement record).
 
     A ``path`` that is not a regular file raises :class:`ParameterError`
-    (``shot file not found: <path>``). ``# key=value`` header lines, blank
-    lines and one ``value`` column title come first; from the first number
-    on, the file holds one number per line
+    (``shot file not found: <path>``), and so does one that cannot be read
+    (``cannot read shot file <path>: <reason>``). ``# key=value`` header
+    lines, blank lines and one ``value`` column title come first; from the
+    first number on, the file holds one number per line
     (blank lines and ``#`` comments are skipped). Any line ending is
     accepted. A header field of :class:`ReadoutParams` with a default may be
     left out and takes it. A missing or unreadable header value, or one that
@@ -409,6 +403,8 @@ def import_shots_csv(path) -> ShotSet:
                 offset += len(line.encode("utf-8"))
     except UnicodeDecodeError as exc:  # in the header read, which decodes ahead
         raise _fault_error(path, exc) from None
+    except OSError as exc:  # a file that exists but cannot be read
+        raise ParameterError(f"cannot read shot file {path}: {exc.strerror or exc}") from None
 
     def read(key, convert):
         """The header value of ``key`` as ``convert`` reads it."""

@@ -27,6 +27,16 @@ SAMPLE_C = str(CONFIG_DIR / "sample_c.json")
 REFERENCE = str(CONFIG_DIR / "reference_device.json")
 
 
+# a regular file whose every read fails (EIO at address 0), in each process
+UNREADABLE = "/proc/self/mem"
+needs_unreadable = pytest.mark.skipif(not os.path.isfile(UNREADABLE),
+                                      reason=f"{UNREADABLE} is not a regular file here")
+UNREADABLE_RUNS = {
+    "config": ["energies", "--config", UNREADABLE],
+    "shot file": ["readout-fit", "--shots0", UNREADABLE, "--shots1", UNREADABLE],
+}
+
+
 def _read_csv(path):
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
@@ -179,6 +189,14 @@ class TestExitCodes:
 
     def test_missing_shot_file(self, capsys):
         assert run(["readout-fit", "--shots0", "/nope0.csv", "--shots1", "/nope1.csv"]) == 1
+
+    @needs_unreadable
+    @pytest.mark.parametrize("what", UNREADABLE_RUNS, ids=["config", "shot-file"])
+    def test_unreadable_input_exits_1_on_one_line(self, capsys, what):
+        assert run(UNREADABLE_RUNS[what]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {what} {UNREADABLE}: Input/output error\n"
 
     def test_bad_shot_value_names_file_and_line(self, tmp_path, capsys):
         out = tmp_path / "rep.csv"
@@ -1067,6 +1085,14 @@ class TestEntryPoint:
         errors = [line for line in done.stderr.decode().splitlines() if "error:" in line]
         assert errors == ["quantromon: error: unrecognized arguments: --trunc 30x30"]
         assert done.stderr.decode().endswith(errors[0] + "\n")
+
+    @needs_unreadable
+    @pytest.mark.parametrize("what", UNREADABLE_RUNS, ids=["config", "shot-file"])
+    def test_unreadable_input_exits_1_on_one_line(self, tmp_path, what):
+        done = self._cli(*UNREADABLE_RUNS[what], cwd=tmp_path)
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr.decode().splitlines() == [
+            f"error: cannot read {what} {UNREADABLE}: Input/output error"]
 
     def test_resonant_device_exits_2_on_one_line(self, tmp_path):
         path = _write_config(tmp_path, {"circuit": self.RESONANT})

@@ -1,8 +1,14 @@
-"""The records that check or convert their fields do it again on ``_replace``."""
+"""The records that check or convert their fields do it again on ``_make``
+and ``_replace``."""
+
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 
+import quantromon
 from quantromon.cli import SimOptions
 from quantromon.coherence import CoherenceConfig
 from quantromon.errors import ParameterError
@@ -34,6 +40,18 @@ def test_replace_checks_again(record, bad):
     with pytest.raises(ParameterError) as replaced:
         record._replace(**bad)
     assert str(replaced.value) == str(built.value)
+    with pytest.raises(ParameterError) as made:
+        type(record)._make({**record._asdict(), **bad}.values())
+    assert str(made.value) == str(built.value)
+
+
+def test_every_checked_record_is_a_case():
+    checked = set()
+    for module in pkgutil.iter_modules(quantromon.__path__, "quantromon."):
+        for name, cls in inspect.getmembers(importlib.import_module(module.name), inspect.isclass):
+            if cls.__module__ == module.name and "_check" in vars(cls):
+                checked.add(name)
+    assert checked == set(CASES)
 
 
 def test_replace_converts_again():
@@ -42,6 +60,10 @@ def test_replace_converts_again():
     values = SHOTS._replace(values=[1, 2]).values
     assert isinstance(values, np.ndarray) and values.dtype == np.float64
     assert values.tolist() == [1.0, 2.0]
+    # _make, which _replace calls, converts as the constructor does
+    assert FluxConfig._make(["fixed", 1e10, 0.0]).mode is FluxMode.FIXED
+    assert type(Truncation._make([np.int64(14), 12]).n_q) is int
+    assert ShotSet._make([1, (3,), 0, PARAMS]).values.dtype == np.float64
 
 
 def test_shot_set_repr_leaves_out_values():

@@ -3,11 +3,15 @@
 Subcommands: energies, spectrum, chi-sweep, t1-model, readout-sim,
 readout-fit, phase. Each has its own parser, which takes --out, --format and
 only the flags the command reads (``_COMMANDS``); argparse refuses any other
-flag. Exit codes: 0 success, 1 usage, validation or config error,
-2 numerical failure; a warning raised while a command runs, such as a regime
-message of the closed form, is one ``warning:`` line on stderr. Numeric
-output is written with full round-trip decimal precision and LF line endings
-so reruns with identical config and seed are byte-identical.
+flag. Exit codes: 0 success, 1 usage, validation or config error or an I/O
+fault, 2 numerical failure. A file or stream that cannot be read or written
+is one line, ``error: cannot read|write <target>: <reason>``
+(:func:`~quantromon.errors.io_fault`); a reader that closed its pipe early
+is no special case (``error: cannot write stdout: Broken pipe``). A warning
+raised while a command runs, such as a regime message of the closed form,
+is one ``warning:`` line on stderr. Numeric output is written with full
+round-trip decimal precision and LF line endings so reruns with identical
+config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from typing import NamedTuple
 
 from .analytic import SpectrumResult, dressed_spectrum, phase_separation
 from .coherence import CoherenceConfig
-from .errors import NumericalError, ParameterError, check_key_word, checked, is_int
+from .errors import (NumericalError, ParameterError, check_key_word, checked, io_fault,
+                     is_int)
 from .flux import FluxConfig, junction_energies, sweep
 from .params import (CircuitParams, ModeEnergies, ReadoutParams, derive_energies,
                      regime_warnings)
@@ -183,17 +188,17 @@ def _parse_sim(section: dict) -> SimOptions:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    if not path.is_file():
-        raise ParameterError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # a ValueError: a byte that is not UTF-8, text that is not JSON, or an
-        # integer past Python's digit limit; a RecursionError: nesting past
-        # the recursion limit
-        raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
-    except OSError as exc:  # a file that exists but cannot be read
-        raise ParameterError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    # the stat, too, can fail: a name too long for the file system, say
+    with io_fault("read", f"config {path}"):
+        if not path.is_file():
+            raise ParameterError(f"config file not found: {path}")
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:
+            # a ValueError: a byte that is not UTF-8, text that is not JSON, or
+            # an integer past Python's digit limit; a RecursionError: nesting
+            # past the recursion limit
+            raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
     data = normalize_config(raw)
     energies = None
     if "circuit" in data:
@@ -251,12 +256,13 @@ def _emit(rows: list[dict], out: str | None, fmt: str) -> None:
         writer.writerows(writer_rows)
         text = sio.getvalue()
     if out is None:
-        sys.stdout.write(text)
+        with io_fault("write", "stdout"):
+            sys.stdout.write(text)
     else:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+        with io_fault("write", out):
+            Path(out).parent.mkdir(parents=True, exist_ok=True)
+            with open(out, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +358,8 @@ def _cmd_readout_sim(cfg: RunConfig, args) -> list[dict]:
         shots1 = simulate_shots(p, 1, n_shots, seed)
         if args.out is not None:
             out_dir = Path(args.out).parent
-            out_dir.mkdir(parents=True, exist_ok=True)
+            with io_fault("write", args.out):
+                out_dir.mkdir(parents=True, exist_ok=True)
             stem = Path(args.out).stem
             export_shots_csv(shots0, out_dir / f"{stem}_shots0.csv")
             export_shots_csv(shots1, out_dir / f"{stem}_shots1.csv")
@@ -425,34 +432,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_command(argv: list[str]) -> int:
+    """Parse ``argv`` and run its command, leaving its output in stdout's
+    buffer when it has no ``--out``; 0, or 1 for a usage error."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on usage errors; remap
+        return 0 if exc.code == 0 else 1
+    if args.out is not None:
+        with io_fault("write", args.out):  # a stat fails on a name too long, say
+            # a trailing separator names a directory even when none exists yet
+            if args.out.endswith((os.sep, os.altsep or os.sep)) or Path(args.out).is_dir():
+                raise ParameterError(f"--out names a directory, not a file: {args.out}")
+            if any(p.exists() and not p.is_dir() for p in Path(args.out).parents):
+                raise ParameterError(f"--out lies under a file, not a directory: {args.out}")
+    cfg = load_config(args.config) if "config" in args else RunConfig()
+    rows = _COMMANDS[args.command][0](cfg, args)
+    _emit(rows, args.out, args.format)
+    return 0
+
+
 def run(argv: list[str]) -> int:
     """Run one command; return its exit code.
 
     Each distinct warning message raised while the command runs, such as a
     regime message of the closed form, is printed once on stderr as
     ``warning: <message>``, ahead of any ``error:`` or ``numerical failure:``
-    line.
+    line. stdout is flushed before the return, argparse's help included, so
+    a failed write of it is the command's own ``error: cannot write stdout:
+    <reason>`` line and exit code 1; a reader that closed its pipe early is
+    such a failure (``Broken pipe``).
     """
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors; remap
-        return 0 if exc.code == 0 else 1
     with warnings.catch_warnings(record=True) as caught:
         # UserWarnings are the command's own messages; other categories keep
         # the caller's filters
         warnings.simplefilter("always", UserWarning)
         try:
-            if args.out is not None:
-                # a trailing separator names a directory even when none exists yet
-                if args.out.endswith((os.sep, os.altsep or os.sep)) or Path(args.out).is_dir():
-                    raise ParameterError(f"--out names a directory, not a file: {args.out}")
-                if any(p.exists() and not p.is_dir() for p in Path(args.out).parents):
-                    raise ParameterError(f"--out lies under a file, not a directory: {args.out}")
-            cfg = load_config(args.config) if "config" in args else RunConfig()
-            rows = _COMMANDS[args.command][0](cfg, args)
-            _emit(rows, args.out, args.format)
-            code, failure = 0, None
+            code = _run_command(argv)
+            with io_fault("write", "stdout"):
+                sys.stdout.flush()
+            failure = None
         except ParameterError as exc:
             code, failure = 1, f"error: {exc}"
         except NumericalError as exc:
@@ -468,23 +487,19 @@ def run(argv: list[str]) -> int:
 def main() -> None:
     """The ``quantromon`` command: run it on ``sys.argv`` and end the process.
 
-    After the command, stdout and stderr are flushed and the process ends with
-    ``os._exit``: no cyclic garbage collection runs (the collector is off from
-    the start) and the interpreter does not tear down its modules. Every file
-    the package writes is closed by then and every child reaped. In-process
+    :func:`run` has flushed stdout, or printed why it could not (exit code
+    1), and stderr, which Python line-buffers, holds no part of a line. The
+    process then always ends with ``os._exit``: no cyclic garbage collection
+    runs (the collector is off from the start), the interpreter does not
+    tear down its modules and no buffer is flushed again. Every file the
+    package writes is closed by then and every child reaped. In-process
     callers use :func:`run`, which returns the exit code instead.
     """
     # numpy is not loaded yet, so this default reaches its BLAS: one thread
     # keeps the small eigensolves of a spectrum from stalling on a busy core
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
-    code = run(sys.argv[1:])
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except (OSError, ValueError):  # a closed pipe reports at the normal exit
-        sys.exit(code)
-    os._exit(code)
+    os._exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

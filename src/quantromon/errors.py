@@ -6,11 +6,13 @@ A record that checks its fields is a ``typing.NamedTuple`` class under
 ``_replace`` alike.
 
 Every bad input, a library argument or a config, its file or a flag,
-raises :class:`ParameterError` naming the value; numerical failures
-discovered mid-computation derive from ``NumericalError``, so the CLI maps
-the two to distinct exit codes.
+raises :class:`ParameterError` naming the value, and so does every file or
+stream that cannot be read or written (:func:`io_fault`); numerical
+failures discovered mid-computation derive from ``NumericalError``, so the
+CLI maps the two to distinct exit codes.
 """
 
+import contextlib
 import sys
 
 
@@ -43,6 +45,17 @@ def check_key_word(name: str, word) -> None:
     ``[0, 2**64)``; anything else raises :class:`ParameterError` naming it."""
     if not (is_int(word) and 0 <= word <= 2**64 - 1):
         raise ParameterError(f"{name} must be an integer in [0, 2**64), got {word!r}")
+
+
+@contextlib.contextmanager
+def io_fault(verb: str, target: str):
+    """The one rule for an I/O fault: an ``OSError`` raised inside becomes
+    :class:`ParameterError` ``cannot <verb> <target>: <reason>``, such as
+    ``cannot write stdout: Broken pipe``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(f"cannot {verb} {target}: {exc.strerror or exc}") from exc
 
 
 class ParameterError(ValueError):

@@ -33,6 +33,7 @@ from .errors import (
     ThresholdError,
     check_key_word,
     checked,
+    io_fault,
     is_int,
 )
 from .params import ReadoutParams
@@ -237,12 +238,15 @@ def export_shots_csv(shots: ShotSet, path) -> None:
     double. In a single-threaded process on Linux, a large file's first half
     of lines is written here while a forked child formats the second half
     (:func:`_beside_child`); if the child fails, this process formats that
-    half too, so the bytes are always those of the serial code.
+    half too, so the bytes are always those of the serial code. A file that
+    cannot be written raises :class:`ParameterError` (``cannot write shot
+    file <path>: <reason>``).
     """
     values = shots.values
     n = values.size
     mid = n // 2 if n >= _FORK_MIN_VALUES and _can_fork() else 0
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with io_fault("write", f"shot file {path}"), \
+            open(path, "w", encoding="utf-8", newline="") as f:
         f.write(f"# prepared_state={shots.prepared_state}\n")
         f.write(f"# seed={shots.seed}\n")
         for name, value in shots.params._asdict().items():
@@ -389,22 +393,21 @@ def import_shots_csv(path) -> ShotSet:
         raise ParameterError(f"shot file not found: {path}")
     header: dict[str, str] = {}
     values = np.empty(0)
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            offset = 0  # bytes before the current line
-            for line in f:
-                text = line.strip()
-                if not _is_header(text):
-                    values = _read_values(path, offset, os.fstat(f.fileno()).st_size)
-                    break
-                if text.startswith("#"):
-                    key, _, val = text.lstrip("# ").partition("=")
-                    header[key.strip()] = val.strip()
-                offset += len(line.encode("utf-8"))
-    except UnicodeDecodeError as exc:  # in the header read, which decodes ahead
-        raise _fault_error(path, exc) from None
-    except OSError as exc:  # a file that exists but cannot be read
-        raise ParameterError(f"cannot read shot file {path}: {exc.strerror or exc}") from None
+    with io_fault("read", f"shot file {path}"):
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as f:
+                offset = 0  # bytes before the current line
+                for line in f:
+                    text = line.strip()
+                    if not _is_header(text):
+                        values = _read_values(path, offset, os.fstat(f.fileno()).st_size)
+                        break
+                    if text.startswith("#"):
+                        key, _, val = text.lstrip("# ").partition("=")
+                        header[key.strip()] = val.strip()
+                    offset += len(line.encode("utf-8"))
+        except UnicodeDecodeError as exc:  # in the header read, which decodes ahead
+            raise _fault_error(path, exc) from None
 
     def read(key, convert):
         """The header value of ``key`` as ``convert`` reads it."""

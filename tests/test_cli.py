@@ -1,7 +1,9 @@
 import csv
+import errno
 import gc
 import hashlib
 import importlib.resources
+import io
 import json
 import math
 import os
@@ -35,6 +37,10 @@ UNREADABLE_RUNS = {
     "config": ["energies", "--config", UNREADABLE],
     "shot file": ["readout-fit", "--shots0", UNREADABLE, "--shots1", UNREADABLE],
 }
+# past the 255-byte limit of one name on common file systems (ENAMETOOLONG)
+LONG_NAME = "x" * 300
+# a regular file that exists but refuses a write (EIO as root, EACCES else)
+UNWRITABLE = "/proc/version"
 
 
 def _read_csv(path):
@@ -197,6 +203,35 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot read {what} {UNREADABLE}: Input/output error\n"
+
+    def test_unwritable_shot_file_exits_1_naming_it(self, tmp_path, capsys):
+        # a directory where readout-sim writes its state-0 shot file
+        blocked = tmp_path / "rep_shots0.csv"
+        blocked.mkdir()
+        assert run(["readout-sim", "--config", SAMPLE_C, "--shots", "100",
+                    "--out", str(tmp_path / "rep.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write shot file {blocked}: {os.strerror(errno.EISDIR)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rep_shots0.csv"]
+
+    @pytest.mark.parametrize("argv, method", [
+        (["chi-sweep", "--config", SAMPLE_A], "write"),
+        (["chi-sweep", "--config", SAMPLE_A], "flush"),
+        # argparse ignores an OSError of its own help write; run's flush does not
+        (["readout-fit", "--help"], "flush"),
+    ], ids=["rows-write", "rows-flush", "help-flush"])
+    def test_failed_stdout_exits_1_on_one_line(self, monkeypatch, capsys, argv, method):
+        # a reader that closed its pipe: the write fails when stdout writes
+        # through (PYTHONUNBUFFERED), the flush when it buffers
+        def broken_pipe(*args):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        stdout = io.StringIO()
+        monkeypatch.setattr(stdout, method, broken_pipe)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n")
 
     def test_bad_shot_value_names_file_and_line(self, tmp_path, capsys):
         out = tmp_path / "rep.csv"
@@ -367,6 +402,19 @@ class TestExitCodes:
         monkeypatch.setattr(numeric, "numeric_spectrum", broken)
         with pytest.raises(ValueError, match="broadcast"):
             run(["spectrum", "--config", REFERENCE])
+
+    def test_eigensolve_failure_exits_2_on_one_line(self, monkeypatch, capsys):
+        def no_convergence(h):
+            raise numeric.np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(numeric.np.linalg, "eigh", no_convergence)
+        assert run(["spectrum", "--config", REFERENCE]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical failure: eigh failed to converge on a ")
+        assert lines[0].endswith(" matrix: Eigenvalues did not converge")
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # junction inductance tuned so the dressed modes are degenerate and
@@ -755,6 +803,15 @@ class TestReadoutCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: mixture fit cannot start")
 
+    def test_fit_at_the_evaluation_cap_exits_2(self, monkeypatch, capsys, shot_files):
+        monkeypatch.setattr(readout, "_MAX_NFEV", 1)
+        assert run(["readout-fit", "--shots0", shot_files[0], "--shots1", shot_files[1]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical failure: mixture fit hit the evaluation cap (1) ")
+
     def test_zero_external_linewidth_exits_1(self, tmp_path, capsys):
         cfg = json.loads(Path(SAMPLE_C).read_text())
         cfg["readout"]["kappa_ext"] = 0.0
@@ -1048,12 +1105,14 @@ class TestEntryPoint:
                 "b": 0.405, "d_j": 0.3}
 
     @staticmethod
-    def _cli(*argv, cwd):
-        # PYTHONUNBUFFERED would write stdout through, hiding a missing flush;
-        # the BLAS thread count is main()'s default
+    def _cli(*argv, cwd, stdout=subprocess.PIPE, unbuffered=False):
+        # PYTHONUNBUFFERED would write stdout through, hiding a missing flush,
+        # unless the test asks for it; the BLAS thread count is main()'s default
         env = {k: v for k, v in _subprocess_env().items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         return subprocess.run([sys.executable, "-m", "quantromon.cli", *map(str, argv)],
-                              cwd=cwd, env=env, stdout=subprocess.PIPE,
+                              cwd=cwd, env=env, stdout=stdout,
                               stderr=subprocess.PIPE, timeout=120)
 
     @pytest.mark.parametrize("case", ["reference_device.energies", "reference_device.spectrum",
@@ -1093,6 +1152,60 @@ class TestEntryPoint:
         assert (done.returncode, done.stdout) == (1, b"")
         assert done.stderr.decode().splitlines() == [
             f"error: cannot read {what} {UNREADABLE}: Input/output error"]
+
+    def test_help_is_flushed(self, tmp_path, monkeypatch, capsys):
+        # argparse wraps its help at the width in COLUMNS, here and in the child
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(["readout-fit", "--help"]) == 0
+        done = self._cli("readout-fit", "--help", cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+    def test_failed_stdout_exits_1_on_one_line(self, tmp_path, sink, unbuffered):
+        # no traceback, no "Exception ignored" report and no exit 120 from
+        # the interpreter's own flush at exit: the flush fails when stdout
+        # buffers, the write when it writes through
+        if sink == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full here")
+            with open("/dev/full", "wb") as stdout:
+                done = self._cli("chi-sweep", "--config", SAMPLE_A, cwd=tmp_path,
+                                 stdout=stdout, unbuffered=unbuffered)
+            reason = os.strerror(errno.ENOSPC)
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)  # the reader is gone before the first write
+            try:
+                done = self._cli("chi-sweep", "--config", SAMPLE_A, cwd=tmp_path,
+                                 stdout=write_end, unbuffered=unbuffered)
+            finally:
+                os.close(write_end)
+            reason = os.strerror(errno.EPIPE)
+        assert done.returncode == 1
+        assert done.stderr.decode().splitlines() == [f"error: cannot write stdout: {reason}"]
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("case", ["out-unwritable", "config-too-long", "out-too-long"])
+    def test_path_fault_exits_1_on_one_line(self, tmp_path, case, unbuffered):
+        # a stat of a name too long fails, not only an open of it:
+        # Path.is_file() and Path.is_dir() raise on ENAMETOOLONG
+        long_path = tmp_path / LONG_NAME
+        if case == "out-unwritable":
+            if not os.path.isfile(UNWRITABLE):
+                pytest.skip(f"{UNWRITABLE} is not a regular file here")
+            argv, prefix = ("--config", SAMPLE_A, "--out", UNWRITABLE), f"write {UNWRITABLE}"
+        elif case == "config-too-long":
+            argv, prefix = ("--config", long_path), f"read config {long_path}"
+        else:
+            argv, prefix = ("--config", SAMPLE_A, "--out", long_path), f"write {long_path}"
+        done = self._cli("energies", *argv, cwd=tmp_path, unbuffered=unbuffered)
+        assert (done.returncode, done.stdout) == (1, b"")
+        lines = done.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot {prefix}: "), lines
+        if case != "out-unwritable":
+            assert lines[0].endswith(os.strerror(errno.ENAMETOOLONG))
 
     def test_resonant_device_exits_2_on_one_line(self, tmp_path):
         path = _write_config(tmp_path, {"circuit": self.RESONANT})

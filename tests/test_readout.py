@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from scipy.special import ndtr, ndtri
 from quantromon.analytic import phase_separation, pointer_means, reflection_coefficient
 from quantromon.errors import (
     DegenerateMixtureError,
+    FitConvergenceError,
     NumericalError,
     ParameterError,
     ThresholdError,
@@ -36,7 +39,7 @@ from quantromon.readout import (
     simulate_shots,
     threshold,
 )
-from quantromon import rng
+from quantromon import readout, rng
 from test_cli import _subprocess_env
 
 SAMPLE_C = ReadoutParams(omega_r=7.4e9, two_chi=1.37e6, kappa_ext=0.90e6,
@@ -372,6 +375,13 @@ class TestShotCsvRoundTrip:
             import_shots_csv(path)
         assert str(info.value) == f"shot file not found: {path}"
 
+    def test_export_names_a_path_it_cannot_write(self, tmp_path):
+        # the writer names its file as the reader does
+        with pytest.raises(ParameterError) as info:
+            export_shots_csv(_as_shotset([0.5], prepared=0, seed=1), tmp_path)
+        assert str(info.value) == (
+            f"cannot write shot file {tmp_path}: {os.strerror(errno.EISDIR)}")
+
     # sha256 of the exported bytes, recorded from the per-value writer this
     # module used to carry
     def test_export_bytes_simulated(self, tmp_path):
@@ -648,6 +658,18 @@ class TestErrorVsIntegration:
         # decay error dominates at long integration, overlap error early
         assert rows[0].eps_id > rows[0].eps_01
         assert rows[-1].eps_01 > rows[-1].eps_id
+
+    def test_fit_at_the_evaluation_cap_is_a_degenerate_row(self, monkeypatch):
+        assert not error_vs_integration(SAMPLE_C, [1.8e-6], 5000, 21)[0].degenerate
+        monkeypatch.setattr(readout, "_MAX_NFEV", 1)
+        with pytest.raises(FitConvergenceError, match=r"evaluation cap \(1\)"):
+            fit_double_gaussian(simulate_shots(SAMPLE_C, 0, 5000, 21),
+                                simulate_shots(SAMPLE_C, 1, 5000, 21))
+        (row,) = error_vs_integration(SAMPLE_C, [1.8e-6], 5000, 21)
+        assert row.degenerate
+        assert math.isnan(row.eps_id)
+        # the empirical midpoint split still separates the two states
+        assert 0.9 < row.fidelity < 1.0
 
     def test_single_shot_flagged_degenerate(self):
         rows = error_vs_integration(SAMPLE_C, [1.8e-6], 1, 0)

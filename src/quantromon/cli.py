@@ -7,7 +7,8 @@ flag. Exit codes: 0 success, 1 usage, validation or config error or an I/O
 fault, 2 numerical failure. A file or stream that cannot be read or written
 is one line, ``error: cannot read|write <target>: <reason>``
 (:func:`~quantromon.errors.io_fault`); a reader that closed its pipe early
-is no special case (``error: cannot write stdout: Broken pipe``). A warning
+is no special case (``error: cannot write stdout: Broken pipe``); a stderr
+that cannot be written loses its lines, not the exit code. A warning
 raised while a command runs, such as a regime message of the closed form,
 is one ``warning:`` line on stderr. Numeric output is written with full
 round-trip decimal precision and LF line endings so reruns with identical
@@ -416,8 +417,18 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but its help is written through
+    :func:`~quantromon.errors.io_fault`: argparse would drop a failed write of
+    it and exit 0. Each command's parser is one too (``add_subparsers``)."""
+
+    def print_help(self, file=None):
+        with io_fault("write", "stdout"):
+            (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quantromon",
         description="Spectrum, coherence, and readout pipelines for the "
                     "quantromon qubit-resonator circuit.",
@@ -461,7 +472,8 @@ def run(argv: list[str]) -> int:
     line. stdout is flushed before the return, argparse's help included, so
     a failed write of it is the command's own ``error: cannot write stdout:
     <reason>`` line and exit code 1; a reader that closed its pipe early is
-    such a failure (``Broken pipe``).
+    such a failure (``Broken pipe``). A line that stderr cannot take is
+    lost; it does not change the exit code.
     """
     with warnings.catch_warnings(record=True) as caught:
         # UserWarnings are the command's own messages; other categories keep
@@ -478,10 +490,19 @@ def run(argv: list[str]) -> int:
             code, failure = 2, f"numerical failure: {exc}"
         finally:
             for message in dict.fromkeys(str(w.message) for w in caught):
-                print(f"warning: {message}", file=sys.stderr)
+                _report(f"warning: {message}")
     if failure is not None:
-        print(failure, file=sys.stderr)
+        _report(failure)
     return code
+
+
+def _report(line: str) -> None:
+    """Print ``line`` on stderr. A stderr that cannot be written (a full
+    device, a reader that has gone) loses the line, and the exit code stands."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def main() -> None:

@@ -2,10 +2,13 @@
 
 Builds the Hamiltonian as plain symmetric arrays in a product Fock basis
 (the harmonic basis of each mode's quadratic part; flat index
-``m_q*n_r + m_r``), diagonalizes them, labels each dressed state by its
-largest bare-state overlap, and extracts the same observables the
-closed-form module predicts. Serves as the independent numerical oracle for
-:mod:`quantromon.analytic`.
+``m_q*n_r + m_r``), labels each dressed state by its largest bare-state
+overlap, and extracts the same observables the closed-form module predicts.
+A block's labels come from its eigenvalues alone where a residual bound
+proves which eigenstate each label's bare state dominates
+(:func:`certified_labels`); elsewhere from its eigenvectors
+(:func:`eigensolve` and :func:`label_states`). Serves as the independent
+numerical oracle for :mod:`quantromon.analytic`.
 
 Every term conserves the joint photon-number parity ``(m_q + m_r) mod 2``;
 without the transverse term (``d_j = 0``) each mode's own parity is
@@ -23,6 +26,7 @@ part of each mode reproduces ``sqrt(8*E_Jmode*E_Cmode)`` exactly.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +40,7 @@ __all__ = [
     "build_hamiltonian",
     "eigensolve",
     "label_states",
+    "certified_labels",
     "extract_observables",
     "parity_sectors",
     "numeric_spectrum",
@@ -51,6 +56,11 @@ _MAX_LEVELS = 64  # well past the meaningful range; 1000 levels would ask for GB
 # a label's bare state must outweigh the rest of its dressed state 2:1; any
 # floor above 1/2 keeps two labels from taking one state
 _OVERLAP_THRESHOLD = 2 / 3
+# certified_labels proves each label's overlap above this, over the floor, so
+# label_states would take the same eigenstate and not refuse it; as the angle
+# between the bare state and its eigenstate, below _CERTIFIED_ANGLE
+_CERTIFIED_OVERLAP = 0.7
+_CERTIFIED_ANGLE = math.acos(math.sqrt(_CERTIFIED_OVERLAP))
 
 
 @checked
@@ -219,6 +229,15 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _label_rows(trunc: Truncation, basis: np.ndarray):
+    """Each required label whose bare state is in ``basis``, with its row there."""
+    basis = np.asarray(basis)
+    for lbl in REQUIRED_LABELS:
+        hit = np.flatnonzero(basis == lbl[0] * trunc.n_r + lbl[1])
+        if hit.size:
+            yield lbl, hit[0]
+
+
 def label_states(w: np.ndarray, v: np.ndarray, trunc: Truncation, basis: np.ndarray
                  ) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
     """Assign each required (m_q, m_r) label to a dressed eigenstate.
@@ -234,14 +253,10 @@ def label_states(w: np.ndarray, v: np.ndarray, trunc: Truncation, basis: np.ndar
     for the full matrix. Only the required labels inside it are assigned.
     Returns the dressed energies (Hz) and the overlaps, each keyed by label.
     """
-    basis = np.asarray(basis)
     energies: dict[tuple[int, int], float] = {}
     overlaps: dict[tuple[int, int], float] = {}
-    for lbl in REQUIRED_LABELS:
-        hit = np.flatnonzero(basis == lbl[0] * trunc.n_r + lbl[1])
-        if not hit.size:
-            continue
-        ov = v[hit[0], :] ** 2
+    for lbl, row in _label_rows(trunc, basis):
+        ov = v[row, :] ** 2
         k = int(np.argmax(ov))
         best = float(ov[k])
         if best < _OVERLAP_THRESHOLD:
@@ -253,6 +268,52 @@ def label_states(w: np.ndarray, v: np.ndarray, trunc: Truncation, basis: np.ndar
         energies[lbl] = float(w[k])
         overlaps[lbl] = best
     return energies, overlaps
+
+
+def certified_labels(h: np.ndarray, trunc: Truncation, basis: np.ndarray
+                     ) -> dict[tuple[int, int], float] | None:
+    """The energies ``label_states(*eigensolve(h), trunc, basis)[0]`` gives,
+    from the eigenvalues of ``h`` alone; None when a label in the block
+    cannot be certified, or ``np.linalg.eigvalsh`` fails.
+
+    For a label with bare row ``b``, ``x`` is its first-order corrected bare
+    state, ``x_j = h[j, b]/(h[b, b] - h[j, j])`` and ``x_b = 1``, normalized.
+    Its Rayleigh quotient ``rho`` lies nearest eigenvalue ``w[k]`` and a
+    distance ``delta`` from every other, and its residual ``r = h x - rho x``
+    bounds its angle to eigenvector ``u_k``: ``|r|**2 >= delta**2 (1 -
+    <u_k, x>**2)``, so ``sin(angle) <= |r|/delta`` (Davis and Kahan, SIAM J.
+    Numer. Anal. 7, 1 (1970)). With the angle between the bare state and
+    ``x``, the triangle inequality bounds the angle between the bare state
+    and ``u_k``; when its cosine squared, the label's overlap, exceeds
+    ``_CERTIFIED_OVERLAP`` > 1/2, no other eigenstate can hold more of the
+    bare state, so ``label_states`` takes ``w[k]`` too.
+    """
+    try:
+        w = np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError:
+        return None
+    diagonal = np.diagonal(h)
+    energies: dict[tuple[int, int], float] = {}
+    for lbl, b in _label_rows(trunc, basis):
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero gap fails below
+            x = np.where(h[:, b] == 0.0, 0.0, h[:, b] / (h[b, b] - diagonal))
+        x[b] = 1.0
+        norm = np.linalg.norm(x)
+        if not np.isfinite(norm):
+            return None
+        x /= norm
+        hx = h @ x
+        rho = x @ hx
+        residual = np.linalg.norm(hx - rho * x)
+        distance = np.abs(w - rho)
+        k = int(np.argmin(distance))
+        distance[k] = np.inf
+        delta = distance.min()
+        if not (residual < delta and math.acos(1.0 / norm) + math.asin(residual / delta)
+                < _CERTIFIED_ANGLE):
+            return None
+        energies[lbl] = float(w[k])
+    return energies
 
 
 def extract_observables(e: dict[tuple[int, int], float],
@@ -303,10 +364,19 @@ def parity_sectors(trunc: Truncation, per_mode: bool) -> list[np.ndarray]:
 
 
 def numeric_spectrum(en: ModeEnergies, trunc: Truncation = Truncation()) -> SpectrumResult:
-    """Build every parity block, diagonalize and label one at a time, then extract."""
+    """Build every parity block, label it, then extract the observables.
+
+    Each block is labeled from its eigenvalues (``np.linalg.eigvalsh``) where
+    :func:`certified_labels` proves every label in it; otherwise, or when
+    ``eigvalsh`` fails, by :func:`eigensolve` (``np.linalg.eigh``) and
+    :func:`label_states`, which give every refusal.
+    """
     blocks = build_hamiltonian(en, trunc)  # every block is checked before the first solve
     energies: dict[tuple[int, int], float] = {}
     while blocks:
         idx, h = blocks.pop(0)  # a solved block is freed before the next solve
-        energies.update(label_states(*eigensolve(h), trunc, idx)[0])
+        labeled = certified_labels(h, trunc, idx)
+        if labeled is None:
+            labeled = label_states(*eigensolve(h), trunc, idx)[0]
+        energies.update(labeled)
     return extract_observables(energies, en)

@@ -19,6 +19,7 @@ import math
 import os
 import signal
 import warnings
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -374,6 +375,7 @@ def import_shots_csv(path) -> ShotSet:
 
     A ``path`` that is not a regular file raises :class:`ParameterError`
     (``shot file not found: <path>``), and so does one that cannot be read
+    or even looked up, such as a name too long for the file system
     (``cannot read shot file <path>: <reason>``). ``# key=value`` header
     lines, blank lines and one ``value`` column title come first; from the
     first number on, the file holds one number per line
@@ -389,11 +391,12 @@ def import_shots_csv(path) -> ShotSet:
     process on Linux, a forked child parses half of a large file's lines;
     the values and messages are the same.
     """
-    if not os.path.isfile(path):
-        raise ParameterError(f"shot file not found: {path}")
     header: dict[str, str] = {}
     values = np.empty(0)
+    # the stat, too, can fail: a name too long for the file system, say
     with io_fault("read", f"shot file {path}"):
+        if not Path(path).is_file():
+            raise ParameterError(f"shot file not found: {path}")
         try:
             with open(path, "r", encoding="utf-8", newline="") as f:
                 offset = 0  # bytes before the current line

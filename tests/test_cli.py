@@ -408,6 +408,7 @@ class TestExitCodes:
             raise numeric.np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(numeric.np.linalg, "eigh", no_convergence)
+        monkeypatch.setattr(numeric.np.linalg, "eigvalsh", no_convergence)
         assert run(["spectrum", "--config", REFERENCE]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -415,6 +416,22 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("numerical failure: eigh failed to converge on a ")
         assert lines[0].endswith(" matrix: Eigenvalues did not converge")
+
+    def test_eigvalsh_failure_falls_back_to_eigh(self, monkeypatch, capsys):
+        # a block whose eigenvalues alone fail is labeled from eigh instead
+        def no_convergence(h):
+            raise numeric.np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(numeric.np.linalg, "eigvalsh", no_convergence)
+        assert run(["spectrum", "--config", REFERENCE]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        golden = (Path(__file__).parent / "golden" / "reference_device.spectrum.csv").read_text()
+        rows, golden_rows = (list(csv.reader(io.StringIO(text)))
+                             for text in (captured.out, golden))
+        assert [row[0] for row in rows] == [row[0] for row in golden_rows]
+        for row, golden_row in zip(rows[1:], golden_rows[1:]):
+            assert float(row[2]) == pytest.approx(float(golden_row[2]), rel=1e-9)
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # junction inductance tuned so the dressed modes are degenerate and
@@ -1105,15 +1122,33 @@ class TestEntryPoint:
                 "b": 0.405, "d_j": 0.3}
 
     @staticmethod
-    def _cli(*argv, cwd, stdout=subprocess.PIPE, unbuffered=False):
+    def _cli(*argv, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unbuffered=False):
         # PYTHONUNBUFFERED would write stdout through, hiding a missing flush,
         # unless the test asks for it; the BLAS thread count is main()'s default
         env = {k: v for k, v in _subprocess_env().items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         return subprocess.run([sys.executable, "-m", "quantromon.cli", *map(str, argv)],
-                              cwd=cwd, env=env, stdout=stdout,
-                              stderr=subprocess.PIPE, timeout=120)
+                              cwd=cwd, env=env, stdout=stdout, stderr=stderr, timeout=120)
+
+    @classmethod
+    def _into(cls, sink, *argv, cwd, stream="stdout", unbuffered=False):
+        """Run the command with ``stream`` on ``sink``: ``"full"``, a device
+        with no space left, or ``"closed-pipe"``, a pipe whose reader has
+        gone before the first write; returns the run and the errno's text."""
+        if sink == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full here")
+            with open("/dev/full", "wb") as target:
+                done = cls._cli(*argv, cwd=cwd, unbuffered=unbuffered, **{stream: target})
+            return done, os.strerror(errno.ENOSPC)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = cls._cli(*argv, cwd=cwd, unbuffered=unbuffered, **{stream: write_end})
+        finally:
+            os.close(write_end)
+        return done, os.strerror(errno.EPIPE)
 
     @pytest.mark.parametrize("case", ["reference_device.energies", "reference_device.spectrum",
                                       "sample_a.chi-sweep", "sample_a.t1-model",
@@ -1167,22 +1202,8 @@ class TestEntryPoint:
         # no traceback, no "Exception ignored" report and no exit 120 from
         # the interpreter's own flush at exit: the flush fails when stdout
         # buffers, the write when it writes through
-        if sink == "full":
-            if not os.path.exists("/dev/full"):
-                pytest.skip("no /dev/full here")
-            with open("/dev/full", "wb") as stdout:
-                done = self._cli("chi-sweep", "--config", SAMPLE_A, cwd=tmp_path,
-                                 stdout=stdout, unbuffered=unbuffered)
-            reason = os.strerror(errno.ENOSPC)
-        else:
-            read_end, write_end = os.pipe()
-            os.close(read_end)  # the reader is gone before the first write
-            try:
-                done = self._cli("chi-sweep", "--config", SAMPLE_A, cwd=tmp_path,
-                                 stdout=write_end, unbuffered=unbuffered)
-            finally:
-                os.close(write_end)
-            reason = os.strerror(errno.EPIPE)
+        done, reason = self._into(sink, "chi-sweep", "--config", SAMPLE_A, cwd=tmp_path,
+                                  unbuffered=unbuffered)
         assert done.returncode == 1
         assert done.stderr.decode().splitlines() == [f"error: cannot write stdout: {reason}"]
 
@@ -1206,6 +1227,34 @@ class TestEntryPoint:
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot {prefix}: "), lines
         if case != "out-unwritable":
             assert lines[0].endswith(os.strerror(errno.ENAMETOOLONG))
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+    def test_help_into_a_failed_stdout_exits_1_on_one_line(self, tmp_path, sink, unbuffered):
+        # argparse drops a failed write of its help, and would exit 0
+        done, reason = self._into(sink, "readout-fit", "--help", cwd=tmp_path,
+                                  unbuffered=unbuffered)
+        assert done.returncode == 1
+        assert done.stderr.decode().splitlines() == [f"error: cannot write stdout: {reason}"]
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+    def test_failed_stderr_keeps_the_exit_code(self, tmp_path, sink, unbuffered):
+        # the numerical failure's line is lost; its exit code is not
+        path = _write_config(tmp_path, {"circuit": self.RESONANT})
+        done, _ = self._into(sink, "spectrum", "--config", path, cwd=tmp_path,
+                             stream="stderr", unbuffered=unbuffered)
+        assert (done.returncode, done.stdout) == (2, b"")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_shot_file_name_too_long_exits_1_naming_the_reason(self, tmp_path, unbuffered):
+        # os.path.isfile would call such a name missing
+        long_path = tmp_path / LONG_NAME
+        done = self._cli("readout-fit", "--shots0", long_path, "--shots1", long_path,
+                         cwd=tmp_path, unbuffered=unbuffered)
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr.decode().splitlines() == [
+            f"error: cannot read shot file {long_path}: {os.strerror(errno.ENAMETOOLONG)}"]
 
     def test_resonant_device_exits_2_on_one_line(self, tmp_path):
         path = _write_config(tmp_path, {"circuit": self.RESONANT})

@@ -16,6 +16,7 @@ from quantromon.numeric import (
     REQUIRED_LABELS,
     Truncation,
     build_hamiltonian,
+    certified_labels,
     eigensolve,
     extract_observables,
     label_states,
@@ -525,3 +526,101 @@ class TestBlockAssembly:
         monkeypatch.setattr(numeric, "_mode_operators", skewed)
         with pytest.raises(EigensolveError, match=r"asymmetry .* exceeds 1e-9"):
             numeric_spectrum(EN._replace(d_j=d_j), Truncation(6, 6))
+
+
+def _eigh_labels(h, trunc, idx):
+    """The labels ``label_states`` gives a block from ``np.linalg.eigh``, or
+    its refusal."""
+    try:
+        return label_states(*np.linalg.eigh(h), trunc, idx)[0]
+    except AmbiguousLabelingError as exc:
+        return exc
+
+
+_RESONANT = CircuitParams(l_j=7.394e-9, c_j=56.88e-15, l_r=0.546e-9, c_r=781.8e-15,
+                          b=0.405, d_j=0.3)
+
+
+class TestCertifiedLabels:
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @settings(max_examples=30, deadline=None)
+    @given(_DISPERSIVE, _ASYMMETRY, st.integers(5, 24), st.integers(5, 24))
+    def test_certified_energies_are_the_eigh_labels(self, symmetric, factors, d_j, n_q,
+                                                    n_r):
+        en = _scaled(factors, 0.0 if symmetric else d_j)
+        trunc = Truncation(n_q, n_r)
+        for idx, h in build_hamiltonian(en, trunc):
+            certified, expected = certified_labels(h, trunc, idx), _eigh_labels(h, trunc, idx)
+            if certified is None:
+                continue
+            assert not isinstance(expected, AmbiguousLabelingError)
+            assert certified.keys() == expected.keys()
+            for lbl, energy in certified.items():
+                assert energy == pytest.approx(expected[lbl], rel=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(4, 6), st.integers(4, 6), st.booleans(), st.integers(0, 3),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_random_block_never_certified_against_eigh(self, n_q, n_r, per_mode, sector,
+                                                       coupling, seed):
+        # random symmetric blocks, many of them hybridized past the floor:
+        # a certified block is one label_states labels the same way
+        trunc = Truncation(n_q, n_r)
+        sectors = parity_sectors(trunc, per_mode)
+        idx = sectors[sector % len(sectors)]
+        rng = np.random.default_rng(seed)
+        m = coupling * rng.normal(size=(idx.size, idx.size))
+        m = 0.5 * (m + m.T) + np.diag(rng.normal(size=idx.size))
+        certified, expected = certified_labels(m, trunc, idx), _eigh_labels(m, trunc, idx)
+        if certified is not None:
+            assert not isinstance(expected, AmbiguousLabelingError)
+            assert certified.keys() == expected.keys()
+            for lbl, energy in certified.items():
+                assert energy == pytest.approx(expected[lbl], rel=1e-9, abs=1e-12)
+
+    def test_resonant_device_falls_back_and_refuses_in_the_same_words(self):
+        # the block holding the hybridized (1, 1) is not certified, so
+        # numeric_spectrum's refusal is the eigh path's, byte for byte
+        en, trunc = derive_energies(_RESONANT), Truncation(12, 12)
+        idx, h = next((idx, h) for idx, h in build_hamiltonian(en, trunc)
+                      if 1 * trunc.n_r + 1 in idx)
+        assert certified_labels(h, trunc, idx) is None
+        expected = _eigh_labels(h, trunc, idx)
+        assert isinstance(expected, AmbiguousLabelingError)
+        with pytest.raises(AmbiguousLabelingError) as info:
+            numeric_spectrum(en, trunc)
+        assert str(info.value) == str(expected)
+        assert str(info.value).startswith("label (1, 1): best overlap 0.53")
+
+    @pytest.mark.parametrize("d_j", [0.0, 0.05])
+    def test_dispersive_device_needs_no_eigenvectors(self, monkeypatch, d_j):
+        # every block of the table device is certified: no eigh runs
+        expected = numeric_spectrum(EN._replace(d_j=d_j), Truncation(12, 12))
+
+        def no_eigh(h):
+            raise AssertionError("eigh ran")
+
+        monkeypatch.setattr(numeric.np.linalg, "eigh", no_eigh)
+        assert numeric_spectrum(EN._replace(d_j=d_j), Truncation(12, 12)) == expected
+
+    def test_eigvalsh_failure_falls_back_to_eigh(self, monkeypatch):
+        en, trunc = EN._replace(d_j=0.05), Truncation(10, 10)
+        expected = extract_observables(
+            {lbl: e for idx, h in build_hamiltonian(en, trunc)
+             for lbl, e in label_states(*eigensolve(h), trunc, idx)[0].items()}, en)
+
+        def no_convergence(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(numeric.np.linalg, "eigvalsh", no_convergence)
+        assert numeric_spectrum(en, trunc) == expected
+
+    def test_zero_gap_is_not_certified(self):
+        # two bare states of equal diagonal energy coupled directly: the
+        # first-order state is not defined, so the block falls back
+        trunc = Truncation(4, 4)
+        idx = np.arange(trunc.dim)
+        h = np.diag(np.arange(trunc.dim, dtype=float))
+        h[0, 0] = h[1, 1] = 0.0
+        h[0, 1] = h[1, 0] = 1e-3
+        assert certified_labels(h, trunc, idx) is None

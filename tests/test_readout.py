@@ -375,6 +375,15 @@ class TestShotCsvRoundTrip:
             import_shots_csv(path)
         assert str(info.value) == f"shot file not found: {path}"
 
+    def test_import_names_why_a_path_cannot_be_looked_up(self, tmp_path):
+        # a stat of a name too long for the file system fails: that is the
+        # reason given, not a missing file
+        path = tmp_path / ("x" * 300)
+        with pytest.raises(ParameterError) as info:
+            import_shots_csv(path)
+        assert str(info.value) == (
+            f"cannot read shot file {path}: {os.strerror(errno.ENAMETOOLONG)}")
+
     def test_export_names_a_path_it_cannot_write(self, tmp_path):
         # the writer names its file as the reader does
         with pytest.raises(ParameterError) as info:

@@ -25,6 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
+from ._cephes import ndtr, ndtri
+from ._trf import least_squares
 from .analytic import pointer_means
 from .errors import (
     DegenerateMixtureError,
@@ -122,8 +124,6 @@ def simulate_shots(p: ReadoutParams, prepared: int, n_shots: int, seed: int) -> 
     if not (is_int(n_shots) and 1 <= n_shots <= 2**64):
         raise ParameterError(f"n_shots must lie in [1, 2**64] and be an integer, "
                              f"got {n_shots!r}")
-    from scipy.special import ndtri  # deferred: importing readout loads no scipy
-
     m0, m1 = pointer_means(p)
     sigma = _noise_sigma(p)
     values = np.empty(n_shots)
@@ -143,7 +143,11 @@ def simulate_shots(p: ReadoutParams, prepared: int, n_shots: int, seed: int) -> 
                 t_decay = -p.t1 * np.log(u[:, 1][excited])
                 weight = np.minimum(t_decay / p.tau, 1.0)
                 base[excited] = weight * m1 + (1.0 - weight) * m0
-            np.add(base, ndtri(u[:, 0]) * sigma, out=values[start:stop])
+            out = values[start:stop]
+            out[:] = u[:, 0]
+            ndtri(out)
+            out *= sigma
+            out += base
     return ShotSet(prepared_state=prepared, values=values, seed=seed, params=p)
 
 
@@ -492,8 +496,6 @@ def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet) -> GaussianMixtureFit:
     outside the bounds (overflowed or constant values) raise
     :class:`NumericalError`.
     """
-    from scipy.optimize import least_squares  # deferred: importing readout loads no scipy
-
     x0v, x1v = shots0.values, shots1.values
     if x0v.size == 0 or x1v.size == 0:
         raise ParameterError("both shot sets must be nonempty")
@@ -512,12 +514,12 @@ def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet) -> GaussianMixtureFit:
         s0_init = _spread(pooled[pooled <= med]) or scale
         s1_init = _spread(pooled[pooled > med]) or scale
     p_init = np.array([mu0_init, mu1_init, s0_init, s1_init, 0.95, 0.95])
-    lower = [-np.inf, -np.inf, 1e-12 * scale, 1e-12 * scale, 0.0, 0.0]
-    upper = [np.inf, np.inf, np.inf, np.inf, 1.0, 1.0]
+    lower = np.array([-np.inf, -np.inf, 1e-12 * scale, 1e-12 * scale, 0.0, 0.0])
+    upper = np.array([np.inf, np.inf, np.inf, np.inf, 1.0, 1.0])
     if not np.all(np.isfinite(p_init) & (lower <= p_init)):
         raise NumericalError(
             f"mixture fit cannot start: the shots put the initial parameters "
-            f"{p_init.tolist()} outside the bounds {lower}")
+            f"{p_init.tolist()} outside the bounds {lower.tolist()}")
 
     edges = _fd_bin_edges(pooled, mu0_init, mu1_init)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -532,8 +534,8 @@ def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet) -> GaussianMixtureFit:
         model1 = (1.0 - a1) * g0 + a1 * g1
         return np.concatenate([model0 - hist0, model1 - hist1])
 
-    result = least_squares(residuals, p_init, bounds=(lower, upper),
-                           xtol=1e-8, ftol=1e-12, gtol=None, max_nfev=_MAX_NFEV)
+    result = least_squares(residuals, p_init, lower, upper,
+                           xtol=1e-8, ftol=1e-12, max_nfev=_MAX_NFEV)
     if result.status == 0:
         raise FitConvergenceError(
             f"mixture fit hit the evaluation cap ({_MAX_NFEV}) "
@@ -614,16 +616,14 @@ def _assignment_errors(shots0: ShotSet, shots1: ShotSet, thr: float,
 def fidelity_report(shots0: ShotSet, shots1: ShotSet, fit: GaussianMixtureFit,
                     thr: float) -> FidelityReport:
     """Empirical P(0|1), P(1|0) and the fidelity 1 - (P(0|1)+P(1|0))/2."""
-    from scipy.special import ndtr  # deferred: importing readout loads no scipy
-
     sign = 1.0 if fit.mu1 >= fit.mu0 else -1.0
     p01, p10 = _assignment_errors(shots0, shots1, thr, sign)
 
     # single-Gaussian tails across the threshold
     z0 = sign * (thr - fit.mu0) / fit.sigma0
     z1 = sign * (fit.mu1 - thr) / fit.sigma1
-    tail0 = float(ndtr(-z0))  # fitted state-0 density beyond the threshold
-    tail1 = float(ndtr(-z1))  # fitted state-1 density below the threshold
+    tail0 = ndtr(-z0)  # fitted state-0 density beyond the threshold
+    tail1 = ndtr(-z1)  # fitted state-1 density below the threshold
     return FidelityReport(
         threshold=thr,
         p01=p01,

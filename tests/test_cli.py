@@ -1051,6 +1051,39 @@ class TestImports:
         assert result["closed_form"] == []
         assert result["spectrum"] == []
 
+    NO_SCIPY_SCRIPT = textwrap.dedent("""
+        import contextlib, io, json, os, sys
+        from quantromon.cli import run
+        from quantromon import flux
+        from quantromon.params import CircuitParams, derive_energies
+
+        config, out = sys.argv[1:]
+        shots = [out.replace(".csv", f"_shots{state}.csv") for state in (0, 1)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            exits = [run(["readout-sim", "--config", config, "--out", out]),
+                     run(["readout-fit", "--shots0", shots[0], "--shots1", shots[1]])]
+        en = derive_energies(CircuitParams(l_j=8.2e-9, c_j=56.88e-15, l_r=0.546e-9,
+                                           c_r=781.8e-15, b=0.405, d_j=-0.30))
+        flux.fit_one_squid(en, f_q_zero=5.205e9, d_j_zero=-0.30, anchor_n=5,
+                           d_j_anchor=-0.0152)
+        print(json.dumps({"exits": exits, "shot_files": [os.path.isfile(p) for p in shots],
+                          "scipy": sorted(m for m in sys.modules
+                                          if m == "scipy" or m.startswith("scipy."))}))
+    """)
+
+    def test_no_command_loads_scipy(self, tmp_path):
+        # the readout commands (simulate, fit, report) and the flux fitters
+        # run on the package's own ports, in a fresh interpreter
+        done = subprocess.run(
+            [sys.executable, "-c", self.NO_SCIPY_SCRIPT, SAMPLE_C,
+             str(tmp_path / "report.csv")],
+            env=_subprocess_env(OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, check=True)
+        result = json.loads(done.stdout)
+        assert result["exits"] == [0, 0]
+        assert result["shot_files"] == [True, True]
+        assert result["scipy"] == []
+
     BLAS_SCRIPT = textwrap.dedent("""
         import json, os, sys
         import quantromon.cli

@@ -278,7 +278,7 @@ class TestShotChunks:
         # whatever the shot count; one draw of every counter would hold 81
         # bytes a shot. Excited shots all decay, the most temporaries
         n = 10**6
-        simulate_shots(SAMPLE_C, 1, 10, 0)  # scipy.special is loaded, not traced
+        simulate_shots(SAMPLE_C, 1, 10, 0)  # warm-up, outside the trace
         tracemalloc.start()
         try:
             simulate_shots(SAMPLE_C, 1, n, 3)

@@ -194,37 +194,26 @@ def ndtr(a: float) -> float:
 
 
 def _erf(x: float) -> float:
-    """Cephes ``erf``."""
-    if math.isnan(x):
-        return math.nan
-    if x < 0.0:
-        return -_erf(-x)
-    if abs(x) > 1.0:
-        return 1.0 - _erfc(x)
+    """Cephes ``erf`` for ``|x| < 1``, the only arguments here. Cephes takes
+    ``-erf(-x)`` for a negative ``x``; IEEE rounding is sign-symmetric, so
+    the direct form gives the same bits, -0.0 included."""
     z = x * x
     return x * _polevl(z, _T) / _p1evl(z, _U)
 
 
 def _erfc(a: float) -> float:
-    """Cephes ``erfc``; 0 or 2 where ``exp(-a**2)`` underflows."""
-    if math.isnan(a):
-        return math.nan
-    x = -a if a < 0.0 else a
-    if x < 1.0:
+    """Cephes ``erfc`` for ``a >= 1/sqrt(2)``, the only arguments here; 0
+    where ``exp(-a**2)`` underflows."""
+    if a < 1.0:
         return 1.0 - _erf(a)
     z = -a * a
     if z < -_MAXLOG:  # underflow
-        return 2.0 if a < 0 else 0.0
+        return 0.0
     z = math.exp(z)
-    if x < 8.0:
-        p = _polevl(x, _EP)
-        q = _p1evl(x, _EQ)
+    if a < 8.0:
+        p = _polevl(a, _EP)
+        q = _p1evl(a, _EQ)
     else:
-        p = _polevl(x, _ER)
-        q = _p1evl(x, _ES)
-    y = (z * p) / q
-    if a < 0:
-        y = 2.0 - y
-    if y != 0.0:
-        return y
-    return 2.0 if a < 0 else 0.0  # underflow
+        p = _polevl(a, _ER)
+        q = _p1evl(a, _ES)
+    return (z * p) / q

@@ -24,7 +24,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 import warnings
 from pathlib import Path
@@ -33,7 +32,7 @@ from typing import NamedTuple
 from .analytic import SpectrumResult, dressed_spectrum, phase_separation
 from .coherence import CoherenceConfig
 from .errors import (NumericalError, ParameterError, check_key_word, checked, io_fault,
-                     is_int)
+                     is_int, parse_int)
 from .flux import FluxConfig, junction_energies, sweep
 from .params import (CircuitParams, ModeEnergies, ReadoutParams, derive_energies,
                      regime_warnings)
@@ -276,13 +275,11 @@ def _cmd_energies(cfg: RunConfig, args) -> list[dict]:
 
 
 def _integer(text: str) -> int:
-    """An integer flag value: an optional ``-`` and ASCII digits. ``int()``
-    alone also takes ``_`` separators, a ``+`` sign, surrounding spaces and
-    the digits of other scripts."""
-    if not re.fullmatch(r"-?[0-9]+", text):
-        raise argparse.ArgumentTypeError(
-            f"must be ASCII digits with an optional leading '-', got {text!r}")
-    return int(text)
+    """An integer flag value, by :func:`~quantromon.errors.parse_int`."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_trunc(spec: str | None):
@@ -291,8 +288,8 @@ def _parse_trunc(spec: str | None):
     if spec is None:
         return Truncation()
     try:
-        n_q, n_r = (_integer(part) for part in spec.lower().split("x"))
-    except (ValueError, argparse.ArgumentTypeError):
+        n_q, n_r = (parse_int(part) for part in spec.lower().split("x"))
+    except ValueError:
         raise ParameterError(f"--trunc must look like '12x12', got {spec!r}") from None
     return Truncation(n_q=n_q, n_r=n_r)
 

@@ -23,6 +23,17 @@ def is_int(value) -> bool:
     return isinstance(value, integers) and not isinstance(value, bool)
 
 
+def parse_int(text: str) -> int:
+    """The one rule for an integer written as text, a flag or a shot-file
+    header value: an optional ``-`` and ASCII digits; anything else raises
+    ``ValueError``. ``int()`` alone also takes ``_`` separators, a ``+``
+    sign, surrounding spaces and the digits of other scripts."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"must be ASCII digits with an optional leading '-', got {text!r}")
+    return int(text)
+
+
 def checked(cls):
     """Make the NamedTuple class ``cls`` run its ``_check`` method on every
     record built: by the constructor, ``_make`` and so ``_replace``.

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 import warnings
 from typing import NamedTuple
 
@@ -185,129 +184,23 @@ def _qubit_frequency(en: ModeEnergies, e_jsigma: float) -> float:
 
 
 def _solve_e_jsigma(en: ModeEnergies, f_q_zero: float) -> float:
-    """The E_Jsigma in [1e6, 1e13] Hz whose qubit frequency is ``f_q_zero``."""
+    """The least E_Jsigma in [1e6, 1e13] Hz whose qubit frequency is not below
+    ``f_q_zero``, to the last double: the frequency rises with E_Jsigma, so
+    bisect until no double lies between the bracket's ends."""
     lo, hi = 1e6, 1e13
     f_lo, f_hi = _qubit_frequency(en, lo), _qubit_frequency(en, hi)
     if not (f_lo <= f_q_zero <= f_hi):
         raise ParameterError(f"f_q_zero = {f_q_zero!r} Hz is outside the reachable "
                              f"range [{f_lo!r}, {f_hi!r}] Hz")
-    return _brentq(lambda e_jsigma: _qubit_frequency(en, e_jsigma) - f_q_zero, lo, hi)
-
-
-# _brentq is a line-for-line port of the C solver behind SciPy 1.17.1's
-# scipy.optimize.brentq (scipy/optimize/Zeros/brentq.c), called with its
-# defaults xtol=2e-12, rtol=4*eps and maxiter=100; it returns SciPy's root
-# bit for bit. SciPy carries this notice:
-#
-#   Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
-#   All rights reserved.
-#
-#   Redistribution and use in source and binary forms, with or without
-#   modification, are permitted provided that the following conditions
-#   are met:
-#
-#   1. Redistributions of source code must retain the above copyright
-#      notice, this list of conditions and the following disclaimer.
-#
-#   2. Redistributions in binary form must reproduce the above
-#      copyright notice, this list of conditions and the following
-#      disclaimer in the documentation and/or other materials provided
-#      with the distribution.
-#
-#   3. Neither the name of the copyright holder nor the names of its
-#      contributors may be used to endorse or promote products derived
-#      from this software without specific prior written permission.
-#
-#   THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
-#   "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
-#   LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
-#   A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
-#   OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
-#   SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
-#   LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
-#   DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
-#   THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
-#   (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
-#   OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
-
-_BRENTQ_XTOL = 2e-12
-_BRENTQ_RTOL = 4 * sys.float_info.epsilon
-_BRENTQ_ITER = 100
-
-
-def _brentq(f, xa: float, xb: float) -> float:
-    """A root of ``f`` in the bracket ``[xa, xb]`` (Brent, Algorithms for
-    Minimization without Derivatives, 1973), as SciPy's ``brentq``: a
-    bracket whose ends have one sign raises ``ValueError``, as does a NaN
-    value of ``f``, and 100 iterations without convergence raise
-    ``RuntimeError``."""
-    def fx(x):
-        value = f(x)
-        if math.isnan(value):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return value
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre = fx(xpre)
-    fcur = fx(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENTQ_ITER):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk = xpre
-            fblk = fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre = xcur
-            xcur = xblk
-            xblk = xpre
-
-            fpre = fcur
-            fcur = fblk
-            fblk = fpre
-
-        delta = (_BRENTQ_XTOL + _BRENTQ_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre = scur
-                scur = stry
-            else:
-                # bisect
-                spre = sbis
-                scur = sbis
+    if f_lo == f_q_zero:
+        return lo
+    # invariant: f(lo) < f_q_zero <= f(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _qubit_frequency(en, mid) < f_q_zero:
+            lo = mid
         else:
-            # bisect
-            spre = sbis
-            scur = sbis
-
-        xpre = xcur
-        fpre = fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-
-        fcur = fx(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENTQ_ITER} iterations.")
+            hi = mid
+    return hi
 
 
 _A_STEP = 1e-4  # area-ratio grid step of the fitters' scans

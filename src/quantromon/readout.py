@@ -38,6 +38,7 @@ from .errors import (
     checked,
     io_fault,
     is_int,
+    parse_int,
 )
 from .params import ReadoutParams
 
@@ -348,6 +349,13 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def _number(text: str) -> float:
+    """The float of ``text`` where :func:`_is_number` takes it, else ``ValueError``."""
+    if not _is_number(text):
+        raise ValueError(text)
+    return float(text)
+
+
 def _fault_error(path, exc: ValueError) -> ParameterError:
     """Name the first fault of a shot CSV in file order: a byte that is not
     UTF-8, or a value line that is not one number; else ``exc``. Lines end at
@@ -428,11 +436,11 @@ def import_shots_csv(path) -> ShotSet:
     try:
         # a field with a default may be left out (or empty) and takes it, as in
         # a config's readout section
-        params = ReadoutParams(**{name: read(name, float) for name in ReadoutParams._fields
+        params = ReadoutParams(**{name: read(name, _number) for name in ReadoutParams._fields
                                   if header.get(name, "") != ""
                                   or name not in ReadoutParams._field_defaults})
-        return ShotSet(prepared_state=read("prepared_state", int), values=values,
-                       seed=read("seed", int), params=params)
+        return ShotSet(prepared_state=read("prepared_state", parse_int), values=values,
+                       seed=read("seed", parse_int), params=params)
     except ParameterError as exc:
         raise ParameterError(f"malformed shot CSV header in {path}: {exc}") from None
 
@@ -466,11 +474,13 @@ def _fd_bin_edges(pooled: np.ndarray, q25: float, q75: float) -> np.ndarray:
     """Freedman-Diaconis bin edges over the pooled data (shared by both
     states), from its quartiles ``q25`` and ``q75``."""
     lo, hi = float(np.min(pooled)), float(np.max(pooled))
-    width = 2.0 * (q75 - q25) * pooled.size ** (-1.0 / 3.0)
+    width = 2.0 * float(q75 - q25) * pooled.size ** (-1.0 / 3.0)
     if width <= 0.0:
         n_bins = 10
     else:
-        n_bins = int(np.clip(math.ceil((hi - lo) / width), 10, 512))
+        # Python floats: a ratio past the float range is inf, not a numpy
+        # warning, and clipping before the ceil keeps it off math.ceil
+        n_bins = math.ceil(min(max((hi - lo) / width, 10.0), 512.0))
     return np.linspace(lo, hi, n_bins + 1)
 
 
@@ -534,13 +544,16 @@ def fit_double_gaussian(shots0: ShotSet, shots1: ShotSet) -> GaussianMixtureFit:
         model1 = (1.0 - a1) * g0 + a1 * g1
         return np.concatenate([model0 - hist0, model1 - hist1])
 
-    result = least_squares(residuals, p_init, lower, upper,
-                           xtol=1e-8, ftol=1e-12, max_nfev=_MAX_NFEV)
-    if result.status == 0:
-        raise FitConvergenceError(
-            f"mixture fit hit the evaluation cap ({_MAX_NFEV}) "
-            f"with residual norm {np.linalg.norm(result.fun):.3e}"
-        )
+    # shots near the float range's ends overflow the model on the way to a
+    # failed fit; its status and message are the diagnostic, not the warnings
+    with np.errstate(all="ignore"):
+        result = least_squares(residuals, p_init, lower, upper,
+                               xtol=1e-8, ftol=1e-12, max_nfev=_MAX_NFEV)
+        if result.status == 0:
+            raise FitConvergenceError(
+                f"mixture fit hit the evaluation cap ({_MAX_NFEV}) "
+                f"with residual norm {np.linalg.norm(result.fun):.3e}"
+            )
 
     mu0, mu1, s0, s1, a0, a1 = result.x
     if a0 < 0.5:  # relabeling symmetry: make component 0 the state-0 majority

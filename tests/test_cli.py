@@ -14,6 +14,7 @@ import textwrap
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quantromon
@@ -828,6 +829,63 @@ class TestReadoutCommands:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("numerical failure: mixture fit hit the evaluation cap (1) ")
+
+    @staticmethod
+    def _shot_pair(tmp_path, values0, values1) -> list[str]:
+        """Shot CSVs of sample_c's readout holding the given values."""
+        params = load_config(SAMPLE_C).readout
+        paths = []
+        for state, values in enumerate((values0, values1)):
+            path = tmp_path / f"shots{state}.csv"
+            readout.export_shots_csv(readout.ShotSet(state, values, 7, params), path)
+            paths.append(str(path))
+        return paths
+
+    def test_bin_count_past_the_float_range_is_typed(self, tmp_path, capsys):
+        # the quartiles 0 and 1e-310 give a bin width whose ratio to the 1e10
+        # range is inf: it clips to 512 bins, where math.ceil raised
+        # OverflowError on it
+        files = self._shot_pair(tmp_path, [0.0] * 100, [1e-310] * 99 + [1e10])
+        assert run(["readout-fit", "--shots0", files[0], "--shots1", files[1]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+
+    def test_shots_near_the_float_range_end_warn_nothing(self, tmp_path, capsys):
+        # the fit overflows on its way to the cap; numpy's warnings stay off
+        # stderr, where the cap's diagnostic is the one line
+        rs = np.random.default_rng(0)
+        files = self._shot_pair(tmp_path, rs.normal(0.0, 1e-300, 1000),
+                                rs.normal(5e-300, 1e-300, 1000))
+        assert run(["readout-fit", "--shots0", files[0], "--shots1", files[1]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical failure: mixture fit hit the evaluation cap ")
+
+    @pytest.mark.parametrize("line, edited", [
+        ("# prepared_state=0\n", "# prepared_state=٠\n"),
+        ("# seed=7\n", "# seed=0_7\n"),
+        ("# nbar=30.0\n", "# nbar=３０\n"),
+    ])
+    def test_header_number_outside_the_value_rule_exits_1(self, tmp_path, capsys,
+                                                          line, edited):
+        # int() and float() alone read these as 0, 7 and 30; a header number
+        # follows the rule of the value lines and the integer flags
+        files = self._shot_pair(tmp_path, np.linspace(-1.0, 1.0, 200),
+                                np.linspace(0.0, 2.0, 200))
+        path = Path(files[0])
+        text = path.read_text(encoding="utf-8")
+        assert line in text
+        path.write_text(text.replace(line, edited), encoding="utf-8")
+        assert run(["readout-fit", "--shots0", files[0], "--shots1", files[1]]) == 1
+        captured = capsys.readouterr()
+        key, value = edited[2:-1].split("=")
+        assert captured.out == ""
+        assert captured.err == (f"error: malformed shot CSV header in {files[0]}: "
+                                f"cannot read {key}={value!r}\n")
 
     def test_zero_external_linewidth_exits_1(self, tmp_path, capsys):
         cfg = json.loads(Path(SAMPLE_C).read_text())

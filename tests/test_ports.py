@@ -1,7 +1,7 @@
 """The package's numpy/math ports of SciPy 1.17.1 routines against SciPy
 itself, bit for bit: the bounded TRF ``least_squares`` behind the mixture
-fit, ``ndtri`` behind the shot noise, ``ndtr`` behind the overlap error and
-``brentq`` behind the one-SQUID fitter."""
+fit, ``ndtri`` behind the shot noise and ``ndtr`` behind the overlap error;
+and the one-SQUID fitter's bisection, which needs no oracle."""
 
 import math
 
@@ -196,48 +196,33 @@ class TestNdtr:
         assert math.isnan(_cephes.ndtr(math.nan))
 
 
-class TestBrentq:
-    def test_the_one_squid_fitters_calls(self, monkeypatch):
-        calls, port = [], flux._brentq
+class TestSolveEJsigma:
+    """The one-SQUID fitter's root: the least double in ``[1e6, 1e13]`` whose
+    qubit frequency reaches the target."""
 
-        def record(f, a, b):
-            root = port(f, a, b)
-            calls.append((root, scipy.optimize.brentq(f, a, b)))
-            return root
+    EN = derive_energies(CircuitParams(l_j=8.2e-9, c_j=56.88e-15, l_r=0.546e-9,
+                                       c_r=781.8e-15, b=0.405, d_j=-0.30))
+    F_LO = flux._qubit_frequency(EN, 1e6)
+    F_HI = flux._qubit_frequency(EN, 1e13)
 
-        monkeypatch.setattr(flux, "_brentq", record)
-        table = CircuitParams(l_j=8.2e-9, c_j=56.88e-15, l_r=0.546e-9, c_r=781.8e-15,
-                              b=0.405, d_j=-0.30)
-        en = derive_energies(table)
-        for f_q_zero in (3.1e9, 5.205e9, 6.7e9, 8.9e9):
-            flux.fit_one_squid(en, f_q_zero=f_q_zero, d_j_zero=-0.30, anchor_n=5,
-                               d_j_anchor=-0.0152)
-        assert len(calls) == 4
-        for root, ref in calls:
-            assert _bits(root) == _bits(ref)
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(F_LO, F_HI))
+    def test_least_double_that_meets_the_target(self, f_q_zero):
+        e = flux._solve_e_jsigma(self.EN, f_q_zero)
+        assert 1e6 <= e <= 1e13
+        assert flux._qubit_frequency(self.EN, e) >= f_q_zero
+        below = math.nextafter(e, 0.0)
+        assert e == 1e6 or flux._qubit_frequency(self.EN, below) < f_q_zero
 
-    def test_random_brackets(self):
-        rs = np.random.default_rng(11)
-        fs = [lambda x: math.sin(3 * x) + 0.1 * x**3 - 0.3,
-              lambda x: math.exp(x) - 2.0,
-              lambda x: math.atan(x - 0.3),
-              lambda x: math.tanh(50 * (x - 0.1)),
-              lambda x: x**3]
-        for f in fs:
-            for a, b in np.sort(rs.uniform(-5.0, 5.0, (200, 2)), axis=1):
-                outcomes = []
-                for solve in (flux._brentq, scipy.optimize.brentq):
-                    try:
-                        outcomes.append(_bits(solve(f, float(a), float(b))))
-                    except (ValueError, RuntimeError) as exc:
-                        outcomes.append((type(exc), str(exc)))
-                assert outcomes[0] == outcomes[1]
+    def test_bracket_ends(self):
+        assert flux._solve_e_jsigma(self.EN, self.F_LO) == 1e6
+        e = flux._solve_e_jsigma(self.EN, self.F_HI)
+        assert e <= 1e13
+        assert flux._qubit_frequency(self.EN, math.nextafter(e, 0.0)) < self.F_HI
 
-    def test_nan_value_is_scipys_value_error(self):
-        f = lambda x: math.nan if x > 0.5 else x - 0.7  # noqa: E731
-        messages = []
-        for solve in (flux._brentq, scipy.optimize.brentq):
-            with pytest.raises(ValueError) as info:
-                solve(f, 0.0, 1.0)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+    def test_sample_b_fit_is_pinned(self):
+        cfg = flux.fit_one_squid(self.EN, f_q_zero=5.205e9, d_j_zero=-0.30, anchor_n=5,
+                                 d_j_anchor=-0.0152)
+        assert cfg.e_j1_zero == 7426647609.825769
+        assert cfg.e_j2_zero == 13792345561.105001
+        assert cfg.area_ratio_a == 0.0625

@@ -567,6 +567,22 @@ class TestFit:
         with pytest.raises(NumericalError, match="mixture fit cannot start"):
             fit_double_gaussian(_as_shotset(values0), _as_shotset(values1, prepared=1))
 
+    @settings(max_examples=200, deadline=None)
+    @given(spread=st.floats(1e-300, 1e300), iqr=st.floats(1e-300, 1e300),
+           n=st.integers(2, 10**5))
+    # quartiles 0 and 1e-310 under a 1e10 range: the ratio is inf
+    @example(spread=1e10, iqr=1e-310, n=200)
+    def test_bin_count_is_the_clipped_freedman_diaconis_ratio(self, spread, iqr, n):
+        pooled = np.zeros(n)
+        pooled[-1] = spread
+        width = 2.0 * iqr * n ** (-1.0 / 3.0)
+        with np.errstate(over="ignore"):
+            ratio = np.float64(spread) / np.float64(width)
+        edges = readout._fd_bin_edges(pooled, 0.0, iqr)
+        assert edges.size - 1 == (int(np.clip(math.ceil(ratio), 10, 512))
+                                  if math.isfinite(ratio) else 512)
+        assert edges[0] == 0.0 and edges[-1] == spread
+
     def test_device_like_decay_weights(self):
         s0 = simulate_shots(SAMPLE_C, 0, 50000, 4)
         s1 = simulate_shots(SAMPLE_C, 1, 50000, 4)
